@@ -338,12 +338,13 @@ CRITERIA = [
 def run_criterion(cid: str, **kwargs) -> CriterionResult:
     for id_, desc, fn in CRITERIA:
         if id_ == cid:
-            t0 = time.time()
+            t0 = time.perf_counter()
             try:
                 passed, detail = fn(**kwargs) if kwargs else fn()
             except Exception as exc:   # a raised check is a failed criterion
                 passed, detail = False, "%s: %s" % (type(exc).__name__, exc)
-            return CriterionResult(cid, desc, passed, detail, time.time() - t0)
+            return CriterionResult(cid, desc, passed, detail,
+                                   time.perf_counter() - t0)
     raise KeyError("unknown criterion %r" % cid)
 
 

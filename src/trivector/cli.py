@@ -324,7 +324,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    t0 = time.time()
+    t0 = time.perf_counter()
     _INPUT_DIGESTS.clear()
     try:
         verdict = args.fn(args)
@@ -348,7 +348,7 @@ def main(argv=None):
         "command": " ".join(sys.argv[1:]) if argv is None else " ".join(argv),
         "inputs": dict(_INPUT_DIGESTS),
         "verdict": verdict,
-        "elapsed_ms": int((time.time() - t0) * 1000),
+        "elapsed_ms": int((time.perf_counter() - t0) * 1000),
         "seed": args.seed,
     }
     json.dump(report, sys.stdout, indent=1, sort_keys=True)

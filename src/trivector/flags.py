@@ -4,16 +4,18 @@ certificate for the compatibility bundle."""
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import math
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import Disagreement, NonStableInput
 from .fields import Field
 from .linalg import Matrix, kernel_matrix
 from .loci import rank_locus_codes, DEFAULT_POINT_BUDGET
-from .polys import embed_map, extension_of
+from .polys import element_degree, embed_map, extension_of
 from .trivector import Trivector, gl_act, phi_at
 
 __all__ = [
@@ -317,7 +319,7 @@ def flag_search(t: Trivector, max_ext_degree: int = 1,
         from .stability import destabilizer_search
         if destabilizer_search(t, 1).status != "stable":
             raise NonStableInput("destabilizer search found a witness")
-    t0 = time.time()
+    t0 = time.perf_counter()
     found = []
     weighted = 0
     searched, skipped = [], []
@@ -340,12 +342,7 @@ def flag_search(t: Trivector, max_ext_degree: int = 1,
             if orbit_key != self_key:
                 continue            # one representative per orbit
             # minimal field of definition must be exactly d
-            from .polys import element_degree
-            deg = 1
-            for c in coords:
-                e = element_degree(c, base)
-                deg = deg * e // _gcd(deg, e)
-            if deg != d:
+            if math.lcm(*(element_degree(c, base) for c in coords)) != d:
                 continue
             for flag in flags_at_point(te, coords, early_exit=True):
                 found.append((flag, d))
@@ -353,13 +350,7 @@ def flag_search(t: Trivector, max_ext_degree: int = 1,
     if weighted > 81:
         raise Disagreement("weighted flag count %d exceeds 81" % weighted)
     return FlagSearchReport(found, weighted, weighted == 81,
-                            searched, skipped, time.time() - t0)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+                            searched, skipped, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -379,45 +370,90 @@ def _h_tail(i: int):
     return tuple(out)
 
 
-_H_TAILS = {i: _h_tail(i) for i in range(1, 10)}
+# Terms are packed into one int64 key, _EXP_BITS bits per variable (x_1 in
+# the low bits).  Reduction preserves total degree, so a term of degree
+# < 2**_EXP_BITS never carries between fields.
+_EXP_BITS = 6
+_EXP_MASK = (1 << _EXP_BITS) - 1
+_KEY_SHIFTS = np.arange(9, dtype=np.int64) * _EXP_BITS
+_H_TAIL_KEYS = {i: np.array([sum(v << (_EXP_BITS * k) for k, v in enumerate(e))
+                             for e in _h_tail(i)], dtype=np.int64)
+                for i in range(1, 10)}
+# most new terms expanded between two merges; bounds the transient memory
+_EXPAND_CHUNK = 1 << 16
+# every partial sum of a merge is bounded by the L1 norm of what it merges
+_COEFF_L1_LIMIT = float(1 << 62)
+
+
+def _merge_terms(keys, coeffs):
+    """Sum the coefficients of equal keys and drop the zero sums."""
+    if not len(keys):
+        return keys, coeffs
+    order = np.argsort(keys)
+    keys, coeffs = keys[order], coeffs[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(coeffs, starts)
+    nonzero = sums != 0
+    return keys[starts][nonzero], sums[nonzero]
 
 
 def reduce_mod_symmetric(poly: dict) -> dict:
     """Normal form of an integer-coefficient polynomial modulo the ideal of
     positive-degree symmetric polynomials in 9 variables.
 
-    Divides by the classical lex Groebner basis whose i-th element is the
-    complete homogeneous polynomial of degree i in the last 10-i variables
+    Divides by the classical lex Groebner basis whose i-th element h_i is
+    the complete homogeneous polynomial of degree i in x_i, ..., x_9
     (leading term x_i^i); normal forms have exponent i-1 at most in x_i.
+    Since h_i involves only x_i, ..., x_9, the reduction runs in stages
+    i = 1, ..., 9: stage i rewrites x_i^i as minus the tail of h_i, highest
+    x_i-exponent first, until every x_i-exponent is below i, and never
+    touches x_1, ..., x_{i-1} again.
+
+    Domain: keys are length-9 tuples of non-negative exponents with total
+    degree below 64, and the coefficients are integers whose running L1
+    norm stays below 2**62 throughout the reduction.  A key outside the
+    domain raises ValueError; coefficients that could leave it raise
+    OverflowError.  Results are exact; nothing wraps silently.
     """
     poly = {e: c for e, c in poly.items() if c}
-    heap = [tuple(-v for v in e) for e in poly]
-    heapq.heapify(heap)
-    seen = set(heap)
-    while heap:
-        neg = heapq.heappop(heap)
-        seen.discard(neg)
-        e = tuple(-v for v in neg)
-        c = poly.get(e)
-        if not c:
-            continue
-        i = next((k for k in range(1, 10) if e[k - 1] >= k), None)
-        if i is None:
-            continue
-        del poly[e]
-        rest = list(e)
-        rest[i - 1] -= i
-        for tail in _H_TAILS[i]:
-            ne = tuple(r + s for r, s in zip(rest, tail))
-            poly[ne] = poly.get(ne, 0) - c
-            if poly[ne] == 0:
-                del poly[ne]
-                continue
-            nneg = tuple(-v for v in ne)
-            if nneg not in seen:
-                heapq.heappush(heap, nneg)
-                seen.add(nneg)
-    return poly
+    if not poly:
+        return {}
+    exps = np.array(list(poly), dtype=np.int64)
+    if exps.ndim != 2 or exps.shape[1] != 9:
+        raise ValueError("exponent vectors must have 9 entries")
+    if (exps < 0).any():
+        raise ValueError("negative exponent in a term")
+    if (exps.sum(axis=1) >= 1 << _EXP_BITS).any():
+        raise ValueError("total degree must be below %d" % (1 << _EXP_BITS))
+    if sum(abs(c) for c in poly.values()) >= 1 << 62:
+        raise OverflowError("coefficient L1 norm reaches 2**62")
+    keys = (exps << _KEY_SHIFTS).sum(axis=1)
+    coeffs = np.array(list(poly.values()), dtype=np.int64)
+    for i in range(1, 10):
+        shift = _EXP_BITS * (i - 1)
+        tails = _H_TAIL_KEYS[i]
+        rows = _EXPAND_CHUNK // max(len(tails), 1)
+        while len(keys):
+            level = (keys >> shift) & _EXP_MASK
+            top = level.max()
+            if top < i:
+                break
+            hit = level == top
+            lead_keys = keys[hit] - (i << shift)
+            lead_coeffs = coeffs[hit]
+            keys, coeffs = keys[~hit], coeffs[~hit]
+            for s in range(0, len(lead_keys), rows):
+                chunk = lead_coeffs[s:s + rows]
+                l1 = (np.abs(coeffs).sum(dtype=np.float64)
+                      + len(tails) * np.abs(chunk).sum(dtype=np.float64))
+                if l1 >= _COEFF_L1_LIMIT:
+                    raise OverflowError("coefficient L1 norm reaches 2**62")
+                new_keys = (lead_keys[s:s + rows, None] + tails).ravel()
+                keys, coeffs = _merge_terms(
+                    np.concatenate((keys, new_keys)),
+                    np.concatenate((coeffs, np.repeat(-chunk, len(tails)))))
+    exps = (keys[:, None] >> _KEY_SHIFTS) & _EXP_MASK
+    return dict(zip(map(tuple, exps.tolist()), coeffs.tolist()))
 
 
 def chern_top_class():

@@ -125,7 +125,7 @@ def rank_locus_codes(t: Trivector, max_rank: int | None = None,
         raise BudgetExceeded("P^8(F_%d) has %d points (budget %d)"
                              % (q, total, budget), count=total)
     kern = field_kernel(field)
-    t0 = time.time()
+    t0 = time.perf_counter()
     counts = {0: 0, 2: 0, 4: 0, 6: 0, 8: 0}
     kept_codes = []
     kept_ranks = []
@@ -148,7 +148,7 @@ def rank_locus_codes(t: Trivector, max_rank: int | None = None,
                         count=kept)
                 kept_codes.append(codes_part)
                 kept_ranks.append(ranks_part)
-        report = RankLocusReport(q, counts, time.time() - t0)
+        report = RankLocusReport(q, counts, time.perf_counter() - t0)
         if report.total() != total:
             raise AssertionError("rank stratification lost points")
         codes = np.concatenate(kept_codes) if kept_codes else \
@@ -172,7 +172,7 @@ def rank_locus_codes(t: Trivector, max_rank: int | None = None,
                         count=kept)
                 kept_codes.append(chunk[keep].copy())
                 kept_ranks.append(ranks[keep])
-    report = RankLocusReport(q, counts, time.time() - t0)
+    report = RankLocusReport(q, counts, time.perf_counter() - t0)
     if report.total() != total:
         raise AssertionError("rank stratification lost points: %d != %d"
                              % (report.total(), total))

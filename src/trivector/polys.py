@@ -6,6 +6,7 @@ the multivariate type maps exponent tuples to nonzero coefficients.
 
 from __future__ import annotations
 
+import math
 import random
 
 from .fields import GF, Field, PrimeField, ExtensionField, RationalField
@@ -222,9 +223,7 @@ def _rational_roots(f: Poly):
     """Rational roots via the rational root theorem on the cleared form."""
     from fractions import Fraction
     dens = [c.val.denominator for c in f.coeffs]
-    lcm = 1
-    for d in dens:
-        lcm = lcm * d // _gcd_int(lcm, d)
+    lcm = math.lcm(*dens)
     ints = [int(c.val * lcm) for c in f.coeffs]
     while ints and ints[0] == 0:
         ints.pop(0)  # factor out x
@@ -241,12 +240,6 @@ def _rational_roots(f: Poly):
                 if f(cand).is_zero():
                     roots.add(cand)
     return sorted(roots, key=lambda a: (a.val.numerator, a.val.denominator))
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

@@ -13,6 +13,7 @@ basis of U and re-verified through the independent change-of-basis route.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import BudgetExceeded, Disagreement, UnsupportedField
@@ -372,17 +373,7 @@ def singular_point_search(system, base_field: Field, max_ext_degree: int):
 
 
 def _min_degree_of_point(coords, base_field, ext):
-    d = 1
-    for x in coords:
-        d = _lcm(d, element_degree(x, base_field))
-    return d
-
-
-def _lcm(a, b):
-    g, x = a, b
-    while x:
-        g, x = x, g % x
-    return a // g * b
+    return math.lcm(*(element_degree(x, base_field) for x in coords))
 
 
 def _search_univariate(system, base, bound):

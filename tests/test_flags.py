@@ -1,12 +1,18 @@
+import heapq
+import itertools
 import random
+from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trivector.errors import NonStableInput
 from trivector.fields import GF
-from trivector.flags import (FLAG_MONOMIALS, Flag1368, chern_top_class,
-                             flag_compatible, flag_search, flags_at_point,
-                             reduce_mod_symmetric, standard_flag)
+from trivector.flags import (FLAG_MONOMIALS, Flag1368, _h_tail,
+                             chern_top_class, flag_compatible, flag_search,
+                             flags_at_point, reduce_mod_symmetric,
+                             standard_flag)
 from trivector.linalg import Matrix
 from trivector.polys import embed_map
 from trivector.trivector import (CURVE_DEGREES, CurveCoeffs, gamma0, gl_act,
@@ -153,3 +159,116 @@ def test_reduce_mod_symmetric_basics():
     assert len(out) == 8 and all(v == -1 for v in out.values())
     stair = {(0, 1, 2, 3, 0, 0, 0, 0, 0): 5}
     assert reduce_mod_symmetric(dict(stair)) == stair
+
+
+_H_TAILS = {i: _h_tail(i) for i in range(1, 10)}
+
+
+def heap_reduce_mod_symmetric(poly: dict) -> dict:
+    """Oracle: the same normal form by one-term-at-a-time division, always
+    rewriting the lex-largest reducible term, with Python integers."""
+    poly = {e: c for e, c in poly.items() if c}
+    heap = [tuple(-v for v in e) for e in poly]
+    heapq.heapify(heap)
+    seen = set(heap)
+    while heap:
+        neg = heapq.heappop(heap)
+        seen.discard(neg)
+        e = tuple(-v for v in neg)
+        c = poly.get(e)
+        if not c:
+            continue
+        i = next((k for k in range(1, 10) if e[k - 1] >= k), None)
+        if i is None:
+            continue
+        del poly[e]
+        rest = list(e)
+        rest[i - 1] -= i
+        for tail in _H_TAILS[i]:
+            ne = tuple(r + s for r, s in zip(rest, tail))
+            poly[ne] = poly.get(ne, 0) - c
+            if poly[ne] == 0:
+                del poly[ne]
+                continue
+            nneg = tuple(-v for v in ne)
+            if nneg not in seen:
+                heapq.heappush(heap, nneg)
+                seen.add(nneg)
+    return poly
+
+
+_exponents = st.lists(st.integers(0, 8), max_size=12).map(
+    lambda vs: tuple(vs.count(v) for v in range(9)))
+_coefficients = st.one_of(st.integers(-5, 5), st.integers(-2**40, 2**40))
+
+
+@st.composite
+def _integer_polys(draw):
+    """Integer polynomials of degree <= 12, built from a term list that
+    repeats some monomials and adds exact negatives of others."""
+    terms = draw(st.lists(st.tuples(_exponents, _coefficients), max_size=8))
+    if terms:
+        picks = draw(st.lists(st.sampled_from(terms), max_size=4))
+        terms += [(e, c) for e, c in picks]
+        terms += [(e, -c) for e, c in draw(st.lists(st.sampled_from(terms),
+                                                    max_size=4))]
+    poly = {}
+    for e, c in terms:
+        poly[e] = poly.get(e, 0) + c
+    return poly
+
+
+@settings(max_examples=100, deadline=None)
+@given(_integer_polys())
+def test_reduce_mod_symmetric_matches_heap_oracle(poly):
+    assert reduce_mod_symmetric(dict(poly)) == heap_reduce_mod_symmetric(poly)
+
+
+def test_reduce_mod_symmetric_domain():
+    x1 = (1, 0, 0, 0, 0, 0, 0, 0, 0)
+    with pytest.raises(OverflowError):
+        reduce_mod_symmetric({x1: 2**70})
+    # valid input whose rewriting would push the coefficients past 2**62
+    with pytest.raises(OverflowError):
+        reduce_mod_symmetric({x1: 2**61})
+    with pytest.raises(ValueError):
+        reduce_mod_symmetric({(64, 0, 0, 0, 0, 0, 0, 0, 0): 1})
+    with pytest.raises(ValueError):
+        reduce_mod_symmetric({(0, 0, 0, 0, 0, 0, 0, 0, 63): 1,
+                              (2, -1, 0, 0, 0, 0, 0, 0, 0): 1})
+    top = (0, 0, 0, 0, 0, 0, 0, 0, 63)
+    assert reduce_mod_symmetric({top: 1, (0,) * 9: 3}) == {(0,) * 9: 3}
+
+
+def _block_orderings(sizes, rest):
+    """One permutation per coset of the block stabilizer (blocks of the
+    given sizes, each block in increasing order)."""
+    if not sizes:
+        yield ()
+        return
+    for head in itertools.combinations(rest, sizes[0]):
+        left = [v for v in rest if v not in head]
+        for tail in _block_orderings(sizes[1:], left):
+            yield head + tail
+
+
+def localization_top_chern(weights) -> Fraction:
+    """Integral of c_31 of the condition bundle over Fl(1,3,6,8;9) by
+    Atiyah-Bott localization at the 15,120 torus-fixed coordinate flags."""
+    sizes = (1, 2, 3, 2, 1)
+    block = [b for b, n in enumerate(sizes) for _ in range(n)]
+    pairs = [(a, b) for a, b in itertools.combinations(range(9), 2)
+             if block[a] < block[b]]
+    total = Fraction(0)
+    for sigma in _block_orderings(sizes, range(9)):
+        t = [weights[s] for s in sigma]
+        total += Fraction(
+            prod(t[i - 1] + t[j - 1] + t[k - 1] for i, j, k in FLAG_MONOMIALS),
+            prod(t[b] - t[a] for a, b in pairs))
+    return total
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_chern_number_by_localization(seed):
+    weights = random.Random(seed).sample(range(-100, 100), 9)
+    assert localization_top_chern(weights) == 81
