@@ -14,7 +14,8 @@ from .heisenberg import heisenberg_invariants
 from .stability import (curve_is_smooth, destabilizer_search,
                         singular_point_search, stability_verdict_gamma_c)
 from .loci import (cubic_of_Y, curve_point_counts, enumerate_rank_locus,
-                   jacobian_order_from_counts, reconstruct_from_pencil,
+                   interpolate_cubic, jacobian_order_from_counts,
+                   pfaffian_cubic, reconstruct_from_pencil,
                    verify_curve_embedding)
 from .e8 import GradedE8Element, bracket, restricted_power, three_rank
 from .flags import (Flag1368, chern_top_class, flag_compatible, flag_search,
@@ -27,7 +28,8 @@ __all__ = [
     "phi_pencil", "standard_cartan_element", "weighted_torus_act",
     "heisenberg_invariants", "curve_is_smooth", "destabilizer_search",
     "singular_point_search", "stability_verdict_gamma_c", "cubic_of_Y",
-    "curve_point_counts", "enumerate_rank_locus",
+    "interpolate_cubic", "pfaffian_cubic", "curve_point_counts",
+    "enumerate_rank_locus",
     "jacobian_order_from_counts", "reconstruct_from_pencil",
     "verify_curve_embedding", "GradedE8Element", "bracket",
     "restricted_power", "three_rank", "Flag1368", "chern_top_class",

@@ -15,8 +15,9 @@ from .fields import GF
 from .heisenberg import heisenberg_invariants
 from .linalg import Matrix
 from .loci import (batch_eval, cubic_of_Y, curve_point_counts,
-                   jacobian_order_from_counts, pencil_basis, rank_locus_codes,
-                   reconstruct_from_pencil, verify_curve_embedding)
+                   interpolate_cubic, jacobian_order_from_counts, pencil_basis,
+                   rank_locus_codes, reconstruct_from_pencil,
+                   verify_curve_embedding)
 from .polys import embed_map
 from .stability import curve_is_smooth, stability_family_report_f2
 from .trivector import (CARTAN_LINES, CURVE_DEGREES, CurveCoeffs, Trivector,
@@ -101,33 +102,46 @@ def c3_lang_cross_check():
 
 
 def c4_cubic_hypersurface():
-    """Interpolation kernel is one-dimensional; the F_2 cubic vanishes on the
-    rank <= 6 locus of the quadratic extension; partials vanish exactly on the
-    rank <= 4 points and at no rank-6 point."""
+    """Two routes to the cubic agree coefficient by coefficient over F_2 and
+    F_4: the closed-form Pfaffian cubic and the interpolation through the
+    scanned rank <= 6 locus (one-dimensional kernel enforced).  The F_2 cubic
+    vanishes on the rank <= 6 locus of the quadratic extension; partials
+    vanish exactly on the rank <= 4 points and at no rank-6 point.
+
+    The scan sieves with the Pfaffian cubic, but a wrong cubic would drop
+    true rank-6 points from the interpolation data or differ from the
+    interpolated coefficients, so agreement still certifies it."""
     f2, f4 = GF(2), GF(2, 2)
     c2 = CurveCoeffs(f2, {15: 1})
     t2 = build_gamma_c(c2)
-    cubic2 = cubic_of_Y(t2)
-    c4c = c2.map_coeffs(f4, embed_map(f2, f4))
-    t4 = build_gamma_c(c4c)
-    cubic4 = cubic_of_Y(t4)   # kernel dimension 1 enforced internally
+    t4 = build_gamma_c(c2.map_coeffs(f4, embed_map(f2, f4)))
+    cubics = {}
+    for q, t in ((2, t2), (4, t4)):
+        closed = cubic_of_Y(t)
+        interp = interpolate_cubic(t)   # kernel dimension 1 enforced inside
+        if interp.field != t.field or interp.coeffs != closed.coeffs:
+            return False, ("F_%d: interpolated cubic differs from the "
+                           "Pfaffian cubic" % q)
+        cubics[q] = closed
     # base-field cubic vanishes on the higher-field locus
     kern, rep, codes, ranks = rank_locus_codes(t4, max_rank=6)
-    lift = cubic2.map_coeffs(f4, embed_map(f2, f4))
+    lift = cubics[2].map_coeffs(f4, embed_map(f2, f4))
     vals = batch_eval(kern, lift.as_multipoly(), codes)
     if np.any(vals != 0):
         return False, "F_2 cubic misses a rank <= 6 point over F_4"
-    if cubic4.as_multipoly() != lift.as_multipoly():
-        return False, "F_4 interpolation disagrees with the lifted F_2 cubic"
+    if cubics[4].as_multipoly() != lift.as_multipoly():
+        return False, "F_4 cubic disagrees with the lifted F_2 cubic"
     x_mask = ranks <= 4
     allzero = np.ones(codes.shape[0], dtype=bool)
-    for p in cubic4.partials():
+    for p in cubics[4].partials():
         allzero &= batch_eval(kern, p, codes) == 0
     if not bool((allzero == x_mask).all()):
         return False, "partials do not cut out exactly the rank <= 4 locus"
-    return True, ("kernel dim 1 over F_2 and F_4; cubic vanishes on %d "
-                  "Y-points of F_4; partials vanish exactly on the %d X-points"
-                  % (codes.shape[0], int(x_mask.sum())))
+    return True, ("kernel dim 1 over F_2 and F_4, interpolation = Pfaffian "
+                  "cubic (%d monomials); cubic vanishes on %d Y-points of "
+                  "F_4; partials vanish exactly on the %d X-points"
+                  % (len(cubics[4].coeffs), codes.shape[0],
+                     int(x_mask.sum())))
 
 
 def c5_embedding_certificate():

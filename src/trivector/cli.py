@@ -143,7 +143,7 @@ def cmd_loci_count(args):
 def cmd_loci_cubic(args):
     from .loci import cubic_of_Y
     t = _embed_trivector(ser.trivector_from_json(_load(args.gamma)), args.q)
-    cubic = cubic_of_Y(t, budget=args.budget or 250_000_000)
+    cubic = cubic_of_Y(t)      # closed form: no scan, so --budget is unused
     data = ser.cubic_to_json(cubic)
     if args.output:
         ser.dump_json(data, args.output)
@@ -237,7 +237,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0,
                    help="seed for any randomized sampling (default 0)")
     p.add_argument("--budget", type=int, default=None,
-                   help="global cap on enumeration sizes")
+                   help="global cap on enumeration sizes (unused by "
+                        "'loci cubic', which does not scan)")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes for the parallel kernels")
     sub = p.add_subparsers(dest="command", required=True)

@@ -194,26 +194,32 @@ def check_skew(m: Matrix):
                               % (i, j, j, i))
 
 
-def pfaffian(m: Matrix):
+def pfaffian(m: Matrix, one=None):
     """Pfaffian by recursive expansion along the first row.
 
     Sign convention: pf([[0, a], [-a, 0]]) = a, so the standard symplectic
     block has Pfaffian +1.
+
+    The entries may live in any commutative ring whose elements support
+    +, -, *, unary minus, == and is_zero() (e.g. MultiPoly linear forms);
+    `one` is then that ring's identity.  It defaults to m.field.one.
     """
     check_skew(m)
     n = m.nrows
     if n % 2 != 0:
         raise OddSize("Pfaffian needs even size, got %d" % n)
-    field = m.field
+    if one is None:
+        one = m.field.one
+    zero = one - one
     memo = {}
 
     def rec(idx):
         if not idx:
-            return field.one
+            return one
         if idx in memo:
             return memo[idx]
         i0 = idx[0]
-        acc = field.zero
+        acc = zero
         for t in range(1, len(idx)):
             a = m.rows[i0][idx[t]]
             if a.is_zero():

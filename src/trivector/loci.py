@@ -1,6 +1,11 @@
-"""Rank strata of the skew pencil over finite fields, the interpolated cubic
-hypersurface, genus-2 point counts and Jacobian orders, the explicit curve
-embedding certificate, and reconstruction of a trivector from its pencil."""
+"""Rank strata of the skew pencil over finite fields, the cubic hypersurface
+through the rank <= 6 locus (in closed form as a Pfaffian, and interpolated
+from a scan as the second route), genus-2 point counts and Jacobian orders,
+the explicit curve embedding certificate, and reconstruction of a trivector
+from its pencil.
+
+The P^8 scan uses the Pfaffian cubic as a sieve: points where it is nonzero
+have rank 8, and only its zeros go through elimination."""
 
 from __future__ import annotations
 
@@ -12,18 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BudgetExceeded, CertificateFailure,
-                     DegenerateConfiguration, KernelDimNotOne, SingularCurve,
-                     WeilViolation)
-from .fields import Field
-from .linalg import Matrix, rank_and_kernel
+                     DegenerateConfiguration, Disagreement, KernelDimNotOne,
+                     SingularCurve, WeilViolation)
+from .fields import Field, parse_field
+from .linalg import Matrix, pfaffian, rank_and_kernel
 from .polys import MultiPoly, Poly, embed_map, extension_of, roots_in_field
 from .scan import field_kernel, projective_chunks, projective_count
 from .stability import curve_is_smooth
-from .trivector import CurveCoeffs, Trivector, build_gamma_c, phi_at
+from .trivector import (CurveCoeffs, Trivector, build_gamma_c, phi_at,
+                        phi_pencil)
 
 __all__ = [
     "RankLocusReport", "enumerate_rank_locus", "rank_locus_codes",
-    "batch_eval", "CubicForm", "cubic_of_Y", "DEGREE3_EXPONENTS",
+    "batch_eval", "CubicForm", "cubic_of_Y", "interpolate_cubic",
+    "pfaffian_cubic", "DEGREE3_EXPONENTS",
     "jacobian_order_from_counts", "curve_point_counts", "curve_affine_points",
     "verify_curve_embedding", "embedding_point", "embedding_kernel_rows",
     "reconstruct_from_pencil", "pencil_basis",
@@ -53,7 +60,7 @@ class RankLocusReport:
 
 
 def _structure_tensor_codes(t: Trivector, kern):
-    codes = np.zeros((9, 9, 9), dtype=np.int16)
+    codes = np.zeros((9, 9, 9), dtype=kern.dtype)
 
     def add(a, b, k, el):
         codes[a - 1, b - 1, k - 1] = kern.encode(
@@ -68,43 +75,67 @@ def _structure_tensor_codes(t: Trivector, kern):
     return codes
 
 
-def _scan_lead_block(args):
-    """One lead-position block of the projective scan (parallel worker)."""
-    field_spec, coeff_data, q, lead, max_rank = args
-    from .fields import parse_field
-    field = parse_field(field_spec)
-    kern = field_kernel(field)
-    t = Trivector(field, {trip: field.from_str(s) for trip, s in coeff_data})
-    tensor = _structure_tensor_codes(t, kern)
-    counts = {0: 0, 2: 0, 4: 0, 6: 0, 8: 0}
+def pfaffian_cubic(t: Trivector) -> MultiPoly:
+    """The cubic C(x) = Pf(phi(x) without row and column 1) / x_1.
+
+    phi(x) is skew with x in its kernel, so its signed principal 8x8
+    Pfaffians are C(x) * x, in every characteristic:
+    Pf_i(phi(x)) = (-1)^(i+1) C(x) x_i.  Hence rank phi(x) = 8 exactly when
+    C(x) != 0, and C vanishes on the rank <= 6 locus.  C is identically zero
+    when every point has rank <= 6 (e.g. the zero trivector)."""
+    field = t.field
+    pencil = phi_pencil(t).entries
+    minor = Matrix(field, [row[1:] for row in pencil[1:]])
+    pf1 = pfaffian(minor, one=MultiPoly.constant(field, 9, field.one))
+    terms = {}
+    for e, c in pf1.terms.items():
+        if e[0] == 0:
+            raise Disagreement("Pf_1 of the pencil is not divisible by x_1")
+        terms[(e[0] - 1,) + e[1:]] = c
+    return MultiPoly(field, 9, terms)
+
+
+def _scan_lead_block(job):
+    """Scan worker for one lead block: the canonical points of P^8(F_q)
+    whose leading 1 sits at position `lead`.
+
+    Returns (rank histogram of length 9, kept codes, kept ranks) in
+    lexicographic order.  Points where the Pfaffian cubic is nonzero have
+    rank 8; only its zeros go through build_skew + batched_rank (all points
+    do when the cubic is identically zero)."""
+    spec, tensor, cubic_codes, lead, max_rank, point_cap = job
+    kern = field_kernel(parse_field(spec))
+    cubic = MultiPoly(kern.field, 9,
+                      {e: kern.decode(c) for e, c in cubic_codes})
+    hist = np.zeros(9, dtype=np.int64)
     kept_codes, kept_ranks = [], []
-    tail = 8 - lead
-    total = q ** tail
-    start = 0
-    chunk_size = 1 << 17
-    while start < total:
-        n = min(chunk_size, total - start)
-        idx = np.arange(start, start + n, dtype=np.int64)
-        pts = np.zeros((n, 9), dtype=np.int16)
-        pts[:, lead] = 1
-        for pos in range(tail):
-            power = q ** (tail - 1 - pos)
-            pts[:, lead + 1 + pos] = (idx // power) % q
-        mats = kern.build_skew(pts, tensor)
-        ranks = kern.batched_rank(mats)
-        vals, cnts = np.unique(ranks, return_counts=True)
-        for v, nn in zip(vals, cnts):
-            counts[int(v)] = counts.get(int(v), 0) + int(nn)
+    kept = 0
+    for pts in projective_chunks(kern.q, (lead,)):
+        ranks = np.full(pts.shape[0], 8, dtype=np.int64)
+        if cubic.is_zero():
+            low = np.arange(pts.shape[0])
+        else:
+            low = np.nonzero(batch_eval(kern, cubic, pts) == 0)[0]
+        if low.size:
+            low_ranks = kern.batched_rank(kern.build_skew(pts[low], tensor))
+            if np.any(low_ranks == 8):
+                raise Disagreement("rank 8 at a zero of the Pfaffian cubic")
+            ranks[low] = low_ranks
+        hist += np.bincount(ranks, minlength=9)
         if max_rank is not None:
             keep = np.nonzero(ranks <= max_rank)[0]
+            kept += int(keep.size)
+            if kept > point_cap:
+                raise BudgetExceeded(
+                    "rank-locus point list exceeds cap %d" % point_cap,
+                    count=kept)
             if keep.size:
-                kept_codes.append(pts[keep].copy())
+                kept_codes.append(pts[keep])
                 kept_ranks.append(ranks[keep])
-        start += n
     codes = np.concatenate(kept_codes) if kept_codes else \
-        np.zeros((0, 9), np.int16)
+        np.zeros((0, 9), kern.dtype)
     rks = np.concatenate(kept_ranks) if kept_ranks else np.zeros(0, np.int64)
-    return counts, codes, rks
+    return hist, codes, rks
 
 
 def rank_locus_codes(t: Trivector, max_rank: int | None = None,
@@ -114,8 +145,9 @@ def rank_locus_codes(t: Trivector, max_rank: int | None = None,
     """Scan engine: returns (kern, report, codes, ranks) where codes/ranks
     hold the canonical representatives with rank <= max_rank.
 
-    The scan is data-parallel over lead-position blocks with an associative
-    count merge, so the report is independent of the thread count."""
+    The scan maps one worker over the 9 lead-position blocks, in this
+    process or in a pool of `threads` processes, and merges the blocks in
+    lead order, so the result is independent of the thread count."""
     field = t.field
     if field.order is None:
         raise BudgetExceeded("rank-locus enumeration needs a finite field")
@@ -126,61 +158,36 @@ def rank_locus_codes(t: Trivector, max_rank: int | None = None,
                              % (q, total, budget), count=total)
     kern = field_kernel(field)
     t0 = time.perf_counter()
-    counts = {0: 0, 2: 0, 4: 0, 6: 0, 8: 0}
-    kept_codes = []
-    kept_ranks = []
-    kept = 0
+    tensor = _structure_tensor_codes(t, kern)
+    cubic_codes = [(e, kern.encode(c))
+                   for e, c in pfaffian_cubic(t).terms.items()]
+    jobs = [(field.spec_str(), tensor, cubic_codes, lead, max_rank, point_cap)
+            for lead in range(9)]
     if threads > 1:
         import multiprocessing as mp
-        spec = field.spec_str()
-        coeff_data = [(trip, field.to_str(c)) for trip, c in sorted(t.coeffs.items())]
-        jobs = [(spec, coeff_data, q, lead, max_rank) for lead in range(9)]
         with mp.Pool(min(threads, 9)) as pool:
             parts = pool.map(_scan_lead_block, jobs)
-        for cpart, codes_part, ranks_part in parts:   # lead order: deterministic
-            for k, v in cpart.items():
-                counts[k] = counts.get(k, 0) + v
-            if codes_part.shape[0]:
-                kept += codes_part.shape[0]
-                if kept > point_cap:
-                    raise BudgetExceeded(
-                        "rank-locus point list exceeds cap %d" % point_cap,
-                        count=kept)
-                kept_codes.append(codes_part)
-                kept_ranks.append(ranks_part)
-        report = RankLocusReport(q, counts, time.perf_counter() - t0)
-        if report.total() != total:
-            raise AssertionError("rank stratification lost points")
-        codes = np.concatenate(kept_codes) if kept_codes else \
-            np.zeros((0, 9), np.int16)
-        rks = np.concatenate(kept_ranks) if kept_ranks else np.zeros(0, np.int64)
-        return kern, report, codes, rks
-    tensor = _structure_tensor_codes(t, kern)
-    for chunk in projective_chunks(q):
-        mats = kern.build_skew(chunk, tensor)
-        ranks = kern.batched_rank(mats)
-        vals, cnts = np.unique(ranks, return_counts=True)
-        for v, n in zip(vals, cnts):
-            counts[int(v)] = counts.get(int(v), 0) + int(n)
-        if max_rank is not None:
-            keep = np.nonzero(ranks <= max_rank)[0]
-            if keep.size:
-                kept += int(keep.size)
-                if kept > point_cap:
-                    raise BudgetExceeded(
-                        "rank-locus point list exceeds cap %d" % point_cap,
-                        count=kept)
-                kept_codes.append(chunk[keep].copy())
-                kept_ranks.append(ranks[keep])
+    else:
+        parts = map(_scan_lead_block, jobs)
+    hist = np.zeros(9, dtype=np.int64)
+    kept_codes, kept_ranks = [], []
+    kept = 0
+    for block_hist, codes_part, ranks_part in parts:   # lead order
+        hist += block_hist
+        kept += codes_part.shape[0]
+        if kept > point_cap:
+            raise BudgetExceeded(
+                "rank-locus point list exceeds cap %d" % point_cap, count=kept)
+        kept_codes.append(codes_part)
+        kept_ranks.append(ranks_part)
+    counts = {r: int(n) for r, n in enumerate(hist) if n or r % 2 == 0}
     report = RankLocusReport(q, counts, time.perf_counter() - t0)
     if report.total() != total:
         raise AssertionError("rank stratification lost points: %d != %d"
                              % (report.total(), total))
-    if any(k % 2 for k in counts if counts[k]):
+    if hist[1::2].any():
         raise AssertionError("odd rank in a skew pencil")
-    codes = np.concatenate(kept_codes) if kept_codes else np.zeros((0, 9), np.int16)
-    rks = np.concatenate(kept_ranks) if kept_ranks else np.zeros(0, np.int64)
-    return kern, report, codes, rks
+    return kern, report, np.concatenate(kept_codes), np.concatenate(kept_ranks)
 
 
 def enumerate_rank_locus(t: Trivector, max_rank: int | None = None,
@@ -204,9 +211,9 @@ def enumerate_rank_locus(t: Trivector, max_rank: int | None = None,
 def batch_eval(kern, mp: MultiPoly, codes):
     """Evaluate a sparse multivariate polynomial at coded points (N, nvars)."""
     n = codes.shape[0]
-    acc = np.zeros(n, dtype=codes.dtype)
+    acc = np.zeros(n, dtype=kern.dtype)
     for e, c in mp.terms.items():
-        term = np.full(n, kern.encode(c), dtype=codes.dtype)
+        term = np.full(n, kern.encode(c), dtype=kern.dtype)
         for i, k in enumerate(e):
             for _ in range(k):
                 term = kern.mul(term, codes[:, i])
@@ -258,12 +265,31 @@ class CubicForm:
 def _monomial_matrix(kern, codes):
     """Evaluation matrix of the 165 degree-3 monomials at coded points."""
     n = codes.shape[0]
-    cols = np.zeros((n, len(DEGREE3_EXPONENTS)), dtype=codes.dtype)
+    cols = np.zeros((n, len(DEGREE3_EXPONENTS)), dtype=kern.dtype)
     for idx, e in enumerate(DEGREE3_EXPONENTS):
         vs = [i for i in range(9) for _ in range(e[i])]
         col = kern.mul(codes[:, vs[0]], codes[:, vs[1]])
         cols[:, idx] = kern.mul(col, codes[:, vs[2]])
     return cols
+
+
+def _normalized(cubic: CubicForm) -> CubicForm:
+    """Scale so the lexicographically first coefficient is 1."""
+    lead = next(e for e in DEGREE3_EXPONENTS if e in cubic.coeffs)
+    inv = cubic.coeffs[lead].inv()
+    return CubicForm(cubic.field,
+                     {e: c * inv for e, c in cubic.coeffs.items()})
+
+
+def cubic_of_Y(t: Trivector) -> CubicForm:
+    """The cubic hypersurface through the rank <= 6 locus, in closed form:
+    the Pfaffian cubic C = Pf_1(phi(x)) / x_1, normalized.  No scan; the
+    coefficients lie in t's field.  KernelDimNotOne when C is identically
+    zero (no rank-8 point anywhere, e.g. the zero trivector)."""
+    cubic = pfaffian_cubic(t)
+    if cubic.is_zero():
+        raise KernelDimNotOne("the Pfaffian cubic vanishes identically")
+    return _normalized(CubicForm(t.field, cubic.terms))
 
 
 def _interpolate_cubic_over(t: Trivector, sample_cap, budget):
@@ -283,19 +309,17 @@ def _interpolate_cubic_over(t: Trivector, sample_cap, budget):
     for e, code in zip(DEGREE3_EXPONENTS, kb[0]):
         if code:
             coeffs[e] = kern.decode(int(code))
-    cubic = CubicForm(field, coeffs)
-    lead = next(e for e in DEGREE3_EXPONENTS if e in cubic.coeffs)
-    inv = cubic.coeffs[lead].inv()
-    cubic = CubicForm(field, {e: c * inv for e, c in cubic.coeffs.items()})
+    cubic = _normalized(CubicForm(field, coeffs))
     values = batch_eval(kern, cubic.as_multipoly(), codes)
     if np.any(values != 0):
         raise KernelDimNotOne("interpolated cubic misses an enumerated point")
     return cubic
 
 
-def cubic_of_Y(t: Trivector, sample_cap: int = 400,
-               budget: int = DEFAULT_POINT_BUDGET) -> CubicForm:
-    """Interpolate the unique cubic through the rank <= 6 locus.
+def interpolate_cubic(t: Trivector, sample_cap: int = 400,
+                      budget: int = DEFAULT_POINT_BUDGET) -> CubicForm:
+    """Interpolate the unique cubic through the rank <= 6 locus: the second
+    route to cubic_of_Y, through a scan of P^8.
 
     The kernel of the evaluation matrix on the 165-dimensional cubic space
     must be exactly one-dimensional.  Very small base fields cannot separate

@@ -2,8 +2,15 @@
 
 Field elements are encoded as integers (the field's canonical integer
 encoding); prime fields compute with modular arithmetic, extension fields of
-order <= 256 go through precomputed addition/multiplication tables.  These
-kernels only ever see encoded data, so no floating point is involved.
+order <= 256 go through precomputed addition/multiplication tables (in
+characteristic 2 the codes are coefficient bit vectors and addition is XOR).
+These kernels only ever see encoded data, so no floating point is involved.
+
+Each kernel owns the dtype of its codes (``FieldKernel.dtype``: int16 while
+q <= 2^15, int32 above).  Inputs are code arrays of that dtype or wider.
+Prime fields are accepted up to p = 2^16; above p = 181 the product of two
+int16 codes no longer fits in int16, so those kernels widen to int64 before
+adding or multiplying, which keeps every result exact.
 """
 
 from __future__ import annotations
@@ -12,13 +19,20 @@ import numpy as np
 
 from .fields import ExtensionField, Field, PrimeField
 
-__all__ = ["FieldKernel", "projective_chunks", "projective_count"]
+__all__ = ["FieldKernel", "projective_chunks", "projective_count", "code_dtype"]
 
 _kernel_cache: dict = {}
+
+MAX_KERNEL_PRIME = 1 << 16     # the inverse table holds one entry per code
 
 
 def projective_count(q: int, dim: int = 9) -> int:
     return (q ** dim - 1) // (q - 1)
+
+
+def code_dtype(q: int):
+    """The narrowest integer dtype holding every code of a field of order q."""
+    return np.int16 if q <= 1 << 15 else np.int32
 
 
 class FieldKernel:
@@ -27,12 +41,17 @@ class FieldKernel:
     def __init__(self, field: Field):
         self.field = field
         self.q = field.order
+        self.wide = None
+        self.xor = False
         if isinstance(field, PrimeField):
-            self.prime = field.p if field.p <= np.iinfo(np.int64).max else None
-            if self.prime is None:
-                raise ValueError("prime too large for the scan kernel")
+            if field.p > MAX_KERNEL_PRIME:
+                raise ValueError("prime %d too large for the scan kernel "
+                                 "(limit %d)" % (field.p, MAX_KERNEL_PRIME))
+            self.prime = field.p
             self.table = None
             q = field.p
+            if (q - 1) ** 2 > np.iinfo(np.int16).max:
+                self.wide = np.int64
             self.inv_vec = np.array([0] + [pow(a, -1, q) for a in range(1, q)],
                                     dtype=np.int64)
         elif isinstance(field, ExtensionField):
@@ -53,22 +72,35 @@ class FieldKernel:
             for a in range(1, q):
                 inv[a] = field.to_int(els[a].inv())
             self.table = (add, mul, neg, inv)
+            # characteristic 2: codes are coefficient bit vectors, + is XOR
+            self.xor = field.p == 2
         else:
             raise ValueError("scan kernels need a finite field")
+        self.dtype = code_dtype(self.q)
 
     # elementwise coded ops -------------------------------------------------
     def add(self, a, b):
         if self.prime:
+            if self.wide:
+                a = np.asarray(a, self.wide)
             return (a + b) % self.prime
+        if self.xor:
+            return a ^ b
         return self.table[0][a, b]
 
     def sub(self, a, b):
         if self.prime:
+            if self.wide:
+                a = np.asarray(a, self.wide)
             return (a - b) % self.prime
+        if self.xor:
+            return a ^ b
         return self.table[0][a, self.table[2][b]]
 
     def mul(self, a, b):
         if self.prime:
+            if self.wide:
+                a = np.asarray(a, self.wide)
             return (a * b) % self.prime
         return self.table[1][a, b]
 
@@ -92,14 +124,14 @@ class FieldKernel:
             t2 = tensor.reshape(81, 9).T.astype(np.int64)  # (9, 81)
             flat = (points.astype(np.int64) @ t2) % self.prime
             return flat.reshape(n, 9, 9)
-        add, mul = self.table[0], self.table[1]
+        mul = self.table[1]
         acc = np.zeros((n, 81), dtype=np.int16)
         t2 = tensor.reshape(81, 9)
         for k in range(9):
             col = t2[:, k]
             if not col.any():
                 continue
-            acc = add[acc, mul[col[None, :], points[:, k, None]]]
+            acc = self.add(acc, mul[col[None, :], points[:, k, None]])
         return acc.reshape(n, 9, 9)
 
     def batched_rank(self, mats):
@@ -132,8 +164,8 @@ class FieldKernel:
 
     def rref(self, mat):
         """Exact reduced row echelon form of a single coded matrix;
-        returns (rank, pivots, reduced copy)."""
-        m = mat.copy()
+        returns (rank, pivots, reduced copy in the kernel's dtype)."""
+        m = np.array(mat, dtype=self.dtype)
         nrows, ncols = m.shape
         pivots = []
         r = 0
@@ -163,7 +195,7 @@ class FieldKernel:
         rank, pivots, red = self.rref(mat)
         ncols = mat.shape[1]
         free = [c for c in range(ncols) if c not in pivots]
-        out = np.zeros((len(free), ncols), dtype=mat.dtype)
+        out = np.zeros((len(free), ncols), dtype=self.dtype)
         neg = (lambda v: (-v) % self.prime) if self.prime \
             else (lambda v: self.table[2][v])
         for i, fc in enumerate(free):
@@ -182,17 +214,18 @@ def field_kernel(field: Field) -> FieldKernel:
     return _kernel_cache[key]
 
 
-def projective_chunks(q: int, chunk_size: int = 1 << 17):
-    """Canonical representatives of P^8(F_q) (first nonzero coordinate is 1),
-    yielded as (N, 9) integer-code arrays in lexicographic order."""
-    for lead in range(9):
+def projective_chunks(q: int, leads=range(9), chunk_size: int = 1 << 17):
+    """Canonical representatives of P^8(F_q) (first nonzero coordinate is 1)
+    whose leading 1 sits at one of `leads`, yielded as (N, 9) integer-code
+    arrays in lexicographic order."""
+    for lead in leads:
         tail = 8 - lead
         total = q ** tail
         start = 0
         while start < total:
             n = min(chunk_size, total - start)
             idx = np.arange(start, start + n, dtype=np.int64)
-            pts = np.zeros((n, 9), dtype=np.int16)
+            pts = np.zeros((n, 9), dtype=code_dtype(q))
             pts[:, lead] = 1
             for pos in range(tail):
                 power = q ** (tail - 1 - pos)

@@ -134,8 +134,7 @@ def test_flags_at_point_unique_per_point():
     f2, f4 = GF(2), GF(2, 2)
     c = CurveCoeffs(f2, {15: 1}).map_coeffs(f4, embed_map(f2, f4))
     t = permuted_gamma_c(c)
-    rep = flag_search(t, max_ext_degree=1)
-    # re-run the per-point reconstruction without early exit
+    # the per-point reconstruction without early exit
     from trivector.loci import rank_locus_codes
     kern, _, codes, _ = rank_locus_codes(t, max_rank=4)
     for row in codes:

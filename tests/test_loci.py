@@ -1,20 +1,26 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trivector.errors import (BudgetExceeded, DegenerateConfiguration,
                               KernelDimNotOne, SingularCurve, WeilViolation)
 from trivector.fields import GF
-from trivector.linalg import Matrix
-from trivector.loci import (batch_eval, cubic_of_Y,
+from trivector.linalg import Matrix, pfaffian
+from trivector.loci import (_structure_tensor_codes, batch_eval, cubic_of_Y,
                             curve_affine_points, curve_point_counts,
                             embedding_point, enumerate_rank_locus,
-                            isqrt_weil_bound, jacobian_order_from_counts,
-                            pencil_basis, rank_locus_codes,
+                            interpolate_cubic, isqrt_weil_bound,
+                            jacobian_order_from_counts, pencil_basis,
+                            pfaffian_cubic, rank_locus_codes,
                             reconstruct_from_pencil, verify_curve_embedding)
 from trivector.polys import embed_map, extension_of
-from trivector.trivector import (CURVE_DEGREES, CurveCoeffs, Trivector,
-                                 build_gamma_c, gamma0, gl_act, phi_at)
+from trivector.scan import field_kernel, projective_chunks
+from trivector.stability import curve_is_smooth
+from trivector.trivector import (CURVE_DEGREES, TRIPLES, CurveCoeffs,
+                                 Trivector, build_gamma_c, gamma0, gl_act,
+                                 phi_at)
 
 
 def test_zero_trivector_all_rank_zero():
@@ -25,6 +31,12 @@ def test_zero_trivector_all_rank_zero():
 def test_rank_locus_respects_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_rank_locus(gamma0(GF(2)), budget=100)
+    # the point cap is checked inside the workers; the count survives the pool
+    t = build_gamma_c(CurveCoeffs(GF(2), {15: 1}))
+    for threads in (1, 2):
+        with pytest.raises(BudgetExceeded) as info:
+            rank_locus_codes(t, max_rank=6, point_cap=10, threads=threads)
+        assert info.value.count > 10
 
 
 def test_report_counts_total_and_scan_matches_phi():
@@ -95,7 +107,6 @@ def test_point_counts_monotone_under_field_inclusion():
     done = 0
     while done < 5:
         c = CurveCoeffs(f3, {d: f3.random(rng) for d in CURVE_DEGREES})
-        from trivector.stability import curve_is_smooth
         if not curve_is_smooth(c):
             continue
         nd = curve_point_counts(c, [1, 2])
@@ -181,10 +192,104 @@ def test_reconstruct_rejects_dependent_input():
 
 
 def test_parallel_scan_deterministic():
-    import numpy as np
     f2 = GF(2)
     t = build_gamma_c(CurveCoeffs(f2, {15: 1}))
     k1, r1, c1, rk1 = rank_locus_codes(t, max_rank=4)
     k2, r2, c2, rk2 = rank_locus_codes(t, max_rank=4, threads=3)
     assert r1.counts == r2.counts
     assert np.array_equal(c1, c2) and np.array_equal(rk1, rk2)
+
+
+# ---------------------------------------------------------------------------
+# the Pfaffian cubic: identity, closed form against interpolation, sieve
+
+def _trivector(field, codes):
+    return Trivector(field, {trip: field.from_int(v)
+                             for trip, v in zip(TRIPLES, codes) if v})
+
+
+def _random_trivector(q):
+    """Trivector strategy: 84 coefficient codes, sparse or dense."""
+    return st.lists(st.sampled_from([0] * 3 + list(range(q))),
+                    min_size=84, max_size=84)
+
+
+def _principal_pfaffian(m, i):
+    keep = [k for k in range(9) if k != i]
+    return pfaffian(Matrix(m.field, [[m.rows[a][b] for b in keep]
+                                     for a in keep]))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2), GF(7)],
+                         ids=repr)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pfaffian_identity_random_trivectors(field, data):
+    q = field.order
+    t = _trivector(field, data.draw(_random_trivector(q)))
+    x = [field.from_int(v) for v in
+         data.draw(st.lists(st.integers(0, q - 1), min_size=9, max_size=9))]
+    cubic = pfaffian_cubic(t)
+    assert cubic.is_zero() or cubic.degree() == 3
+    cx = cubic(x)
+    m = phi_at(t, x)
+    for i in range(9):
+        sign = field.one if i % 2 == 0 else -field.one
+        assert _principal_pfaffian(m, i) == sign * cx * x[i]
+
+
+def _oracle_scan(t, max_rank):
+    """Plain build_skew + batched_rank over every point, no sieve."""
+    kern = field_kernel(t.field)
+    tensor = _structure_tensor_codes(t, kern)
+    counts, codes, ranks = {}, [], []
+    for chunk in projective_chunks(kern.q):
+        r = kern.batched_rank(kern.build_skew(chunk, tensor))
+        for v in r:
+            counts[int(v)] = counts.get(int(v), 0) + 1
+        keep = r <= max_rank
+        codes.append(chunk[keep])
+        ranks.append(r[keep])
+    return counts, np.concatenate(codes), np.concatenate(ranks)
+
+
+def _assert_scan_matches_oracle(t, max_rank):
+    _, rep, codes, ranks = rank_locus_codes(t, max_rank=max_rank)
+    counts, ocodes, oranks = _oracle_scan(t, max_rank)
+    assert {k: v for k, v in rep.counts.items() if v} == counts
+    assert np.array_equal(codes, ocodes) and np.array_equal(ranks, oranks)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_sieved_scan_matches_oracle(field, data):
+    t = _trivector(field, data.draw(_random_trivector(field.order)))
+    _assert_scan_matches_oracle(t, data.draw(st.sampled_from([4, 6, 8])))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)
+def test_sieved_scan_degenerate_cubic(field):
+    one = field.one
+    for t in (Trivector(field),
+              Trivector(field, {(1, 2, 3): one, (4, 5, 6): one})):
+        assert pfaffian_cubic(t).is_zero()
+        _assert_scan_matches_oracle(t, 6)
+        with pytest.raises(KernelDimNotOne):
+            cubic_of_Y(t)
+
+
+def test_closed_form_cubic_matches_interpolation():
+    # F_2 and F_4 are covered by acceptance criterion C4
+    rng = random.Random(4)
+    f3 = GF(3)
+    done = 0
+    while done < 3:
+        c = CurveCoeffs(f3, {d: f3.random(rng) for d in CURVE_DEGREES})
+        if not curve_is_smooth(c):
+            continue
+        t = build_gamma_c(c)
+        closed, interp = cubic_of_Y(t), interpolate_cubic(t)
+        assert closed.field == interp.field == f3
+        assert closed.coeffs == interp.coeffs
+        done += 1
