@@ -297,12 +297,19 @@ def _interpolate_cubic_over(t: Trivector, sample_cap, budget):
     kern, report, codes, ranks = rank_locus_codes(t, max_rank=6, budget=budget)
     if codes.shape[0] == 0:
         raise KernelDimNotOne("rank <= 6 locus is empty over F_%d" % field.order)
+    # sample every stride-th point; while the kernel is larger than one
+    # line, add the next offset's points, keeping only the reduced row space
+    # (at most 165 rows) between rounds; all offsets together are all points
     stride = max(1, codes.shape[0] // sample_cap)
-    rows = _monomial_matrix(kern, codes[::stride])
+    nmono = len(DEGREE3_EXPONENTS)
+    rows = np.zeros((0, nmono), dtype=kern.dtype)
+    for offset in range(stride):
+        sample = _monomial_matrix(kern, codes[offset::stride])
+        rank, _, red = kern.rref(np.concatenate([rows, sample]))
+        rows = red[:rank]
+        if rank >= nmono - 1:
+            break
     kb = kern.kernel_basis(rows)
-    if kb.shape[0] != 1 and stride > 1:
-        rows = _monomial_matrix(kern, codes)
-        kb = kern.kernel_basis(rows)
     if kb.shape[0] != 1:
         raise KernelDimNotOne("evaluation kernel has dimension %d" % kb.shape[0])
     coeffs = {}

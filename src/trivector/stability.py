@@ -16,12 +16,15 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .errors import BudgetExceeded, Disagreement, UnsupportedField
 from .fields import GF, Field, RationalField
 from .linalg import Matrix, kernel_matrix
 from .polys import Poly, embed_map, extension_of, element_degree
 from .trivector import (CURVE_DEGREES, GAMMA_BASE_TERMS, GAMMA_C_TERMS,
-                        CurveCoeffs, Trivector, build_gamma_c, gl_act)
+                        CurveCoeffs, Trivector, build_gamma_c, gl_act,
+                        phi_at)
 
 __all__ = [
     "StabilityVerdict", "destabilizer_search", "witness_verify",
@@ -275,9 +278,7 @@ def destabilizer_search(t: Trivector, max_ext_degree: int = 1,
                 hit, n, _ = _single_scan_f2(t_ext)
             checked += n
             if hit is not None:
-                rows = [[ext.one if bits >> c & 1 else ext.zero
-                         for c in range(9)] for bits in hit]
-                u = kernel_matrix(Matrix(ext, rows))
+                u = _witness_rows_to_u(ext, hit)
                 if not witness_verify(t_ext, u):
                     raise Disagreement("witness failed independent verification")
                 return StabilityVerdict("non_stable", u, d, checked)
@@ -613,6 +614,22 @@ def _witness_rows_to_u(field, rows_bits):
     return kernel_matrix(Matrix(field, rows))
 
 
+_ANCHOR_CHUNK = 1024
+
+
+def _anchored_hits(kern, points, tensor):
+    """For each coded rank-6 point x: whether ker phi(x) is the annihilator
+    of a destabilizing 6-plane, i.e. all three double contractions of its
+    kernel basis vanish.  One batch through the coded kernel."""
+    ranks, basis = kern.batched_kernel_basis(kern.build_skew(points, tensor))
+    if np.any(ranks != 6):
+        raise Disagreement("anchored candidate is not a rank-6 point")
+    hits = np.ones(points.shape[0], dtype=bool)
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        hits &= ~kern.double_contract(basis[:, a], basis[:, b], tensor).any(1)
+    return hits
+
+
 def anchored_witness_search(t: Trivector, ext_degree: int,
                             point_budget: int = 30_000_000):
     """Witness search over an extension too large to enumerate subspace by
@@ -620,31 +637,38 @@ def anchored_witness_search(t: Trivector, ext_degree: int,
     6-plane is tried (for a witness plane W containing a rank-6 covector,
     the destabilizing subspace is exactly that image).
 
+    The rank-6 points are tested in lexicographic order, 1024 at a time, in
+    coded arithmetic; the first hit is rebuilt and checked through the
+    object route (phi_at, rref, kernel_matrix, destabilizes) and then
+    witness_verify, so the result is the image of the first rank-6 point
+    that passes.
+
     Returns a verified 6x9 witness over the extension, or None.
     """
-    from .loci import rank_locus_codes
+    from .loci import _structure_tensor_codes, rank_locus_codes
     base = t.field
     ext = extension_of(base, ext_degree)
     emb = embed_map(base, ext)
     te = t.map_coeffs(ext, emb) if ext_degree > 1 else t
     kern, report, codes, ranks = rank_locus_codes(te, max_rank=6,
                                                   budget=point_budget)
-    for row, r in zip(codes, ranks):
-        if r != 6:
-            continue
-        coords = [kern.decode(c) for c in row]
-        from .trivector import phi_at
-        m = phi_at(te, coords)
-        red, piv = m.rref()
-        if len(piv) != 6:
-            continue
-        u = Matrix(ext, red.rows[:6])
-        w = kernel_matrix(u)
-        if w.nrows == 3 and destabilizes(te, w):
-            if not witness_verify(te, u):
-                raise Disagreement("anchored witness failed verification")
-            return u
-    return None
+    candidates = codes[ranks == 6]
+    tensor = _structure_tensor_codes(te, kern)
+    for start in range(0, candidates.shape[0], _ANCHOR_CHUNK):
+        chunk = candidates[start:start + _ANCHOR_CHUNK]
+        hits = np.nonzero(_anchored_hits(kern, chunk, tensor))[0]
+        if hits.size:
+            break
+    else:
+        return None
+    red, piv = phi_at(te, [kern.decode(c) for c in chunk[hits[0]]]).rref()
+    u = Matrix(ext, red.rows[:6])
+    w = kernel_matrix(u)
+    if len(piv) != 6 or w.nrows != 3 or not destabilizes(te, w):
+        raise Disagreement("object route rejects the batched anchored witness")
+    if not witness_verify(te, u):
+        raise Disagreement("anchored witness failed verification")
+    return u
 
 
 @dataclass
@@ -669,10 +693,8 @@ def stability_verdict_gamma_c(c: CurveCoeffs, max_ext_degree: int = 1,
     their agreement; any disagreement is an implementation bug."""
     smooth = curve_is_smooth(c)
     t = build_gamma_c(c)
-    if smooth:
-        verdict = destabilizer_search(t, max_ext_degree=1, budget=budget)
-    else:
-        verdict = destabilizer_search(t, max_ext_degree=1, budget=budget)
+    verdict = destabilizer_search(t, max_ext_degree=1, budget=budget)
+    if not smooth:
         d = 1
         while verdict.status != "non_stable":
             # a singular curve is guaranteed a witness over some extension;

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trivector.fields import GF
-from trivector.loci import batch_eval
+from trivector.linalg import Matrix, kernel_matrix
+from trivector.loci import _structure_tensor_codes, batch_eval
 from trivector.polys import MultiPoly
 from trivector.scan import MAX_KERNEL_PRIME, field_kernel
+from trivector.stability import double_contract
+from trivector.trivector import TRIPLES, Trivector
 
 
 def _codes(kern, values):
@@ -61,3 +64,82 @@ def test_coded_ops_equal_object_ops(field, data):
     assert kern.add(a, b).tolist() == [field.to_int(x + y) for x, y in zip(ea, eb)]
     assert kern.sub(a, b).tolist() == [field.to_int(x - y) for x, y in zip(ea, eb)]
     assert kern.mul(a, b).tolist() == [field.to_int(x * y) for x, y in zip(ea, eb)]
+
+
+def _skew_of_rank(field, rank, lower, upper):
+    """G^T J G for the rank-`rank` standard symplectic J and the invertible
+    G = L U (unit lower L, upper U with nonzero diagonal from `upper`)."""
+    zero, one = field.zero, field.one
+    j = [[zero] * 9 for _ in range(9)]
+    for i in range(0, rank, 2):
+        j[i][i + 1], j[i + 1][i] = one, -one
+    lo = Matrix(field, [[one if a == b else (lower[a][b] if b < a else zero)
+                         for b in range(9)] for a in range(9)])
+    up = Matrix(field, [[upper[a][b] if b >= a else zero for b in range(9)]
+                        for a in range(9)])
+    g = lo * up
+    return g.transpose() * Matrix(field, j) * g
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(2, 2), GF(7), GF(3, 2)],
+                         ids=repr)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_batched_rref_and_kernel_match_object_route(field, data):
+    kern = field_kernel(field)
+    q = field.order
+    codes = st.integers(0, q - 1)
+    mats = [Matrix(field, [[field.from_int(v) for v in row] for row in
+                           data.draw(st.lists(st.lists(codes, min_size=9,
+                                                       max_size=9),
+                                              min_size=9, max_size=9))])]
+    for rank in (4, 6, 8):
+        lower = data.draw(st.lists(st.lists(codes, min_size=9, max_size=9),
+                                   min_size=9, max_size=9))
+        upper = data.draw(st.lists(st.lists(st.integers(1, q - 1),
+                                            min_size=9, max_size=9),
+                                   min_size=9, max_size=9))
+        lower = [[field.from_int(v) for v in row] for row in lower]
+        upper = [[field.from_int(v) for v in row] for row in upper]
+        mats.append(_skew_of_rank(field, rank, lower, upper))
+    stack = np.array([[[field.to_int(x) for x in row] for row in m.rows]
+                      for m in mats], dtype=kern.dtype)
+    ranks, pivots, red = kern.batched_rref(stack)
+    kranks, basis = kern.batched_kernel_basis(stack)
+    assert np.array_equal(kern.batched_rank(stack.copy()), ranks)
+    assert np.array_equal(kranks, ranks)
+    assert ranks[1:].tolist() == [4, 6, 8]
+    for k, m in enumerate(mats):
+        ored, opiv = m.rref()
+        r = len(opiv)
+        assert ranks[k] == r
+        assert pivots[k, :r].tolist() == opiv and np.all(pivots[k, r:] == -1)
+        assert red[k].tolist() == [[field.to_int(x) for x in row]
+                                   for row in ored.rows]
+        okern = [[field.to_int(x) for x in row] for row in kernel_matrix(m).rows]
+        assert kern.rref(basis[k, :9 - r])[2].tolist() == okern
+        assert not basis[k, 9 - r:].any()
+        assert kern.kernel_basis(stack[k]).tolist() == okern
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(2, 2), GF(7), GF(3, 2)],
+                         ids=repr)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_batched_double_contraction_matches_object_route(field, data):
+    kern = field_kernel(field)
+    q = field.order
+    vals = data.draw(st.lists(st.integers(0, q - 1), min_size=84, max_size=84))
+    t = Trivector(field, {trip: field.from_int(v)
+                          for trip, v in zip(TRIPLES, vals) if v})
+    vec = st.lists(st.integers(0, q - 1), min_size=9, max_size=9)
+    alpha = np.array(data.draw(st.lists(vec, min_size=1, max_size=6)),
+                     dtype=kern.dtype)
+    beta = np.array(data.draw(st.lists(vec, min_size=alpha.shape[0],
+                                       max_size=alpha.shape[0])),
+                    dtype=kern.dtype)
+    got = kern.double_contract(alpha, beta, _structure_tensor_codes(t, kern))
+    for a, b, row in zip(alpha, beta, got):
+        ref = double_contract(t, [field.from_int(int(v)) for v in a],
+                              [field.from_int(int(v)) for v in b])
+        assert row.tolist() == [field.to_int(-x) for x in ref]

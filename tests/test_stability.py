@@ -5,6 +5,7 @@ import pytest
 from trivector.errors import BudgetExceeded, UnsupportedField
 from trivector.fields import GF, Q
 from trivector.linalg import Matrix, kernel_matrix
+from trivector.loci import rank_locus_codes
 from trivector.polys import embed_map, extension_of
 from trivector.stability import (anchored_witness_search, curve_is_smooth,
                                  destabilizer_search, destabilizes,
@@ -14,7 +15,7 @@ from trivector.stability import (anchored_witness_search, curve_is_smooth,
                                  singular_points_of_curve,
                                  stability_verdict_gamma_c, witness_verify)
 from trivector.trivector import (CURVE_DEGREES, CurveCoeffs, Trivector,
-                                 build_gamma_c, gamma0, gl_act)
+                                 build_gamma_c, gamma0, gl_act, phi_at)
 
 
 def test_gaussian_binomial():
@@ -176,6 +177,47 @@ def test_anchored_search_finds_extension_witness():
     assert destabilizer_search(build_gamma_c(c), 1).status == "stable"
     u = anchored_witness_search(build_gamma_c(c), 2)
     assert u is not None
+
+
+def _object_anchored_search(t, ext_degree):
+    """Oracle: the object-level loop over the rank-6 points in scan order
+    (phi_at, rref, kernel_matrix, destabilizes on each one)."""
+    ext = extension_of(t.field, ext_degree)
+    te = t.map_coeffs(ext, embed_map(t.field, ext))
+    kern, _, codes, ranks = rank_locus_codes(te, max_rank=6)
+    for row, r in zip(codes, ranks):
+        if r != 6:
+            continue
+        red, piv = phi_at(te, [kern.decode(c) for c in row]).rref()
+        if len(piv) != 6:
+            continue
+        u = Matrix(ext, red.rows[:6])
+        w = kernel_matrix(u)
+        if w.nrows == 3 and destabilizes(te, w):
+            return u
+    return None
+
+
+@pytest.mark.parametrize("coeffs", [[0, 0, 0, 1, 0, 0, 1, 0],
+                                    [0, 0, 0, 1, 0, 1, 1, 1],
+                                    [1, 0, 1, 0, 1, 0, 0, 0]],
+                         ids=lambda v: "".join(map(str, v)))
+def test_anchored_search_matches_object_loop(coeffs):
+    # curves over F_2 whose singular points all have degree 2
+    f2 = GF(2)
+    c = CurveCoeffs.from_list(f2, [f2.el(v) for v in coeffs])
+    assert not curve_is_smooth(c)
+    t = build_gamma_c(c)
+    u = anchored_witness_search(t, 2)
+    assert u is not None
+    assert u == _object_anchored_search(t, 2)
+
+
+def test_anchored_search_smooth_curve_has_no_witness():
+    f2 = GF(2)
+    c = CurveCoeffs(f2, {15: 1})
+    assert curve_is_smooth(c)
+    assert anchored_witness_search(build_gamma_c(c), 2) is None
 
 
 def test_rational_stability_via_reduction():
