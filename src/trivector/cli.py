@@ -42,7 +42,8 @@ class SystemExit2(Exception):
     """Usage/input error: exits with code 1."""
 
 
-def _embed_to_q(obj, q, map_fn):
+def _embed_to_q(obj, q):
+    """A trivector or curve over the field of order q containing its own."""
     base = obj.field
     if q is None or q == base.order:
         return obj
@@ -55,15 +56,7 @@ def _embed_to_q(obj, q, map_fn):
         raise SystemExit2("%d is not a power of the base field order %d"
                           % (q, base.order))
     ext = extension_of(base, d)
-    return map_fn(obj, ext, embed_map(base, ext))
-
-
-def _embed_trivector(t, q):
-    return _embed_to_q(t, q, lambda o, ext, emb: o.map_coeffs(ext, emb))
-
-
-def _embed_curve(c, q):
-    return _embed_to_q(c, q, lambda o, ext, emb: o.map_coeffs(ext, emb))
+    return obj.map_coeffs(ext, embed_map(base, ext))
 
 
 def cmd_gamma_build(args):
@@ -114,21 +107,20 @@ def cmd_gamma_act(args):
 
 
 def cmd_stability(args):
-    from .stability import destabilizer_search
+    from .stability import DEFAULT_SUBSPACE_BUDGET, destabilizer_search
     t = ser.trivector_from_json(_load(args.gamma))
-    verdict = destabilizer_search(t, max_ext_degree=args.max_ext,
-                                  budget=args.budget or 2_000_000,
-                                  threads=args.threads)
+    verdict = destabilizer_search(
+        t, max_ext_degree=args.max_ext,
+        budget=args.budget or DEFAULT_SUBSPACE_BUDGET, threads=args.threads)
     return verdict.to_json()
 
 
 def cmd_loci_count(args):
-    from .loci import enumerate_rank_locus
-    t = _embed_trivector(ser.trivector_from_json(_load(args.gamma)), args.q)
-    budget = args.budget or 250_000_000
+    from .loci import DEFAULT_POINT_BUDGET, enumerate_rank_locus
+    t = _embed_to_q(ser.trivector_from_json(_load(args.gamma)), args.q)
     report, points = enumerate_rank_locus(
         t, max_rank=args.max_rank, with_points=args.points is not None,
-        budget=budget, threads=args.threads)
+        budget=args.budget or DEFAULT_POINT_BUDGET, threads=args.threads)
     out = report.to_json()
     if args.points is not None and args.max_rank is not None:
         f = t.field
@@ -142,7 +134,7 @@ def cmd_loci_count(args):
 
 def cmd_loci_cubic(args):
     from .loci import cubic_of_Y
-    t = _embed_trivector(ser.trivector_from_json(_load(args.gamma)), args.q)
+    t = _embed_to_q(ser.trivector_from_json(_load(args.gamma)), args.q)
     cubic = cubic_of_Y(t)      # closed form: no scan, so --budget is unused
     data = ser.cubic_to_json(cubic)
     if args.output:
@@ -153,7 +145,7 @@ def cmd_loci_cubic(args):
 
 def cmd_loci_check_embedding(args):
     from .loci import verify_curve_embedding
-    c = _embed_curve(ser.curve_from_json(_load(args.curve)), args.q)
+    c = _embed_to_q(ser.curve_from_json(_load(args.curve)), args.q)
     cert = verify_curve_embedding(c)
     return cert.to_json()
 
@@ -191,9 +183,10 @@ def cmd_flags_check(args):
 
 def cmd_flags_search(args):
     from .flags import flag_search
-    t = _embed_trivector(ser.trivector_from_json(_load(args.gamma)), args.q)
+    from .loci import DEFAULT_POINT_BUDGET
+    t = _embed_to_q(ser.trivector_from_json(_load(args.gamma)), args.q)
     rep = flag_search(t, max_ext_degree=args.max_ext,
-                      point_budget=args.budget or 250_000_000)
+                      point_budget=args.budget or DEFAULT_POINT_BUDGET)
     return rep.to_json()
 
 

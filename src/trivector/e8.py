@@ -118,9 +118,8 @@ class Wedge6:
                           for t, c in sorted(self.coeffs.items())) or "0"
 
 
-def act3(a: Matrix, t: Trivector, tr_coeff=None) -> Trivector:
-    """Derivation action of a matrix on the third wedge power, plus an
-    optional multiple of the trace acting as a scalar."""
+def act3(a: Matrix, t: Trivector) -> Trivector:
+    """Derivation action of a matrix on the third wedge power."""
     field = t.field
     out = {}
 
@@ -149,17 +148,10 @@ def act3(a: Matrix, t: Trivector, tr_coeff=None) -> Trivector:
                 if sign0 * sgn < 0:
                     v = -v
                 bump(key, v)
-    result = Trivector(field, out)
-    if tr_coeff is not None and not tr_coeff.is_zero():
-        tr = field.zero
-        for d in range(9):
-            tr = tr + a.rows[d][d]
-        if not tr.is_zero():
-            result = result + t.scale(tr * tr_coeff)
-    return result
+    return Trivector(field, out)
 
 
-def act6(a: Matrix, w: Wedge6, tr_coeff=None) -> Wedge6:
+def act6(a: Matrix, w: Wedge6) -> Wedge6:
     """Derivation action on the sixth wedge power (same conventions)."""
     field = w.field
     out = {}
@@ -189,14 +181,7 @@ def act6(a: Matrix, w: Wedge6, tr_coeff=None) -> Wedge6:
                 if sign0 * sgn < 0:
                     v = -v
                 bump(key, v)
-    result = Wedge6.from_six_subsets(field, out)
-    if tr_coeff is not None and not tr_coeff.is_zero():
-        tr = field.zero
-        for d in range(9):
-            tr = tr + a.rows[d][d]
-        if not tr.is_zero():
-            result = result + w.scale(tr * tr_coeff)
-    return result
+    return Wedge6.from_six_subsets(field, out)
 
 
 def wedge33(t: Trivector, u: Trivector) -> Wedge6:

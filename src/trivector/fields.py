@@ -340,7 +340,6 @@ def _is_irreducible_p(f, p) -> bool:
     def frob_pow(g, e):
         # g^(p^e) mod f by repeated p-th powers
         for _ in range(e):
-            r = [0 % p]
             base, ee = list(g), p
             acc = [1]
             while ee:

@@ -12,6 +12,7 @@ basis of U and re-verified through the independent change-of-basis route.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -29,9 +30,9 @@ from .trivector import (CURVE_DEGREES, GAMMA_BASE_TERMS, GAMMA_C_TERMS,
 __all__ = [
     "StabilityVerdict", "destabilizer_search", "witness_verify",
     "curve_is_smooth", "singular_point_search", "stability_verdict_gamma_c",
-    "gamma_family_scan_f2", "gaussian_binomial", "echelon_matrices",
-    "double_contract", "destabilizes", "rational_stability_report",
-    "DEFAULT_SUBSPACE_BUDGET",
+    "gamma_family_scan_f2", "gaussian_binomial", "pivot_patterns",
+    "echelon_matrices", "double_contract", "destabilizes",
+    "rational_stability_report", "DEFAULT_SUBSPACE_BUDGET",
 ]
 
 DEFAULT_SUBSPACE_BUDGET = 2_000_000
@@ -45,19 +46,29 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
+@functools.lru_cache(maxsize=None)
+def pivot_patterns(k: int, n: int):
+    """The pivot columns of the reduced-echelon k x n matrices in
+    colexicographic order, each with the free columns of its k rows: the
+    one pattern order of every subspace enumeration in this module."""
+    return tuple(
+        (pivots, tuple(tuple(c for c in range(n)
+                             if c > pivots[r] and c not in pivots)
+                       for r in range(k)))
+        for pivots in sorted(itertools.combinations(range(n), k),
+                             key=lambda t: t[::-1]))
+
+
 def echelon_matrices(field: Field, k: int, n: int):
     """All reduced-echelon k x n matrices over a finite field.
 
-    Pivot-column patterns run in colexicographic order and free entries run in
-    the field's element order, so the enumeration is deterministic and
+    Pivot-column patterns run in the order of pivot_patterns and free entries
+    run in the field's element order, so the enumeration is deterministic and
     partitionable by pattern.
     """
     elements = list(field.elements())
     zero, one = field.zero, field.one
-    for pivots in sorted(itertools.combinations(range(n), k),
-                         key=lambda t: t[::-1]):
-        free = [[c for c in range(n) if c > pivots[r] and c not in pivots]
-                for r in range(k)]
+    for pivots, free in pivot_patterns(k, n):
         positions = [(r, c) for r in range(k) for c in free[r]]
         for values in itertools.product(elements, repeat=len(positions)):
             rows = [[zero] * n for _ in range(k)]
@@ -136,113 +147,155 @@ class StabilityVerdict:
         return out
 
 
-def _single_scan_f2(t: Trivector, pattern_indices=None):
-    """Bit-level witness scan for one trivector over F_2; returns annihilator
-    row bits (alpha, beta, delta) and the number of subspaces checked.
+# ---------------------------------------------------------------------------
+# the F_2 Gray-code witness scan over a list of generators
 
-    Restricting to a subset of pivot patterns makes the scan partitionable;
-    the first hit within a pattern is deterministic, so a parallel driver can
-    merge by lowest pattern index."""
+def _solve_f2_family(vecs):
+    """All masks c in [0, 2^(len(vecs)-1)) with
+    vecs[0] ^ xor(vecs[i] for set bits i-1 of c) == 0."""
+    basis = {}
+    kernel = []
+    for i in range(1, len(vecs)):
+        v, m = vecs[i], 1 << (i - 1)
+        while v:
+            low = v & -v
+            if low in basis:
+                bv, bm = basis[low]
+                v ^= bv
+                m ^= bm
+            else:
+                basis[low] = (v, m)
+                break
+        if v == 0:
+            kernel.append(m)
+    r, m0 = vecs[0], 0
+    while r:
+        low = r & -r
+        if low not in basis:
+            return []
+        bv, bm = basis[low]
+        r ^= bv
+        m0 ^= bm
+    sols = [m0]
+    for km in kernel:
+        sols += [s ^ km for s in sols]
+    return sols
+
+
+def _row_bits(pivot, free, bits):
+    """The 9-bit echelon row with its pivot at `pivot` and free entries
+    `bits` (bit i for column free[i])."""
+    return 1 << pivot | sum(1 << c for i, c in enumerate(free)
+                            if bits >> i & 1)
+
+
+def _gray_scan_f2(gens, pattern_indices):
+    """Witness scan over F_2 for the trivectors gens[0] + sum c_i gens[i]
+    (c_i = bit i-1 of the mask c; each generator a tuple of triples).
+
+    Annihilators W run through the given pivot patterns; the third row runs
+    in Gray-code order.  The double-contraction image of generator g takes
+    bits 9g..9g+8 of one int, so each Gray step is one XOR for all
+    generators.  A (first, second row) block is skipped when no mask kills
+    their contraction.  Returns {mask: (position, (alpha, beta, delta))}
+    with the first hit of each mask at its sequential position, and stops
+    once every mask has one (for one generator: at the first hit)."""
+    n = len(gens)
     table = [[0] * 9 for _ in range(9)]
-    for (i, j, k) in t.coeffs:
-        for a, b, other in ((i, j, k), (i, k, j), (j, k, i)):
-            table[a - 1][b - 1] ^= 1 << (other - 1)
-            table[b - 1][a - 1] ^= 1 << (other - 1)
+    for g, terms in enumerate(gens):
+        for (i, j, k) in terms:
+            for a, b, other in ((i, j, k), (i, k, j), (j, k, i)):
+                bit = 1 << (9 * g + other - 1)
+                table[a - 1][b - 1] ^= bit
+                table[b - 1][a - 1] ^= bit
+    # rows[s][b]: the packed contraction image of (covector s, e_b*)
+    rows = [[0] * 9]
+    for s in range(1, 512):
+        low = s & -s
+        rows.append([x ^ y for x, y in
+                     zip(rows[s ^ low], table[low.bit_length() - 1])])
+    # v packs the contractions (alpha, beta), (alpha, delta), (beta, delta)
+    # side by side, 9n bits each; `higher` covers the generators past gens[0]
+    wide = 9 * n
+    higher = ((1 << 3 * wide) - 1) ^ (511 | 511 << wide | 511 << 2 * wide)
+    all_masks = range(1 << (n - 1))
 
-    def pair(alpha, beta):
-        out = 0
-        a = alpha
-        while a:
-            la = a & -a
-            row = table[la.bit_length() - 1]
-            b = beta
-            while b:
-                lb = b & -b
-                out ^= row[lb.bit_length() - 1]
-                b ^= lb
-            a ^= la
-        return out
+    def solve(v):
+        """The masks whose trivector has all three contractions in v zero."""
+        if not v & higher:
+            return () if v else all_masks
+        return _solve_f2_family([(v >> s & 511) | (v >> (s + wide) & 511) << 9
+                                 | (v >> (s + 2 * wide) & 511) << 18
+                                 for s in range(0, wide, 9)])
 
-    checked = 0
-    patterns = sorted(itertools.combinations(range(9), 3),
-                      key=lambda p: p[::-1])
-    indices = (range(len(patterns)) if pattern_indices is None
-               else pattern_indices)
-    for global_idx in indices:
-        pivots = patterns[global_idx]
-        free = [[c for c in range(9) if c > pivots[r] and c not in pivots]
-                for r in range(3)]
-        f0, f1, f2b = free
-        p0, p1, p2 = (1 << pivots[r] for r in range(3))
-        local = 0
+    patterns = pivot_patterns(3, 9)
+    offsets = list(itertools.accumulate(
+        (1 << sum(map(len, free)) for _, free in patterns), initial=0))
+    first = {}
+    for index in pattern_indices:
+        (q0, q1, q2), (f0, f1, f2) = patterns[index]
+        flips = [-1] + [(s & -s).bit_length() - 1
+                        for s in range(1, 1 << len(f2))]
+        betas = [_row_bits(q1, f1, bits1) for bits1 in range(1 << len(f1))]
         for bits0 in range(1 << len(f0)):
-            alpha = p0
-            for idx, col in enumerate(f0):
-                if bits0 >> idx & 1:
-                    alpha |= 1 << col
-            r_alpha = [pair(alpha, 1 << col) for col in f2b]
-            for bits1 in range(1 << len(f1)):
-                beta = p1
-                for idx, col in enumerate(f1):
-                    if bits1 >> idx & 1:
-                        beta |= 1 << col
-                if pair(alpha, beta):
-                    checked += 1 << len(f2b)
-                    local += 1 << len(f2b)
+            alpha = _row_bits(q0, f0, bits0)
+            ra = rows[alpha]
+            alpha_cols = [c for c in range(9) if alpha >> c & 1]
+            for bits1, beta in enumerate(betas):
+                rb = rows[beta]
+                v01 = 0
+                for c in alpha_cols:
+                    v01 ^= rb[c]
+                if not solve(v01):
                     continue
-                r_beta = [pair(beta, 1 << col) for col in f2b]
-                v02 = pair(alpha, p2)
-                v12 = pair(beta, p2)
-                delta = p2
-                gray_prev = 0
-                for step in range(1 << len(f2b)):
-                    gray = step ^ (step >> 1)
-                    flip = gray ^ gray_prev
-                    if flip:
-                        idx = flip.bit_length() - 1
-                        delta ^= 1 << f2b[idx]
-                        v02 ^= r_alpha[idx]
-                        v12 ^= r_beta[idx]
-                    gray_prev = gray
-                    checked += 1
-                    local += 1
-                    if not v02 and not v12:
-                        return (alpha, beta, delta), checked, (global_idx, local)
-    return None, checked, None
+                # Gray increments; flips[0] = -1 picks the trailing 0
+                incs = [(ra[c] | rb[c] << wide) << wide for c in f2] + [0]
+                v = v01 | (ra[q2] | rb[q2] << wide) << wide
+                base = offsets[index] + ((bits0 << len(f1) | bits1)
+                                         << len(f2))
+                for step, idx in enumerate(flips):
+                    v ^= incs[idx]
+                    if v and not v & higher:
+                        continue
+                    for mask in solve(v):
+                        if mask not in first:
+                            delta = _row_bits(q2, f2, step ^ step >> 1)
+                            first[mask] = (base + step, (alpha, beta, delta))
+                            if len(first) == len(all_masks):
+                                return first
+    return first
 
 
-def _scan_f2_single_worker(args):
-    triples, pattern_indices = args
-    f2 = GF(2)
-    t = Trivector(f2, {trip: f2.one for trip in triples})
-    return _single_scan_f2(t, pattern_indices)
+def _scan_f2(gens, threads: int = 1):
+    """The one driver of the F_2 witness scans: the kernel mapped over a
+    round-robin partition of the pivot patterns (`starmap` serially,
+    `Pool.starmap` with threads > 1).  For each mask the hit with the lowest
+    sequential position wins, so the result does not depend on the thread
+    count.  A thread count below 1 runs serially and one above the number
+    of patterns runs one worker per pattern, so every pattern is scanned.
 
-
-def _parallel_single_scan_f2(t: Trivector, threads: int):
-    """Pattern-partitioned parallel witness scan; the merge takes the hit
-    with the lowest (pattern, step) enumeration index, so the result is
-    identical to the sequential scan regardless of thread count."""
-    import multiprocessing as mp
-    triples = tuple(sorted(t.coeffs))
-    chunks = [list(range(i, 84, threads)) for i in range(threads)]
-    with mp.Pool(threads) as pool:
-        parts = pool.map(_scan_f2_single_worker, [(triples, ch) for ch in chunks])
-    hits = [(pos, hit) for hit, _, pos in parts if hit is not None]
-    checked = sum(n for _, n, _ in parts)
-    if not hits:
-        return None, checked, None
-    pos, hit = min(hits)
-    # report the sequential enumeration index so the verdict is independent
-    # of the thread count
-    patterns = sorted(itertools.combinations(range(9), 3),
-                      key=lambda p: p[::-1])
-    checked = pos[1]
-    for gi in range(pos[0]):
-        pivots = patterns[gi]
-        nfree = sum(1 for r in range(3) for c in range(9)
-                    if c > pivots[r] and c not in pivots)
-        checked += 1 << nfree
-    return hit, checked, pos
+    Returns (witness_by_mask, checked): the annihilator rows of the first
+    witness of each destabilized mask, and the sequential count of subspaces
+    up to the last first hit, or all of them when some mask has no witness.
+    """
+    npat = len(pivot_patterns(3, 9))
+    threads = min(max(threads, 1), npat)
+    jobs = [(gens, range(i, npat, threads)) for i in range(threads)]
+    if threads > 1:
+        import multiprocessing as mp
+        with mp.Pool(threads) as pool:
+            parts = pool.starmap(_gray_scan_f2, jobs)
+    else:
+        parts = itertools.starmap(_gray_scan_f2, jobs)
+    first = {}
+    for part in parts:
+        for mask, hit in part.items():
+            first[mask] = min(first.get(mask, hit), hit)
+    if len(first) < 1 << (len(gens) - 1):
+        checked = gaussian_binomial(9, 3, 2)
+    else:
+        checked = max(pos for pos, _ in first.values()) + 1
+    return {mask: rows for mask, (_, rows) in first.items()}, checked
 
 
 def destabilizer_search(t: Trivector, max_ext_degree: int = 1,
@@ -272,13 +325,10 @@ def destabilizer_search(t: Trivector, max_ext_degree: int = 1,
         emb = embed_map(base, ext)
         t_ext = t.map_coeffs(ext, emb) if d > 1 else t
         if ext.order == 2:
-            if threads > 1:
-                hit, n, _ = _parallel_single_scan_f2(t_ext, threads)
-            else:
-                hit, n, _ = _single_scan_f2(t_ext)
+            witness, n = _scan_f2([tuple(t_ext.coeffs)], threads)
             checked += n
-            if hit is not None:
-                u = _witness_rows_to_u(ext, hit)
+            if witness:
+                u = _witness_rows_to_u(ext, witness[0])
                 if not witness_verify(t_ext, u):
                     raise Disagreement("witness failed independent verification")
                 return StabilityVerdict("non_stable", u, d, checked)
@@ -306,10 +356,9 @@ def _curve_xz_parts(c: CurveCoeffs):
     return a, b
 
 
-def curve_is_smooth(c: CurveCoeffs, max_ext_degree: int | None = None) -> bool:
+def curve_is_smooth(c: CurveCoeffs) -> bool:
     """Whether the affine normal-form curve is smooth over the algebraic
-    closure.  The gcd formulation is complete, so no extension bound enters;
-    the parameter is kept for oracle cross-checks against point search.
+    closure.  The gcd formulation is complete, so no extension bound enters.
     The point at infinity of the normal form is smooth by convention.
     """
     f = c.field
@@ -478,71 +527,9 @@ def _dedupe_points(points):
 
 
 # ---------------------------------------------------------------------------
-# the batched degree-1 witness scan for the whole F_2 coefficient family
+# the degree-1 witness scan for the whole F_2 coefficient family
 
-def _pair_table_f2(terms_by_gen):
-    """P[a][b][g]: 9-bit image of the double contraction of generator g by
-    (e_a*, e_b*); everything over F_2 so signs drop out."""
-    table = [[[0] * len(terms_by_gen) for _ in range(9)] for _ in range(9)]
-    for g, terms in enumerate(terms_by_gen):
-        for (i, j, k) in terms:
-            for a, b, other in ((i, j, k), (i, k, j), (j, k, i)):
-                table[a - 1][b - 1][g] ^= 1 << (other - 1)
-                table[b - 1][a - 1][g] ^= 1 << (other - 1)
-    return table
-
-
-def _pair_contract_bits(table, alpha_bits, beta_bits, ngens):
-    out = [0] * ngens
-    a = alpha_bits
-    while a:
-        la = a & -a
-        ia = la.bit_length() - 1
-        row = table[ia]
-        b = beta_bits
-        while b:
-            lb = b & -b
-            ib = lb.bit_length() - 1
-            cell = row[ib]
-            for g in range(ngens):
-                out[g] ^= cell[g]
-            b ^= lb
-        a ^= la
-    return out
-
-
-def _solve_f2_family(vecs):
-    """All c in [0,256) with vecs[0] ^ xor(vecs[i] for set bits i-1) == 0."""
-    basis = {}
-    kernel = []
-    for i in range(1, 9):
-        v, m = vecs[i], 1 << (i - 1)
-        while v:
-            low = v & -v
-            if low in basis:
-                bv, bm = basis[low]
-                v ^= bv
-                m ^= bm
-            else:
-                basis[low] = (v, m)
-                break
-        if v == 0:
-            kernel.append(m)
-    r, m0 = vecs[0], 0
-    while r:
-        low = r & -r
-        if low not in basis:
-            return []
-        bv, bm = basis[low]
-        r ^= bv
-        m0 ^= bm
-    sols = [m0]
-    for km in kernel:
-        sols += [s ^ km for s in sols]
-    return sols
-
-
-def gamma_family_scan_f2(collect_witnesses=True, pivot_patterns=None):
+def gamma_family_scan_f2(threads: int = 1):
     """One pass over the 788,035 subspaces of Gr(6,9)(F_2) deciding, for all
     256 coefficient vectors at once, which normal-form trivectors have a
     degree-1 destabilizing 6-plane.
@@ -552,60 +539,8 @@ def gamma_family_scan_f2(collect_witnesses=True, pivot_patterns=None):
     annihilator rows (three 9-bit ints) of the first witness found.
     """
     gens = [GAMMA_BASE_TERMS] + [(GAMMA_C_TERMS[d][1],) for d in CURVE_DEGREES]
-    ngens = 9
-    table = _pair_table_f2(gens)
-    found = [False] * 256
-    witness = {}
-    checked = 0
-    patterns = sorted(itertools.combinations(range(9), 3),
-                      key=lambda t: t[::-1])
-    if pivot_patterns is not None:
-        patterns = [patterns[i] for i in pivot_patterns]
-    for pivots in patterns:
-        free = [[c for c in range(9) if c > pivots[r] and c not in pivots]
-                for r in range(3)]
-        f0, f1, f2 = free
-        p0, p1, p2 = (1 << pivots[r] for r in range(3))
-        for bits0 in range(1 << len(f0)):
-            alpha = p0
-            for idx, col in enumerate(f0):
-                if bits0 >> idx & 1:
-                    alpha |= 1 << col
-            # per-free-column increments for the two moving pairs
-            r_alpha = [_pair_contract_bits(table, alpha, 1 << col, ngens)
-                       for col in f2]
-            for bits1 in range(1 << len(f1)):
-                beta = p1
-                for idx, col in enumerate(f1):
-                    if bits1 >> idx & 1:
-                        beta |= 1 << col
-                v01 = _pair_contract_bits(table, alpha, beta, ngens)
-                r_beta = [_pair_contract_bits(table, beta, 1 << col, ngens)
-                          for col in f2]
-                v02 = _pair_contract_bits(table, alpha, p2, ngens)
-                v12 = _pair_contract_bits(table, beta, p2, ngens)
-                delta = p2
-                gray_prev = 0
-                for step in range(1 << len(f2)):
-                    gray = step ^ (step >> 1)
-                    flip = gray ^ gray_prev
-                    if flip:
-                        idx = flip.bit_length() - 1
-                        delta ^= 1 << f2[idx]
-                        ra, rb = r_alpha[idx], r_beta[idx]
-                        for g in range(ngens):
-                            v02[g] ^= ra[g]
-                            v12[g] ^= rb[g]
-                    gray_prev = gray
-                    checked += 1
-                    vecs = [v01[g] | v02[g] << 9 | v12[g] << 18
-                            for g in range(ngens)]
-                    for cmask in _solve_f2_family(vecs):
-                        if not found[cmask]:
-                            found[cmask] = True
-                            if collect_witnesses:
-                                witness[cmask] = (alpha, beta, delta)
-    return found, witness, checked
+    witness, checked = _scan_f2(gens, threads)
+    return [c in witness for c in range(256)], witness, checked
 
 
 def _witness_rows_to_u(field, rows_bits):
@@ -716,10 +651,7 @@ def stability_family_report_f2(threads: int = 1):
     Grassmannian pass for the searches plus per-c smoothness; returns
     (reports, subspaces_checked)."""
     f2 = GF(2)
-    if threads > 1:
-        found, witness, checked = _scan_f2_parallel(threads)
-    else:
-        found, witness, checked = gamma_family_scan_f2()
+    found, witness, checked = gamma_family_scan_f2(threads)
     reports = []
     for cmask in range(256):
         cc = CurveCoeffs(f2, {d: (cmask >> i) & 1
@@ -742,27 +674,6 @@ def stability_family_report_f2(threads: int = 1):
             verdict = StabilityVerdict("stable", None, 1, checked)
         reports.append(GammaCConsistency(cc, smooth, verdict))
     return reports, checked
-
-
-def _scan_f2_parallel(threads: int):
-    import multiprocessing as mp
-    chunks = [list(range(i, 84, threads)) for i in range(threads)]
-    with mp.Pool(threads) as pool:
-        parts = pool.map(_scan_chunk, chunks)
-    found = [False] * 256
-    witness = {}
-    checked = 0
-    for f, w, n in parts:
-        checked += n
-        for cmask in range(256):
-            if f[cmask] and not found[cmask]:
-                found[cmask] = True
-                witness[cmask] = w[cmask]
-    return found, witness, checked
-
-
-def _scan_chunk(pattern_indices):
-    return gamma_family_scan_f2(pivot_patterns=pattern_indices)
 
 
 def rational_stability_report(t: Trivector, primes=(2, 7, 11, 13),

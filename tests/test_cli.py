@@ -113,6 +113,14 @@ def test_selftest_single_criterion(capsys):
     assert rep["verdict"]["criteria"][0]["id"] == "C11"
 
 
+def test_selftest_c1_parallel_family_scan(capsys):
+    code, rep = run_cli(capsys, "--threads", "2", "selftest", "--criteria",
+                        "C1")
+    assert code == 0
+    assert rep["verdict"]["all_pass"] is True
+    assert "788035 subspaces" in rep["verdict"]["criteria"][0]["detail"]
+
+
 def test_loci_cubic_and_embedding_cli(tmp_path, capsys):
     g = tmp_path / "g.json"
     run_cli(capsys, "gamma", "build", "--field", "GF(2)", "--set", "c15=1",

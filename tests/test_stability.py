@@ -1,21 +1,26 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from trivector.errors import BudgetExceeded, UnsupportedField
 from trivector.fields import GF, Q
 from trivector.linalg import Matrix, kernel_matrix
 from trivector.loci import rank_locus_codes
 from trivector.polys import embed_map, extension_of
-from trivector.stability import (anchored_witness_search, curve_is_smooth,
+from trivector.stability import (_gray_scan_f2, _witness_rows_to_u,
+                                 anchored_witness_search, curve_is_smooth,
                                  destabilizer_search, destabilizes,
                                  echelon_matrices, gamma_family_scan_f2,
-                                 gaussian_binomial, rational_stability_report,
+                                 gaussian_binomial, pivot_patterns,
+                                 rational_stability_report,
                                  singular_point_search,
                                  singular_points_of_curve,
                                  stability_verdict_gamma_c, witness_verify)
-from trivector.trivector import (CURVE_DEGREES, CurveCoeffs, Trivector,
-                                 build_gamma_c, gamma0, gl_act, phi_at)
+from trivector.trivector import (CURVE_DEGREES, TRIPLES, CurveCoeffs,
+                                 Trivector, build_gamma_c, gamma0, gl_act,
+                                 phi_at)
 
 
 def test_gaussian_binomial():
@@ -141,16 +146,100 @@ def test_budget_exceeded_carries_count():
     assert info.value.count == 788035
 
 
-def test_family_scan_agrees_with_direct_search():
-    found, witness, checked = gamma_family_scan_f2()
+def _family_curve(cmask):
+    return CurveCoeffs(GF(2), {d: (cmask >> i) & 1
+                               for i, d in enumerate(CURVE_DEGREES)})
+
+
+@pytest.fixture(scope="module")
+def family_scan():
+    return gamma_family_scan_f2()
+
+
+def test_family_scan_agrees_with_direct_search(family_scan):
+    found, witness, checked = family_scan
     assert checked == 788035
-    f2 = GF(2)
+    assert sorted(witness) == [c for c in range(256) if found[c]]
     rng = random.Random(2)
     for cmask in rng.sample(range(256), 12):
-        cc = CurveCoeffs(f2, {d: (cmask >> i) & 1
-                              for i, d in enumerate(CURVE_DEGREES)})
-        direct = destabilizer_search(build_gamma_c(cc), 1)
+        direct = destabilizer_search(build_gamma_c(_family_curve(cmask)), 1)
         assert found[cmask] == (direct.status == "non_stable")
+    # the one-generator scan of each destabilized c finds the same witness
+    for cmask in witness:
+        direct = destabilizer_search(build_gamma_c(_family_curve(cmask)), 1)
+        assert direct.witness == _witness_rows_to_u(GF(2), witness[cmask])
+
+
+def test_family_scan_threads_match_serial(family_scan):
+    for threads in (0, 2, 3):
+        assert gamma_family_scan_f2(threads=threads) == family_scan
+
+
+def _gray_scan_oracle(gens, pattern_indices):
+    """First hit per mask by the object route, walking each pattern in the
+    scan order: first row, then second row in binary order of their free
+    entries, then the third row in Gray-code order."""
+    f2 = GF(2)
+    patterns = pivot_patterns(3, 9)
+    offsets = [0]
+    for _, free in patterns:
+        offsets.append(offsets[-1] + 2 ** sum(len(f) for f in free))
+    trivectors = {}
+    for mask in range(2 ** (len(gens) - 1)):
+        terms = {}
+        for g, gen in enumerate(gens):
+            if g == 0 or mask >> (g - 1) & 1:
+                for trip in gen:
+                    terms[trip] = terms.get(trip, 0) ^ 1
+        trivectors[mask] = Trivector(f2, {trip: f2.one
+                                          for trip, v in terms.items() if v})
+
+    def row(pivot, free, bits):
+        return (1 << pivot) | sum(1 << c for i, c in enumerate(free)
+                                  if bits >> i & 1)
+
+    first = {}
+    for index in pattern_indices:
+        pivots, free = patterns[index]
+        n0, n1, n2 = (len(f) for f in free)
+        for local in range(2 ** (n0 + n1 + n2)):
+            step = local % 2 ** n2
+            bits = (local >> (n1 + n2), (local >> n2) % 2 ** n1,
+                    step ^ (step >> 1))
+            rows = tuple(row(pivots[r], free[r], bits[r]) for r in range(3))
+            w = Matrix(f2, [[f2.one if x >> c & 1 else f2.zero
+                             for c in range(9)] for x in rows])
+            for mask, t in trivectors.items():
+                if mask not in first and destabilizes(t, w):
+                    first[mask] = (offsets[index] + local, rows)
+    return first
+
+
+# patterns of at most 2^9 subspaces, with up to 3 Gray-coded columns
+_SMALL_PATTERNS = [i for i, (_, free) in enumerate(pivot_patterns(3, 9))
+                   if sum(len(f) for f in free) <= 9]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(TRIPLES), min_size=1, max_size=10,
+                         unique=True).map(tuple), min_size=1, max_size=3),
+       st.lists(st.sampled_from(_SMALL_PATTERNS), min_size=1, max_size=3,
+                unique=True).map(sorted))
+# first hit at Gray step 3, the first step whose flipped column is not the
+# highest bit of the step number
+@example([((2, 5, 7), (1, 4, 8), (2, 3, 9), (2, 8, 9), (1, 4, 6), (2, 4, 9))],
+         [19])
+def test_gray_scan_matches_object_oracle(gens, pattern_indices):
+    assert _gray_scan_f2(gens, pattern_indices) == \
+        _gray_scan_oracle(gens, pattern_indices)
+
+
+def test_pivot_patterns_colex_order_and_count():
+    patterns = pivot_patterns(3, 9)
+    assert [p for p, _ in patterns] == sorted(
+        itertools.combinations(range(9), 3), key=lambda p: p[::-1])
+    assert sum(2 ** sum(len(f) for f in free)
+               for _, free in patterns) == gaussian_binomial(9, 3, 2)
 
 
 def test_verdict_consistency_random_f2():
@@ -241,3 +330,16 @@ def test_parallel_scan_matches_sequential():
     s2 = destabilizer_search(ts, 1, threads=4)
     assert s1.status == s2.status == "stable"
     assert s1.subspaces_checked == s2.subspaces_checked == 788035
+    # no witness in pivot pattern 0; the first is the opening subspace of
+    # pattern 1 (worker 1 of 2), and worker 0 stops at a later one
+    tm = Trivector(f2, {trip: f2.one for trip in ((4, 6, 7), (5, 7, 8),
+                                                  (1, 5, 6), (2, 5, 6),
+                                                  (1, 3, 9))})
+    m1 = destabilizer_search(tm, 1)
+    assert m1.subspaces_checked == 262145
+    # a thread count below 1 runs the serial scan, not an empty one
+    for threads in (-1, 0, 2, 3):
+        m2 = destabilizer_search(tm, 1, threads=threads)
+        assert m2.status == "non_stable"
+        assert m1.witness == m2.witness
+        assert m2.subspaces_checked == 262145
