@@ -83,7 +83,7 @@ def cmd_gamma_act(args):
     t = ser.trivector_from_json(_load(args.gamma))
     field = t.field
     if args.matrix:
-        g = ser.matrix_from_json(field, _load(args.matrix)["rows"])
+        g = ser.gl_matrix_from_json(field, _load(args.matrix))
     elif args.perm:
         digits = [int(ch) for ch in args.perm]
         if sorted(digits) != list(range(1, 10)):
@@ -222,8 +222,25 @@ def cmd_selftest(args):
     return {"criteria": lines, "all_pass": all_ok}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like input errors; 2 stays Disagreement's."""
+
+    def error(self, message):
+        raise SystemExit2("%s: error: %s" % (self.prog, message))
+
+
+def _thread_count(text):
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="trivec",
         description="exact computations with trivectors in 9 variables and "
                     "their genus-2 curve data")
@@ -232,7 +249,7 @@ def build_parser():
     p.add_argument("--budget", type=int, default=None,
                    help="global cap on enumeration sizes (unused by "
                         "'loci cubic', which does not scan)")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_thread_count, default=1,
                    help="worker processes for the parallel kernels")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -317,7 +334,11 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit2 as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     t0 = time.perf_counter()
     _INPUT_DIGESTS.clear()
     try:

@@ -4,6 +4,7 @@ certificate for the compatibility bundle."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -11,12 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .e8 import COMP, EPS, _shuffle_sign
 from .errors import Disagreement, NonStableInput
 from .fields import Field
 from .linalg import Matrix, kernel_matrix
-from .loci import rank_locus_codes, DEFAULT_POINT_BUDGET
+from .loci import (DEFAULT_POINT_BUDGET, _structure_tensor_codes,
+                   rank_locus_codes)
 from .polys import element_degree, embed_map, extension_of
-from .trivector import Trivector, gl_act, phi_at
+from .scan import code_dtype, field_kernel, projective_count
+from .trivector import TRIPLE_INDEX, TRIPLES, Trivector, phi_at
 
 __all__ = [
     "FLAG_MONOMIALS", "Flag1368", "CompatibilityReport", "flag_compatible",
@@ -108,158 +112,236 @@ class CompatibilityReport:
                              for t, c in self.violated]}
 
 
-def _adapted_matrix(flag: Flag1368) -> Matrix:
-    """An invertible matrix whose first 1, 3, 6, 8 columns span the flag."""
+def _dual_flag_basis(flag: Flag1368) -> list:
+    """Covectors a_1, ..., a_9 adapted to the annihilators A_d = ann(F_d):
+    a_9 spans A_8, a_7..a_9 span A_6, a_4..a_9 span A_3 and a_2..a_9 span
+    A_1.  Each block extends the one before it greedily from the
+    reduced-echelon kernel basis of F_d (the last from e*_1, ..., e*_9)."""
     field = flag.field
-    basis = []
-    basis_mat = None
-    for dim in Flag1368.DIMS + (9,):
-        cands = (flag[dim].rows if dim != 9 else
-                 Matrix.identity(field, 9).rows)
-        for row in cands:
-            if len(basis) == dim:
+    sources = [kernel_matrix(flag[d]).rows for d in (8, 6, 3, 1)]
+    sources.append(Matrix.identity(field, 9).rows)
+    basis = [None] * 9
+    echelon = []        # (pivot, row): zero at every earlier pivot, 1 at its own
+    for positions, rows in zip(((8,), (6, 7), (3, 4, 5), (1, 2), (0,)),
+                               sources):
+        free = list(positions)
+        for row in rows:
+            if not free:
                 break
-            trial = Matrix(field, basis + [list(row)])
-            if trial.rank() == len(basis) + 1:
-                basis.append(list(row))
-                basis_mat = trial
-    if len(basis) != 9:
-        raise ValueError("flag does not extend to a basis")
-    return basis_mat.transpose()
+            r = list(row)
+            for piv, e in echelon:
+                if not r[piv].is_zero():
+                    c = r[piv]
+                    r = [a - c * b for a, b in zip(r, e)]
+            piv = next((k for k, a in enumerate(r) if not a.is_zero()), None)
+            if piv is None:
+                continue
+            inv = r[piv].inv()
+            echelon.append((piv, [a * inv for a in r]))
+            basis[free.pop(0)] = list(row)
+    return basis
 
 
 def flag_compatible(t: Trivector, flag: Flag1368) -> CompatibilityReport:
-    """Change basis so the flag becomes standard and test the 31 vanishing
-    conditions; the verdict is independent of the chosen transporter."""
-    g = _adapted_matrix(flag)
-    adapted = gl_act(g.inverse(), t)
+    """The 31 vanishing conditions read as contractions.
+
+    The coefficient of e_i^e_j^e_k is t(e*_i, e*_j, e*_k), so after any
+    change of basis making the flag standard the 31 conditions are the
+    contractions t(a_i, a_j, a_k) over a dual basis adapted to the
+    annihilators (_dual_flag_basis); together they say that
+    t(A_8, A_1, A_3), t(A_6, A_6, A_1) and t(A_6, A_3, A_3) vanish, which
+    does not depend on the basis.  The violated list reports the nonzero
+    contractions t(a_i, a_j, a_k) = a_i^T phi(a_k) a_j."""
+    a = _dual_flag_basis(flag)
+    zero = t.field.zero
+    phis = {k: phi_at(t, a[k - 1]) for k in (7, 8, 9)}
     violated = []
     for trip in FLAG_MONOMIALS:
-        c = adapted.coeff(trip)
+        i, j, k = trip
+        col = phis[k].apply(a[j - 1])
+        c = sum((x * y for x, y in zip(a[i - 1], col) if not x.is_zero()),
+                zero)
         if not c.is_zero():
             violated.append((trip, c))
     return CompatibilityReport(not violated, violated)
 
 
 # ---------------------------------------------------------------------------
-# flag search through the rank-4 locus
+# flag search through the rank-4 locus, in coded arithmetic
+#
+# Every line u of the image of phi(x) at every rank-4 point x is one
+# candidate; the candidates go through numpy in batches.  The object route
+# only rebuilds and checks the candidates that pass every coded test.
 
-def _span_of_trivector(v: Trivector) -> Matrix:
-    """Support of a trivector: span of all double contractions (one pass
-    over the terms: each term feeds its three pair-contractions)."""
-    field = v.field
-    z = field.zero
-    rows_by_pair = {}
-    for (i, j, k), c in v.coeffs.items():
-        for pair, other, flip in (((i, j), k, False),
-                                  ((i, k), j, True),
-                                  ((j, k), i, False)):
-            vec = rows_by_pair.get(pair)
-            if vec is None:
-                vec = [z] * 9
-                rows_by_pair[pair] = vec
-            vec[other - 1] = vec[other - 1] - c if flip else vec[other - 1] + c
-    rows = [r for r in rows_by_pair.values()
-            if any(not x.is_zero() for x in r)]
-    if not rows:
-        return Matrix(field, [])
-    red, piv = Matrix(field, rows).rref()
-    return Matrix(field, red.rows[:len(piv)])
+_FLAG_CHUNK = 1 << 13      # candidates per batch; bounds the (N, 36, 9) stacks
 
 
-def _wedge_u_bivector(field, u, m: Matrix) -> Trivector:
-    """u ^ (the bivector with matrix m) as a trivector."""
-    coeffs = {}
-    for a in range(9):
-        for b in range(a + 1, 9):
-            c = m.rows[a][b]
-            if c.is_zero():
-                continue
-            for pos, uc in enumerate(u):
-                if uc.is_zero() or pos == a or pos == b:
-                    continue
-                trip = tuple(sorted((pos + 1, a + 1, b + 1)))
-                # sign of sorting (pos, a, b) with u in front
-                if pos < a:
-                    sgn = 1
-                elif pos < b:
-                    sgn = -1
-                else:
-                    sgn = 1
-                v = uc * c if sgn > 0 else -(uc * c)
-                s = coeffs.get(trip)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    coeffs.pop(trip, None)
-                else:
-                    coeffs[trip] = s
-    return Trivector(field, coeffs)
+@functools.cache
+def _flag_index_tables():
+    """Field-independent index tables of the coded flag engine.
+
+    wedge: (u ^ m)_T = u_i m_jk - u_j m_ik + u_k m_ij for T = (i, j, k);
+      (84, 3) positions into u and into the flattened skew matrix m.
+    span: the 36 x 9 double-contraction stack of a trivector v, row (a, b)
+      and column k holding +-v at sorted(a, b, k); (36, 9) positions into v
+      padded by a zero at 84, and the mask of negated entries (a < k < b).
+    dual: coefficient T of the dual three-form of the six-vector v ^ t,
+      EPS[T] * sum of sign * v_T1 * t_T2 over the 20 splittings of comp(T)
+      into T1 + T2; (84, 20) positions of T1 and T2 and the signs."""
+    upos = np.array([[i - 1, j - 1, k - 1] for i, j, k in TRIPLES])
+    ment = np.array([[(j - 1) * 9 + k - 1, (i - 1) * 9 + k - 1,
+                      (i - 1) * 9 + j - 1] for i, j, k in TRIPLES])
+    gather = np.full((36, 9), len(TRIPLES), dtype=np.int64)
+    neg = np.zeros((36, 9), dtype=bool)
+    for r, (a, b) in enumerate(itertools.combinations(range(1, 10), 2)):
+        for k in range(1, 10):
+            if k not in (a, b):
+                gather[r, k - 1] = TRIPLE_INDEX[tuple(sorted((a, b, k)))]
+                neg[r, k - 1] = a < k < b
+    dual = [[(TRIPLE_INDEX[t1], TRIPLE_INDEX[t2],
+              EPS[trip] * _shuffle_sign(t1, t2))
+             for t1 in itertools.combinations(COMP[trip], 3)
+             for t2 in [tuple(v for v in COMP[trip] if v not in t1)]]
+            for trip in TRIPLES]
+    dual = np.array(dual, dtype=np.int64)
+    return (upos, ment), (gather, neg), (dual[..., 0], dual[..., 1],
+                                          dual[..., 2])
 
 
-def _wedge6_support(field, w6) -> Matrix | None:
-    """For a pure six-vector: its 6-dimensional support; None if not pure."""
-    from .e8 import EPS
-    # dual three-form on V*; the contraction formula is index-label agnostic,
-    # so reuse the trivector machinery on the dual side
-    dual = Trivector(field, {trip: (c if EPS[trip] > 0 else -c)
-                             for trip, c in w6.coeffs.items()})
-    if dual.is_zero():
-        return None
-    star_basis = _span_of_trivector(dual)
-    if star_basis.nrows != 3:
-        return None
-    support = kernel_matrix(star_basis)
-    return support if support.nrows == 6 else None
+@functools.lru_cache(maxsize=16)
+def _line_codes(field: Field):
+    """Coefficients, in the rows of the reduced image basis, of the lines
+    of a 4-space over the field: leading 1 at position lead = 0..3, then
+    itertools.product of field.elements() on the tail, as (L, 4) codes."""
+    els = [field.to_int(e) for e in field.elements()]
+    rows = [[0] * lead + [1] + list(tail) for lead in range(4)
+            for tail in itertools.product(els, repeat=3 - lead)]
+    return np.array(rows, dtype=code_dtype(field.order))
+
+
+def _matmul(kern, a, b):
+    """Coded (..., r, k) @ (..., k, c)."""
+    acc = kern.mul(a[..., :, 0, None], b[..., None, 0, :])
+    for j in range(1, a.shape[-1]):
+        acc = kern.add(acc, kern.mul(a[..., :, j, None], b[..., None, j, :]))
+    return acc
+
+
+def _span_stack(kern, v, span):
+    """The (N, 36, 9) double contractions of (N, 84) coded trivectors; their
+    row space is the support of each trivector."""
+    gather, neg = span
+    padded = np.concatenate((v, np.zeros((v.shape[0], 1), v.dtype)), axis=1)
+    stack = padded[:, gather]
+    return np.where(neg, kern.neg(stack), stack)
+
+
+def _coded_flag_candidates(t: Trivector, kern, points):
+    """Every line u of the image of phi(x), for each coded point x of
+    rank 4, tested in coded arithmetic by the conditions of the object
+    route:
+      - F3 = support of v1 = u ^ phi(x) has dimension 3;
+      - the dual three-form of v2 = v1 ^ t spans a 3-space A_6 (v2 is a
+        pure six-vector), and F6 = ker A_6;
+      - u in F3, F3 in F6 and F6 in F8 = ker x;
+      - t(A_8, A_1, A_3), t(A_6, A_6, A_1) and t(A_6, A_3, A_3) vanish,
+        with A_8 = <x>, A_3 = ann F3 and A_1 = ann u (flag_compatible).
+
+    Yields (point index, u, F3, F6) codes of the candidates passing every
+    test, points in order and lines in the enumeration order of _line_codes.
+    """
+    (upos, ment), span, (d1, d2, dsign) = _flag_index_tables()
+    coeff = [t.coeffs.get(trip, t.field.zero) for trip in TRIPLES]
+    dcoef = np.array([[kern.encode(coeff[n] if s > 0 else -coeff[n])
+                       for n, s in zip(row_n, row_s)]
+                      for row_n, row_s in zip(d2, dsign)], dtype=kern.dtype)
+    tensor = _structure_tensor_codes(t, kern)
+    lines = _line_codes(t.field)
+    n_lines = lines.shape[0]
+    step = max(1, _FLAG_CHUNK // n_lines)
+    for start in range(0, points.shape[0], step):
+        x = points[start:start + step]
+        m = kern.build_skew(x, tensor)
+        ranks, _, red = kern.batched_rref(m)
+        pidx = np.repeat(np.nonzero(ranks == 4)[0], n_lines)
+        lidx = np.tile(np.arange(n_lines), len(pidx) // n_lines)
+        u = _matmul(kern, lines[lidx, None, :], red[pidx, :4, :])[:, 0]
+        mflat = m.reshape(-1, 81)[pidx]
+        v1 = kern.sub(kern.mul(u[:, upos[:, 0]], mflat[:, ment[:, 0]]),
+                      kern.mul(u[:, upos[:, 1]], mflat[:, ment[:, 1]]))
+        v1 = kern.add(v1, kern.mul(u[:, upos[:, 2]], mflat[:, ment[:, 2]]))
+        r3, _, red3 = kern.batched_rref(_span_stack(kern, v1, span))
+        keep = r3 == 3
+        pidx, u, v1, f3 = pidx[keep], u[keep], v1[keep], red3[keep, :3]
+        dual = np.zeros_like(v1)
+        for s in range(d1.shape[1]):
+            dual = kern.add(dual, kern.mul(dcoef[:, s], v1[:, d1[:, s]]))
+        r6, _, red6 = kern.batched_rref(_span_stack(kern, dual, span))
+        keep = r6 == 3
+        pidx, u, f3, a6 = pidx[keep], u[keep], f3[keep], red6[keep, :3]
+        f6 = kern.batched_kernel_basis(a6)[1][:, :6]
+        a3 = kern.batched_kernel_basis(f3)[1][:, :6]
+        a1 = kern.batched_kernel_basis(u[:, None, :])[1][:, :8]
+        a3t = a3.transpose(0, 2, 1)
+
+        def vanishes(a, b):
+            return ~_matmul(kern, a, b).any(axis=(1, 2))
+
+        # containment u in F3 < F6 < F8
+        ok = vanishes(a3, u[:, :, None]) & vanishes(a6, f3.transpose(0, 2, 1))
+        ok &= vanishes(x[pidx][:, None, :], f6.transpose(0, 2, 1))
+        # t(A_8, A_1, A_3) = A_1 phi(x) A_3^T
+        ok &= vanishes(a1, _matmul(kern, m[pidx], a3t))
+        # t(A_6, A_6, A_1) and t(A_6, A_3, A_3)
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            w = kern.double_contract(a6[:, a], a6[:, b], tensor)
+            ok &= vanishes(a1, w[:, :, None])
+        for a in range(3):
+            ma = kern.build_skew(a6[:, a], tensor)
+            ok &= vanishes(a3, _matmul(kern, ma, a3t))
+        for n in np.nonzero(ok)[0]:
+            yield start + pidx[n], u[n], f3[n], f6[n]
+
+
+def _flags_from_codes(t: Trivector, kern, points, early_exit: bool) -> list:
+    """The compatible flags at each coded point, one list per point: the
+    coded candidates rebuilt as Flag1368 and checked by flag_compatible
+    (a rejection is a Disagreement).  With early_exit, only the first
+    candidate of each point."""
+    field = t.field
+
+    def decode(rows):
+        return Matrix(field, [[kern.decode(c) for c in row] for row in rows])
+
+    out = [[] for _ in range(points.shape[0])]
+    for p, u, f3, f6 in _coded_flag_candidates(t, kern, points):
+        if early_exit and out[p]:
+            continue
+        f8 = kernel_matrix(decode(points[p:p + 1]))
+        try:
+            flag = Flag1368(field, decode(u[None]), decode(f3), decode(f6), f8)
+        except ValueError as exc:
+            raise Disagreement("object route rejects a coded flag: %s" % exc)
+        if not flag_compatible(t, flag).compatible:
+            raise Disagreement("coded flag candidate is not compatible")
+        out[p].append(flag)
+    for flags in out:
+        if len({f.key() for f in flags}) != len(flags):
+            raise Disagreement("duplicate flags from one rank-4 point")
+    return out
 
 
 def flags_at_point(t: Trivector, x_coords, early_exit: bool = False) -> list:
     """All compatible flags whose top space is the annihilator of x.
 
     Candidates for the line F1 run over the image of the pencil at x; the
-    chain F3, F6 is then forced and the Eq-class compatibility test is the
-    final filter.  With early_exit the scan stops at the first hit (a stable
-    trivector has at most one compatible flag per rank-4 point)."""
-    from .e8 import wedge33
-    field = t.field
-    m = phi_at(t, list(x_coords))
-    red, piv = m.rref()
-    if len(piv) != 4:
-        return []
-    s4 = Matrix(field, red.rows[:4])
-    f8 = kernel_matrix(Matrix(field, [list(x_coords)]))
-    out = []
-    els = list(field.elements())
-    for lead in range(4):
-        for tail in itertools.product(els, repeat=3 - lead):
-            coeffs = ([field.zero] * lead + [field.one] + list(tail))
-            u = [field.zero] * 9
-            for cf, row in zip(coeffs, s4.rows):
-                if not cf.is_zero():
-                    u = [a + cf * b for a, b in zip(u, row)]
-            v1 = _wedge_u_bivector(field, u, m)
-            if v1.is_zero():
-                continue
-            v2 = wedge33(v1, t)
-            if v2.is_zero():
-                continue
-            f6 = _wedge6_support(field, v2)
-            if f6 is None:
-                continue
-            f3 = _span_of_trivector(v1)
-            if f3.nrows != 3:
-                continue
-            try:
-                flag = Flag1368(field, Matrix(field, [u]), f3, f6, f8)
-            except ValueError:
-                continue
-            if flag_compatible(t, flag).compatible:
-                out.append(flag)
-                if early_exit:
-                    return out
-    keys = {f.key() for f in out}
-    if len(keys) != len(out):
-        raise Disagreement("duplicate flags from one rank-4 point")
-    return out
+    chain F3, F6 is then forced and compatibility is the final filter (see
+    _coded_flag_candidates).  With early_exit only the first flag is kept
+    (a stable trivector has at most one compatible flag per rank-4 point).
+    """
+    kern = field_kernel(t.field)
+    point = np.array([[kern.encode(c) for c in x_coords]], dtype=kern.dtype)
+    return _flags_from_codes(t, kern, point, early_exit)[0]
 
 
 @dataclass
@@ -323,7 +405,6 @@ def flag_search(t: Trivector, max_ext_degree: int = 1,
     found = []
     weighted = 0
     searched, skipped = [], []
-    from .scan import projective_count
     for d in range(1, max_ext_degree + 1):
         ext = extension_of(base, d)
         if projective_count(ext.order) > min(point_budget, scan_cutoff):
@@ -336,7 +417,8 @@ def flag_search(t: Trivector, max_ext_degree: int = 1,
         if rep.counts.get(0, 0) or rep.counts.get(2, 0):
             raise NonStableInput("rank <= 2 point found: input is not stable")
         searched.append(d)
-        for row in codes:
+        reps = []
+        for n, row in enumerate(codes):
             coords = [kern.decode(c) for c in row]
             orbit_key, self_key = _frobenius_orbit_key(base.order, coords)
             if orbit_key != self_key:
@@ -344,7 +426,9 @@ def flag_search(t: Trivector, max_ext_degree: int = 1,
             # minimal field of definition must be exactly d
             if math.lcm(*(element_degree(c, base) for c in coords)) != d:
                 continue
-            for flag in flags_at_point(te, coords, early_exit=True):
+            reps.append(n)
+        for flags in _flags_from_codes(te, kern, codes[reps], early_exit=True):
+            for flag in flags:
                 found.append((flag, d))
                 weighted += d
     if weighted > 81:

@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from trivector.cli import main
 
@@ -176,3 +179,52 @@ def test_flags_check_cli(tmp_path, capsys):
     assert code == 0
     assert rep["verdict"]["compatible"] is False
     assert rep["verdict"]["violated"][0]["ijk"] == [2, 4, 9]
+
+
+def test_usage_errors_exit_1(capsys):
+    # --threads is a top-level option: after the subcommand it is a usage
+    # error, which exits 1 (2 is reserved for a Disagreement)
+    code = main(["selftest", "--criteria", "C11", "--threads", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "unrecognized arguments: --threads 2" in err
+    assert main(["flags"]) == 1
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+def test_threads_below_one_rejected_at_parse_time(threads, capsys):
+    # the gamma file does not exist: parsing fails before anything runs
+    code = main(["--threads", threads, "stability", "--gamma", "absent.json"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "argument --threads" in err and "absent.json" not in err
+
+
+BAD_INPUTS = Path(__file__).parent / "fixtures" / "bad_inputs"
+# each fixture folder holds malformed files of one kind, read by this command
+# (the placeholder FILE is the fixture, GAMMA a valid trivector file)
+BAD_INPUT_COMMANDS = {
+    "gamma": ["loci", "cubic", "--gamma", "FILE"],
+    "curve": ["char3", "rank", "--curve", "FILE"],
+    "flag": ["flags", "check", "--gamma", "GAMMA", "--flag", "FILE"],
+    "pencil": ["loci", "reconstruct", "--pencil", "FILE"],
+    "matrix": ["gamma", "act", "--gamma", "GAMMA", "--matrix", "FILE"],
+}
+
+
+@pytest.mark.parametrize(
+    "fixture", sorted(BAD_INPUTS.glob("*/*.json")),
+    ids=lambda p: "%s/%s" % (p.parent.name, p.stem))
+def test_malformed_input_is_one_line_exit_1(fixture, tmp_path, capsys):
+    gamma = tmp_path / "gamma.json"
+    gamma.write_text(json.dumps({"field": "GF(5)", "terms": [
+        {"ijk": [1, 2, 3], "c": "1"}]}))
+    argv = [{"FILE": str(fixture), "GAMMA": str(gamma)}.get(a, a)
+            for a in BAD_INPUT_COMMANDS[fixture.parent.name]]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err

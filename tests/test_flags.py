@@ -4,19 +4,165 @@ import random
 from fractions import Fraction
 from math import prod
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from trivector.errors import NonStableInput
+from trivector.e8 import EPS, wedge33
+from trivector.errors import Disagreement, NonStableInput
 from trivector.fields import GF
-from trivector.flags import (FLAG_MONOMIALS, Flag1368, _h_tail,
-                             chern_top_class, flag_compatible, flag_search,
-                             flags_at_point, reduce_mod_symmetric,
+from trivector.flags import (FLAG_MONOMIALS, Flag1368, _dual_flag_basis,
+                             _h_tail, chern_top_class, flag_compatible,
+                             flag_search, flags_at_point, reduce_mod_symmetric,
                              standard_flag)
-from trivector.linalg import Matrix
+from trivector.linalg import Matrix, kernel_matrix
+from trivector.loci import rank_locus_codes
 from trivector.polys import embed_map
-from trivector.trivector import (CURVE_DEGREES, CurveCoeffs, gamma0, gl_act,
-                                 permuted_gamma_c)
+from trivector.stability import curve_is_smooth
+from trivector.trivector import (CURVE_DEGREES, TRIPLES, CurveCoeffs,
+                                 Trivector, build_gamma_c, gamma0, gl_act,
+                                 permuted_gamma_c, phi_at)
+
+
+# ---------------------------------------------------------------------------
+# object-route oracles: compatibility through an adapted basis and gl_act,
+# and the per-line flag loop in field-element arithmetic
+
+def _adapted_matrix(flag: Flag1368) -> Matrix:
+    """An invertible matrix whose first 1, 3, 6, 8 columns span the flag."""
+    field = flag.field
+    basis = []
+    basis_mat = None
+    for dim in Flag1368.DIMS + (9,):
+        cands = (flag[dim].rows if dim != 9 else
+                 Matrix.identity(field, 9).rows)
+        for row in cands:
+            if len(basis) == dim:
+                break
+            trial = Matrix(field, basis + [list(row)])
+            if trial.rank() == len(basis) + 1:
+                basis.append(list(row))
+                basis_mat = trial
+    if len(basis) != 9:
+        raise ValueError("flag does not extend to a basis")
+    return basis_mat.transpose()
+
+
+def _violations(adapted: Trivector):
+    return [(trip, adapted.coeff(trip)) for trip in FLAG_MONOMIALS
+            if not adapted.coeff(trip).is_zero()]
+
+
+def gl_act_compatible(t: Trivector, flag: Flag1368) -> bool:
+    """Oracle: move the flag to the standard one and read the 31
+    coefficients."""
+    return not _violations(gl_act(_adapted_matrix(flag).inverse(), t))
+
+
+def _span_of_trivector(v: Trivector) -> Matrix:
+    """Support of a trivector: span of all double contractions."""
+    field = v.field
+    z = field.zero
+    rows_by_pair = {}
+    for (i, j, k), c in v.coeffs.items():
+        for pair, other, flip in (((i, j), k, False),
+                                  ((i, k), j, True),
+                                  ((j, k), i, False)):
+            vec = rows_by_pair.get(pair)
+            if vec is None:
+                vec = [z] * 9
+                rows_by_pair[pair] = vec
+            vec[other - 1] = vec[other - 1] - c if flip else vec[other - 1] + c
+    rows = [r for r in rows_by_pair.values()
+            if any(not x.is_zero() for x in r)]
+    if not rows:
+        return Matrix(field, [])
+    red, piv = Matrix(field, rows).rref()
+    return Matrix(field, red.rows[:len(piv)])
+
+
+def _wedge_u_bivector(field, u, m: Matrix) -> Trivector:
+    """u ^ (the bivector with matrix m) as a trivector."""
+    coeffs = {}
+    for a in range(9):
+        for b in range(a + 1, 9):
+            c = m.rows[a][b]
+            if c.is_zero():
+                continue
+            for pos, uc in enumerate(u):
+                if uc.is_zero() or pos == a or pos == b:
+                    continue
+                trip = tuple(sorted((pos + 1, a + 1, b + 1)))
+                # sign of sorting (pos, a, b) with u in front
+                if pos < a:
+                    sgn = 1
+                elif pos < b:
+                    sgn = -1
+                else:
+                    sgn = 1
+                v = uc * c if sgn > 0 else -(uc * c)
+                s = coeffs.get(trip)
+                s = v if s is None else s + v
+                if s.is_zero():
+                    coeffs.pop(trip, None)
+                else:
+                    coeffs[trip] = s
+    return Trivector(field, coeffs)
+
+
+def _wedge6_support(field, w6):
+    """For a pure six-vector: its 6-dimensional support; None if not pure."""
+    dual = Trivector(field, {trip: (c if EPS[trip] > 0 else -c)
+                             for trip, c in w6.coeffs.items()})
+    if dual.is_zero():
+        return None
+    star_basis = _span_of_trivector(dual)
+    if star_basis.nrows != 3:
+        return None
+    support = kernel_matrix(star_basis)
+    return support if support.nrows == 6 else None
+
+
+def _object_flags_at_point(t: Trivector, x_coords, early_exit=False):
+    """Oracle for flags_at_point: every line of the image of phi(x) in turn,
+    the forced chain F3, F6 in element arithmetic, and the gl_act test."""
+    field = t.field
+    m = phi_at(t, list(x_coords))
+    red, piv = m.rref()
+    if len(piv) != 4:
+        return []
+    s4 = Matrix(field, red.rows[:4])
+    f8 = kernel_matrix(Matrix(field, [list(x_coords)]))
+    out = []
+    els = list(field.elements())
+    for lead in range(4):
+        for tail in itertools.product(els, repeat=3 - lead):
+            coeffs = [field.zero] * lead + [field.one] + list(tail)
+            u = [field.zero] * 9
+            for cf, row in zip(coeffs, s4.rows):
+                if not cf.is_zero():
+                    u = [a + cf * b for a, b in zip(u, row)]
+            v1 = _wedge_u_bivector(field, u, m)
+            if v1.is_zero():
+                continue
+            v2 = wedge33(v1, t)
+            if v2.is_zero():
+                continue
+            f6 = _wedge6_support(field, v2)
+            if f6 is None:
+                continue
+            f3 = _span_of_trivector(v1)
+            if f3.nrows != 3:
+                continue
+            try:
+                flag = Flag1368(field, Matrix(field, [u]), f3, f6, f8)
+            except ValueError:
+                continue
+            if gl_act_compatible(t, flag):
+                out.append(flag)
+                if early_exit:
+                    return out
+    return out
 
 
 def test_condition_list():
@@ -130,16 +276,103 @@ def test_flag_search_rejects_non_stable():
         flag_search(gamma0(f2), max_ext_degree=1, verify_stable=True)
 
 
+def _smooth_f3_curves(count, seed):
+    f3 = GF(3)
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        c = CurveCoeffs(f3, {d: f3.random(rng) for d in CURVE_DEGREES})
+        if curve_is_smooth(c):
+            out.append(build_gamma_c(c))
+    return out
+
+
 def test_flags_at_point_unique_per_point():
     f2, f4 = GF(2), GF(2, 2)
     c = CurveCoeffs(f2, {15: 1}).map_coeffs(f4, embed_map(f2, f4))
-    t = permuted_gamma_c(c)
-    # the per-point reconstruction without early exit
-    from trivector.loci import rank_locus_codes
-    kern, _, codes, _ = rank_locus_codes(t, max_rank=4)
-    for row in codes:
-        coords = [kern.decode(v) for v in row]
-        assert len(flags_at_point(t, coords)) <= 1
+    found = 0
+    for t in [permuted_gamma_c(c)] + _smooth_f3_curves(3, seed=5):
+        kern, _, codes, _ = rank_locus_codes(t, max_rank=4)
+        for row in codes:
+            coords = [kern.decode(v) for v in row]
+            flags = flags_at_point(t, coords)
+            # the per-point reconstruction without early exit
+            assert len(flags) <= 1
+            oracle = [f.key() for f in _object_flags_at_point(t, coords)]
+            assert [f.key() for f in flags] == oracle
+            first = [f.key() for f in flags_at_point(t, coords, True)]
+            # with no hit the early-exit loop visits the same lines in vain
+            assert first == ([f.key() for f in _object_flags_at_point(
+                t, coords, early_exit=True)] if oracle else [])
+            found += len(flags)
+    assert found >= 4
+
+
+def test_flags_at_point_rejects_a_wrong_candidate(monkeypatch):
+    # the object route re-checks each coded hit: a coded filter that lets
+    # an incompatible line through is caught, not returned
+    import trivector.flags as fl
+    f5 = GF(5)
+    t = gamma0(f5)
+    x = [f5.zero] * 8 + [f5.one]
+    sf = standard_flag(f5)
+    codes = lambda m: np.array([[f5.to_int(v) for v in row] for row in m.rows])
+
+    def fake(t, kern, points):
+        yield 0, codes(sf[1])[0], codes(sf[3]), codes(sf[6])
+
+    monkeypatch.setattr(fl, "_coded_flag_candidates", fake)
+    with pytest.raises(Disagreement):
+        fl.flags_at_point(t, x)
+
+
+_FIELDS = (GF(3), GF(2, 2), GF(5))
+
+
+@st.composite
+def _moved_pairs(draw):
+    """(field, t, g, monomial, coefficient): t from the permuted family, g
+    invertible."""
+    field = draw(st.sampled_from(_FIELDS))
+    els = list(field.elements())
+    el = st.sampled_from(els)
+    c = CurveCoeffs(field, {d: draw(el) for d in CURVE_DEGREES})
+    g = Matrix(field, [[draw(el) for _ in range(9)] for _ in range(9)])
+    assume(g.is_invertible())
+    trip = draw(st.sampled_from(TRIPLES))
+    coeff = draw(st.sampled_from(els[1:]))
+    forbidden = draw(st.sampled_from(FLAG_MONOMIALS))
+    return field, permuted_gamma_c(c), g, trip, coeff, forbidden
+
+
+def _check_against_gl_act(t, flag):
+    rep = flag_compatible(t, flag)
+    assert rep.compatible == gl_act_compatible(t, flag)
+    # the violated list is the list of the gl_act route run with the
+    # transporter whose inverse has the dual basis as its rows
+    h = Matrix(t.field, _dual_flag_basis(flag))
+    assert rep.violated == _violations(gl_act(h, t))
+    assert rep.compatible == (not rep.violated)
+    # ... and that transporter is adapted to the flag
+    g = h.inverse().transpose()
+    for d in Flag1368.DIMS:
+        assert flag[d].stack(Matrix(t.field, g.rows[:d])).rank() == d
+    return rep.compatible
+
+
+@settings(max_examples=10, deadline=None)
+@given(_moved_pairs())
+def test_flag_compatible_matches_gl_act_route(pair):
+    field, t, g, trip, coeff, forbidden = pair
+    flag = Flag1368(field, *[
+        Matrix(field, [g.apply(list(row)) for row in standard_flag(field)[d].rows])
+        for d in Flag1368.DIMS])
+    bump = lambda s, tr: s + Trivector(field, {tr: coeff})
+    # moved family: compatible; a forbidden monomial before the move:
+    # incompatible; a random monomial after the move: either
+    assert _check_against_gl_act(gl_act(g, t), flag)
+    assert not _check_against_gl_act(gl_act(g, bump(t, forbidden)), flag)
+    _check_against_gl_act(bump(gl_act(g, t), trip), flag)
 
 
 def test_chern_top_class():
