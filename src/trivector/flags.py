@@ -121,7 +121,7 @@ def _dual_flag_basis(flag: Flag1368) -> list:
     sources = [kernel_matrix(flag[d]).rows for d in (8, 6, 3, 1)]
     sources.append(Matrix.identity(field, 9).rows)
     basis = [None] * 9
-    echelon = []        # (pivot, row): zero at every earlier pivot, 1 at its own
+    echelon = []    # (pivot, row): 0 at every earlier pivot, 1 at its own
     for positions, rows in zip(((8,), (6, 7), (3, 4, 5), (1, 2), (0,)),
                                sources):
         free = list(positions)
@@ -227,6 +227,11 @@ def _matmul(kern, a, b):
     return acc
 
 
+def _vanishes(kern, a, b):
+    """Whether the coded product a @ b is zero, per stacked matrix."""
+    return ~_matmul(kern, a, b).any(axis=(1, 2))
+
+
 def _span_stack(kern, v, span):
     """The (N, 36, 9) double contractions of (N, 84) coded trivectors; their
     row space is the support of each trivector."""
@@ -246,6 +251,11 @@ def _coded_flag_candidates(t: Trivector, kern, points):
       - u in F3, F3 in F6 and F6 in F8 = ker x;
       - t(A_8, A_1, A_3), t(A_6, A_6, A_1) and t(A_6, A_3, A_3) vanish,
         with A_8 = <x>, A_3 = ann F3 and A_1 = ann u (flag_compatible).
+
+    The containments and t(A_8, A_1, A_3) = 0 already follow from the
+    construction (v1 = u ^ phi(x) with 3-dimensional support is u ^ f ^ f',
+    and the contraction of v2 by x vanishes); they are tested anyway, so the
+    filter applies exactly the conditions of the object route.
 
     Yields (point index, u, F3, F6) codes of the candidates passing every
     test, points in order and lines in the enumeration order of _line_codes.
@@ -283,22 +293,19 @@ def _coded_flag_candidates(t: Trivector, kern, points):
         a3 = kern.batched_kernel_basis(f3)[1][:, :6]
         a1 = kern.batched_kernel_basis(u[:, None, :])[1][:, :8]
         a3t = a3.transpose(0, 2, 1)
-
-        def vanishes(a, b):
-            return ~_matmul(kern, a, b).any(axis=(1, 2))
-
         # containment u in F3 < F6 < F8
-        ok = vanishes(a3, u[:, :, None]) & vanishes(a6, f3.transpose(0, 2, 1))
-        ok &= vanishes(x[pidx][:, None, :], f6.transpose(0, 2, 1))
+        ok = _vanishes(kern, a3, u[:, :, None])
+        ok &= _vanishes(kern, a6, f3.transpose(0, 2, 1))
+        ok &= _vanishes(kern, x[pidx][:, None, :], f6.transpose(0, 2, 1))
         # t(A_8, A_1, A_3) = A_1 phi(x) A_3^T
-        ok &= vanishes(a1, _matmul(kern, m[pidx], a3t))
+        ok &= _vanishes(kern, a1, _matmul(kern, m[pidx], a3t))
         # t(A_6, A_6, A_1) and t(A_6, A_3, A_3)
         for a, b in ((0, 1), (0, 2), (1, 2)):
             w = kern.double_contract(a6[:, a], a6[:, b], tensor)
-            ok &= vanishes(a1, w[:, :, None])
+            ok &= _vanishes(kern, a1, w[:, :, None])
         for a in range(3):
             ma = kern.build_skew(a6[:, a], tensor)
-            ok &= vanishes(a3, _matmul(kern, ma, a3t))
+            ok &= _vanishes(kern, a3, _matmul(kern, ma, a3t))
         for n in np.nonzero(ok)[0]:
             yield start + pidx[n], u[n], f3[n], f6[n]
 

@@ -99,6 +99,9 @@ def trivector_from_json(data: dict) -> Trivector:
         if not (1 <= i < j < k <= 9):
             raise ValueError("%s.ijk: triple %r is not strictly increasing "
                              "in 1..9" % (path, item["ijk"]))
+        if (i, j, k) in coeffs:
+            raise ValueError("%s.ijk: triple %r repeats an earlier term"
+                             % (path, item["ijk"]))
         coeffs[(i, j, k)] = _element(field, _get(item, "c", (str, int), path),
                                      path + ".c")
     return Trivector(field, coeffs)
@@ -123,6 +126,8 @@ def curve_from_json(data: dict) -> CurveCoeffs:
         if d not in CURVE_DEGREES:
             raise ValueError("%s: unknown curve coefficient degree %d"
                              % (path, d))
+        if d in cmap:
+            raise ValueError("%s: degree %d is given twice" % (path, d))
         cmap[d] = _element(field, val, path)
     return CurveCoeffs(field, cmap)
 
@@ -194,6 +199,9 @@ def cubic_from_json(data: dict) -> CubicForm:
         if e not in DEGREE3_EXPONENTS:
             raise ValueError("%s.exp: bad cubic exponent vector %r"
                              % (path, e))
+        if e in coeffs:
+            raise ValueError("%s.exp: exponent vector %r repeats an earlier "
+                             "monomial" % (path, e))
         coeffs[e] = _element(field, _get(item, "c", (str, int), path),
                              path + ".c")
     return CubicForm(field, coeffs)

@@ -308,6 +308,31 @@ def test_flags_at_point_unique_per_point():
     assert found >= 4
 
 
+@pytest.mark.parametrize("q,points", [(2, 6), (3, 2)])
+def test_flags_at_point_many_flags_per_point(q, points):
+    # e123 + e456 + e789 is not stable: its rank-4 points carry up to 8
+    # compatible flags each, so every coded filter, the line order and the
+    # early exit are exercised; a random g makes the lines non-coordinate
+    field = GF(q)
+    rng = random.Random(7)
+    t = Trivector(field, {(1, 2, 3): field.one, (4, 5, 6): field.one,
+                          (7, 8, 9): field.one})
+    g = None
+    while g is None or not g.is_invertible():
+        g = Matrix(field, [[field.random(rng) for _ in range(9)]
+                           for _ in range(9)])
+    t = gl_act(g, t)
+    kern, _, codes, ranks = rank_locus_codes(t, max_rank=4)
+    found = 0
+    for row in codes[ranks == 4][:points]:
+        coords = [kern.decode(v) for v in row]
+        oracle = [f.key() for f in _object_flags_at_point(t, coords)]
+        assert [f.key() for f in flags_at_point(t, coords)] == oracle
+        assert [f.key() for f in flags_at_point(t, coords, True)] == oracle[:1]
+        found += len(oracle)
+    assert found >= 3 * points
+
+
 def test_flags_at_point_rejects_a_wrong_candidate(monkeypatch):
     # the object route re-checks each coded hit: a coded filter that lets
     # an incompatible line through is caught, not returned
@@ -331,8 +356,9 @@ _FIELDS = (GF(3), GF(2, 2), GF(5))
 
 @st.composite
 def _moved_pairs(draw):
-    """(field, t, g, monomial, coefficient): t from the permuted family, g
-    invertible."""
+    """(field, t, g, triple, coefficient, forbidden triple): t from the
+    permuted family, g invertible, the coefficient nonzero and the forbidden
+    triple one of the 31 conditions."""
     field = draw(st.sampled_from(_FIELDS))
     els = list(field.elements())
     el = st.sampled_from(els)
@@ -364,15 +390,19 @@ def _check_against_gl_act(t, flag):
 @given(_moved_pairs())
 def test_flag_compatible_matches_gl_act_route(pair):
     field, t, g, trip, coeff, forbidden = pair
+    std = standard_flag(field)
     flag = Flag1368(field, *[
-        Matrix(field, [g.apply(list(row)) for row in standard_flag(field)[d].rows])
+        Matrix(field, [g.apply(list(row)) for row in std[d].rows])
         for d in Flag1368.DIMS])
     bump = lambda s, tr: s + Trivector(field, {tr: coeff})
     # moved family: compatible; a forbidden monomial before the move:
     # incompatible; a random monomial after the move: either
     assert _check_against_gl_act(gl_act(g, t), flag)
     assert not _check_against_gl_act(gl_act(g, bump(t, forbidden)), flag)
-    _check_against_gl_act(bump(gl_act(g, t), trip), flag)
+    moved = bump(gl_act(g, t), trip)
+    _check_against_gl_act(moved, flag)
+    # for the standard flag the violated list is read off the coefficients
+    assert flag_compatible(moved, std).violated == _violations(moved)
 
 
 def test_chern_top_class():

@@ -66,3 +66,27 @@ def test_cubic_round_trip():
     data = cubic_to_json(cubic)
     back = cubic_from_json(data)
     assert back.coeffs == cubic.coeffs
+
+
+@pytest.mark.parametrize("load,data,where", [
+    (trivector_from_json, {"field": "GF(2)", "terms": 5}, "$.terms"),
+    (trivector_from_json, [{"field": "GF(2)", "terms": []}], "$:"),
+    (trivector_from_json, {"field": "GF(2)", "terms": [
+        {"ijk": [1, 2, 3], "c": "1"}, {"ijk": [1, 2, 3], "c": "1"}]},
+     "$.terms[1].ijk"),
+    (curve_from_json, {"field": "GF(7)", "c": {"15": "1", "015": "2"}},
+     "$.c.015"),
+    (flag_from_json, {"field": "GF(5)", "F1": [[1, 0]], "F3": [], "F6": [],
+                      "F8": []}, "$:"),
+    (pencil_from_json, {"field": "GF(2)", "matrices": [[]] * 9},
+     "$.matrices[0]"),
+    (cubic_from_json, {"field": "GF(2)", "monomials": [
+        {"exp": [3, 0, 0, 0, 0, 0, 0, 0], "c": "1"}]}, "$.monomials[0].exp"),
+    (cubic_from_json, {"field": "GF(2)", "monomials": [
+        {"exp": [3, 0, 0, 0, 0, 0, 0, 0, 0], "c": True}]},
+     "$.monomials[0].c"),
+])
+def test_loaders_name_the_json_path(load, data, where):
+    with pytest.raises(ValueError) as exc:
+        load(data)
+    assert str(exc.value).startswith(where)
