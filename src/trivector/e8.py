@@ -13,16 +13,18 @@ re-derives them); they were fitted once by exact computation and frozen.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import Disagreement, FieldMismatch, NoSolution, NotCharThree, SingularCurve
+from .errors import (Disagreement, FieldMismatch, NoSolution, NotCharThree,
+                     SingularCurve, UnsupportedField)
 from .fields import Field
 from .linalg import Matrix, is_semisimple
-from .scan import field_kernel
+from .scan import MAX_TABLE_ORDER, field_kernel
 from .stability import curve_is_smooth
 from .trivector import TRIPLES, TRIPLE_INDEX, CurveCoeffs, Trivector, build_gamma_c
 
@@ -104,14 +106,6 @@ class Wedge6:
     def scale(self, a):
         a = self.field.el(a) if isinstance(a, int) else a
         return Wedge6(self.field, {t: c * a for t, c in self.coeffs.items()})
-
-    def to_vector(self):
-        z = self.field.zero
-        return [self.coeffs.get(t, z) for t in TRIPLES]
-
-    @classmethod
-    def from_vector(cls, field, vec):
-        return cls(field, dict(zip(TRIPLES, vec)))
 
     def __repr__(self):
         return " + ".join("(%r)e%s" % (c, "".join(map(str, COMP[t])))
@@ -236,30 +230,6 @@ def dual_wedge(w1: Wedge6, w2: Wedge6) -> Trivector:
     return Trivector(field, out)
 
 
-def _elementary_act3(j: int, i: int, t: Trivector) -> Trivector:
-    """Action of the elementary matrix sending e_i to e_j."""
-    field = t.field
-    out = {}
-    for trip, c in t.coeffs.items():
-        if i not in trip:
-            continue
-        slot = trip.index(i)
-        rest = trip[:slot] + trip[slot + 1:]
-        sign0 = -1 if slot % 2 else 1
-        ins = _insert_sign(rest, j)
-        if ins is None:
-            continue
-        key, sgn = ins
-        v = c if sign0 * sgn > 0 else -c
-        s = out.get(key)
-        s = v if s is None else s + v
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return Trivector(field, out)
-
-
 def _vol_pairing(t: Trivector, w: Wedge6):
     """Coefficient of the volume form in t ^ w."""
     field = t.field
@@ -273,15 +243,36 @@ def _vol_pairing(t: Trivector, w: Wedge6):
     return acc
 
 
+@functools.cache
+def _moves(trip):
+    """The moves of one triple under the elementary matrices E_ji: tuples
+    (i - 1, j - 1, moved triple, sign), the sign of the moved triple times
+    its EPS, over every slot i of trip and every j it can move to."""
+    out = []
+    for slot, i in enumerate(trip):
+        rest = trip[:slot] + trip[slot + 1:]
+        sign0 = -1 if slot % 2 else 1
+        for j in range(1, 10):
+            ins = _insert_sign(rest, j)
+            if ins is not None:
+                key, sgn = ins
+                out.append((i - 1, j - 1, key, sign0 * sgn * EPS[key]))
+    return tuple(out)
+
+
 def pairing_gl(t: Trivector, w: Wedge6) -> Matrix:
     """The gl9 element adjoint to the derivation action:
-    entry (i, j) is the volume coefficient of (E_ji . t) ^ w."""
+    entry (i, j) is the volume coefficient of (E_ji . t) ^ w, read in one
+    pass over the terms of t (slot i moved to j, looked up in w)."""
     field = t.field
     rows = [[field.zero] * 9 for _ in range(9)]
-    for i in range(1, 10):
-        for j in range(1, 10):
-            moved = _elementary_act3(j, i, t)
-            rows[i - 1][j - 1] = _vol_pairing(moved, w)
+    wc = w.coeffs
+    for trip, c in t.coeffs.items():
+        for i, j, key, sign in _moves(trip):
+            d = wc.get(key)
+            if d is not None:
+                v = c * d
+                rows[i][j] = rows[i][j] + v if sign > 0 else rows[i][j] - v
     return Matrix(field, rows)
 
 
@@ -293,6 +284,10 @@ def canonical_deg0(a: Matrix) -> Matrix:
     field = a.field
     return Matrix(field, [[a.rows[i][j] - (c if i == j else field.zero)
                            for j in range(9)] for i in range(9)])
+
+
+def _is_zero_class(a: Matrix) -> bool:
+    return all(c.is_zero() for row in a.rows for c in row)
 
 
 @dataclass(frozen=True)
@@ -311,23 +306,12 @@ class E8Constants:
         return self._act(a_mat, w, act6, self.s2)
 
     def _act(self, a_mat, obj, act, weight):
-        field = a_mat.field
-        tr = field.zero
-        for d in range(9):
-            tr = tr + a_mat.rows[d][d]
-        if not self.h_model:
-            out = act(a_mat, obj)
-            if not tr.is_zero() and not weight.is_zero():
-                out = out + obj.scale(tr * weight)
-            return out
-        # trace classes act through the extra direction of Lie(SL9/mu3):
-        # strip the trace onto E99, then add the h-weight as a scalar
-        if tr.is_zero():
-            return act(a_mat, obj)
-        adj = Matrix(field, [[a_mat.rows[i][j] - (tr if i == j == 8 else field.zero)
-                              for j in range(9)] for i in range(9)])
-        out = act(adj, obj)
-        if not weight.is_zero():
+        # h-model: trace classes act through the extra direction of
+        # Lie(SL9/mu3), so the trace is stripped onto E99 and its h-weight
+        # added as a scalar
+        tr = _trace(a_mat)
+        out = act(_strip_trace(a_mat) if self.h_model else a_mat, obj)
+        if not tr.is_zero() and not weight.is_zero():
             out = out + obj.scale(tr * weight)
         return out
 
@@ -374,8 +358,8 @@ class GradedE8Element:
         self.deg2 = deg2 if deg2 is not None else Wedge6(field)
 
     def is_zero(self):
-        return (all(c.is_zero() for row in self.deg0.rows for c in row)
-                and self.deg1.is_zero() and self.deg2.is_zero())
+        return (_is_zero_class(self.deg0) and self.deg1.is_zero()
+                and self.deg2.is_zero())
 
     def __eq__(self, other):
         return (isinstance(other, GradedE8Element)
@@ -400,7 +384,7 @@ class GradedE8Element:
             self.deg0, self.deg1, self.deg2)
 
 
-def _pair_deg0(k: E8Constants, t: Trivector, w: Wedge6, field) -> Matrix:
+def _pair_deg0(k: E8Constants, t: Trivector, w: Wedge6) -> Matrix:
     out = pairing_gl(t, w).scale(k.a)
     if not k.tau.is_zero():
         v = _vol_pairing(t, w)
@@ -409,13 +393,15 @@ def _pair_deg0(k: E8Constants, t: Trivector, w: Wedge6, field) -> Matrix:
     return out
 
 
+def _trace(a: Matrix):
+    return sum((a.rows[d][d] for d in range(9)), a.field.zero)
+
+
 def _strip_trace(a: Matrix) -> Matrix:
     """Subtract tr(a) at the (9,9) slot: the trace lives on the central
     h-direction in the characteristic-3 model."""
     field = a.field
-    tr = field.zero
-    for d in range(9):
-        tr = tr + a.rows[d][d]
+    tr = _trace(a)
     if tr.is_zero():
         return a
     return Matrix(field, [[a.rows[i][j] - (tr if i == j == 8 else field.zero)
@@ -430,18 +416,31 @@ def _commutator_deg0(k: E8Constants, a: Matrix, b: Matrix) -> Matrix:
 
 def bracket(x: GradedE8Element, y: GradedE8Element) -> GradedE8Element:
     """Graded bracket; antisymmetric, satisfies the Jacobi identity
-    (property-gated by the test suite)."""
+    (property-gated by the test suite).  Every term is bilinear, so a term
+    with an exactly zero operand is skipped, not evaluated."""
     if x.field != y.field:
         raise FieldMismatch("bracket needs matching fields")
     field = x.field
     k = e8_constants(field)
-    d0 = _commutator_deg0(k, x.deg0, y.deg0)
-    d0 = d0 + _pair_deg0(k, x.deg1, y.deg2, field)
-    d0 = d0 - _pair_deg0(k, y.deg1, x.deg2, field)
-    d1 = k.act1(x.deg0, y.deg1) - k.act1(y.deg0, x.deg1)
-    d1 = d1 + dual_wedge(x.deg2, y.deg2).scale(k.b)
-    d2 = k.act2(x.deg0, y.deg2) - k.act2(y.deg0, x.deg2)
-    d2 = d2 + wedge33(x.deg1, y.deg1)
+    x0, y0 = not _is_zero_class(x.deg0), not _is_zero_class(y.deg0)
+    x1, y1 = x.deg1.coeffs, y.deg1.coeffs
+    x2, y2 = x.deg2.coeffs, y.deg2.coeffs
+    d0 = (_commutator_deg0(k, x.deg0, y.deg0) if x0 and y0
+          else Matrix.zero(field, 9, 9))
+    if x1 and y2:
+        d0 = d0 + _pair_deg0(k, x.deg1, y.deg2)
+    if y1 and x2:
+        d0 = d0 - _pair_deg0(k, y.deg1, x.deg2)
+    d1 = k.act1(x.deg0, y.deg1) if x0 and y1 else Trivector(field)
+    if y0 and x1:
+        d1 = d1 - k.act1(y.deg0, x.deg1)
+    if x2 and y2:
+        d1 = d1 + dual_wedge(x.deg2, y.deg2).scale(k.b)
+    d2 = k.act2(x.deg0, y.deg2) if x0 and y2 else Wedge6(field)
+    if y0 and x2:
+        d2 = d2 - k.act2(y.deg0, x.deg2)
+    if x1 and y1:
+        d2 = d2 + wedge33(x.deg1, y.deg1)
     return GradedE8Element(field, d0, d1, d2)
 
 
@@ -452,9 +451,7 @@ def cube_class(a: Matrix) -> Matrix:
     field = a.field
     if field.char != 3:
         raise NotCharThree("cube_class is the characteristic-3 operation")
-    tr = field.zero
-    for d in range(9):
-        tr = tr + a.rows[d][d]
+    tr = _trace(a)
     bar = _strip_trace(a)
     cube = bar * bar * bar
     t3 = tr * tr * tr
@@ -493,33 +490,42 @@ def deg0_from_coords(field, coords):
     return Matrix(field, rows)
 
 
-def element_coords(x: GradedE8Element):
-    return (deg0_basis_coords(x.deg0) + x.deg1.to_vector() + x.deg2.to_vector())
-
-
 def basis_element(field, idx: int) -> GradedE8Element:
-    z = [field.zero] * 248
-    z[idx] = field.one
-    return element_from_coords(field, z)
+    """Basis element idx of the 248 coordinates: 80 deg0 entries (row-major,
+    the (9,9) slot is the last and skipped), then 84 + 84 triples."""
+    if idx < 80:
+        a = Matrix.zero(field, 9, 9)
+        a.rows[idx // 9][idx % 9] = field.one
+        return GradedE8Element(field, deg0=a)
+    if idx < 164:
+        return GradedE8Element(field, deg1=Trivector(
+            field, {TRIPLES[idx - 80]: field.one}))
+    return GradedE8Element(field, deg2=Wedge6(
+        field, {TRIPLES[idx - 164]: field.one}))
 
 
-def element_from_coords(field, coords):
-    return GradedE8Element(
-        field,
-        deg0_from_coords(field, coords[:80]),
-        Trivector.from_vector(field, coords[80:164]),
-        Wedge6.from_vector(field, coords[164:248]))
+def _ad_columns(x: GradedE8Element):
+    """The bracket of x with each basis element in turn, as the list of its
+    nonzero (coordinate, value) pairs."""
+    field = x.field
+    for idx in range(248):
+        img = bracket(x, basis_element(field, idx))
+        col = [(i * 9 + j, c) for i, row in enumerate(img.deg0.rows)
+               for j, c in enumerate(row) if not c.is_zero()]
+        col += [(80 + TRIPLE_INDEX[t], c) for t, c in img.deg1.coeffs.items()]
+        col += [(164 + TRIPLE_INDEX[t], c) for t, c in img.deg2.coeffs.items()]
+        yield col
 
 
 def ad_matrix(x: GradedE8Element):
     """The 248 x 248 matrix of bracketing with x (columns are images of the
     basis elements)."""
     field = x.field
-    cols = []
-    for idx in range(248):
-        img = bracket(x, basis_element(field, idx))
-        cols.append(element_coords(img))
-    return Matrix(field, cols).transpose()
+    rows = [[field.zero] * 248 for _ in range(248)]
+    for idx, col in enumerate(_ad_columns(x)):
+        for r, c in col:
+            rows[r][idx] = c
+    return Matrix(field, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -575,13 +581,10 @@ def _solve_deg0_from_action(field, action_codes):
 
 
 def _ad_codes(x: GradedE8Element, kern):
-    m = ad_matrix(x)
     out = np.zeros((248, 248), dtype=np.int16)
-    for i in range(248):
-        row = m.rows[i]
-        for j in range(248):
-            if not row[j].is_zero():
-                out[i, j] = kern.encode(row[j])
+    for idx, col in enumerate(_ad_columns(x)):
+        for r, c in col:
+            out[r, idx] = kern.encode(c)
     return out
 
 
@@ -598,21 +601,37 @@ def _coded_matmul(kern, a, b):
     return out
 
 
+def _ad_cube_deg1_block(kern, ad):
+    """The deg1 -> deg1 block of (ad x)^3 for x of pure degree 1, from the
+    coded ad x: it runs deg1 -> deg2 -> deg0 -> deg1, so it is the product
+    of three blocks of ad x (84 x 80, 80 x 84, 84 x 84)."""
+    to1_from0 = ad[80:164, :80]
+    to0_from2 = ad[:80, 164:]
+    to2_from1 = ad[164:, 80:164]
+    return _coded_matmul(kern, _coded_matmul(kern, to1_from0, to0_from2),
+                         to2_from1)
+
+
+def _check_char3_field(field, what):
+    if field.char != 3:
+        raise NotCharThree("%s need characteristic 3" % what)
+    if field.order > MAX_TABLE_ORDER:
+        raise UnsupportedField("%s are limited to fields up to GF(3^5): the "
+                               "coded kernel's tables stop at order %d"
+                               % (what, MAX_TABLE_ORDER))
+
+
 def restricted_power(t: Trivector, e: int = 3) -> Matrix:
     """The canonical deg0 class with ad-cube action (ad t)^3 on the
     trivector block; e = 9 and 27 are matrix powers of the e = 3 result
     (well-defined modulo scalars in characteristic 3)."""
     field = t.field
-    if field.char != 3:
-        raise NotCharThree("restricted powers need characteristic 3")
+    _check_char3_field(field, "restricted powers")
     if e not in (3, 9, 27):
         raise ValueError("supported exponents: 3, 9, 27")
     kern = field_kernel(field)
-    x = GradedE8Element(field, deg1=t)
-    ad = _ad_codes(x, kern)
-    ad2 = _coded_matmul(kern, ad, ad)
-    ad3 = _coded_matmul(kern, ad2, ad)
-    block = ad3[80:164, 80:164].astype(np.int16)
+    ad = _ad_codes(GradedE8Element(field, deg1=t), kern)
+    block = _ad_cube_deg1_block(kern, ad).astype(np.int16)
     a3 = _solve_deg0_from_action(field, block)
     if e == 3:
         return a3
@@ -643,8 +662,7 @@ def three_rank(c: CurveCoeffs) -> ThreeRankReport:
     Lie side (semisimplicity of the restricted powers) and on the coefficient
     side (vanishing pattern of c24, c18); the two must agree."""
     field = c.field
-    if field.char != 3:
-        raise NotCharThree("3-rank classifier needs characteristic 3")
+    _check_char3_field(field, "3-ranks")
     for d in (3, 6, 9, 15):
         if not c[d].is_zero():
             raise ValueError("three_rank expects Weierstrass form "

@@ -24,6 +24,7 @@ __all__ = ["FieldKernel", "projective_chunks", "projective_count", "code_dtype"]
 _kernel_cache: dict = {}
 
 MAX_KERNEL_PRIME = 1 << 16     # the inverse table holds one entry per code
+MAX_TABLE_ORDER = 256          # extension fields: q x q addition/product tables
 
 
 def projective_count(q: int, dim: int = 9) -> int:
@@ -55,8 +56,9 @@ class FieldKernel:
             self.inv_vec = np.array([0] + [pow(a, -1, q) for a in range(1, q)],
                                     dtype=np.int64)
         elif isinstance(field, ExtensionField):
-            if field.order > 256:
-                raise ValueError("table kernel limited to order <= 256")
+            if field.order > MAX_TABLE_ORDER:
+                raise ValueError("table kernel limited to order <= %d"
+                                 % MAX_TABLE_ORDER)
             self.prime = None
             q = field.order
             els = [field.from_int(v) for v in range(q)]

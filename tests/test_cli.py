@@ -79,6 +79,25 @@ def test_char3_rank_cli(tmp_path, capsys):
     assert rep["verdict"]["lie"] == rep["verdict"]["coeff"] == 2
 
 
+def test_char3_past_table_limit_is_one_line_exit_1(tmp_path, capsys):
+    # GF(3^6) is a well-formed field that the coded kernel cannot hold
+    g = tmp_path / "g.json"
+    code, _ = run_cli(capsys, "gamma", "build", "--field", "GF(3^6)",
+                      "--set", "c24=1", "-o", str(g))
+    assert code == 0
+    c = tmp_path / "c.json"
+    c.write_text(json.dumps({"field": "GF(3^6)", "c": {"24": "1"}}))
+    for argv in (["char3", "power", "--gamma", str(g), "--exp", "3"],
+                 ["char3", "rank", "--curve", str(c)]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1, err
+        assert "Traceback" not in err
+        assert err.startswith("UnsupportedField:") and "GF(3^5)" in err
+
+
 def test_gamma_act_perm(tmp_path, capsys):
     g = tmp_path / "g.json"
     f = tmp_path / "flag_check_input.json"

@@ -1,14 +1,19 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from trivector.errors import FieldMismatch, NotCharThree
+from trivector.errors import FieldMismatch, NotCharThree, UnsupportedField
 from trivector.fields import GF, Q
 from trivector.linalg import Matrix, is_semisimple
-from trivector.e8 import (GradedE8Element, Wedge6, ad_matrix, bracket,
+from trivector.e8 import (EPS, GradedE8Element, Wedge6, _ad_codes,
+                          _ad_cube_deg1_block, _coded_matmul,
+                          _commutator_deg0, _insert_sign, ad_matrix, bracket,
                           canonical_deg0, cube_class, deg0_basis_coords,
                           dual_wedge, e8_constants, pairing_gl,
                           restricted_power, three_rank, wedge33)
+from trivector.scan import field_kernel
 from trivector.stability import curve_is_smooth
 from trivector.trivector import (TRIPLES, CurveCoeffs, Trivector,
                                  build_gamma_c, gamma0)
@@ -128,9 +133,7 @@ def test_gamma0_powers_span_two_dimensions():
 
 def test_power_routes_agree():
     # matrix-cube route equals the ad-solve route for the ninth power
-    import numpy as np
-    from trivector.e8 import _ad_codes, _coded_matmul, _solve_deg0_from_action
-    from trivector.scan import field_kernel
+    from trivector.e8 import _solve_deg0_from_action
     f3 = GF(3)
     t = build_gamma_c(CurveCoeffs(f3, {18: 1, 30: 2}))
     a9 = restricted_power(t, 9)
@@ -196,3 +199,139 @@ def test_pairing_and_dual_wedge_bilinear():
     assert dual_wedge(w, w3).is_zero()
     v = wedge33(t, Trivector(f7, {(4, 5, 6): f7.one}))
     assert list(v.six_subsets()) == [(1, 2, 3, 4, 5, 6)]
+
+
+# ---------------------------------------------------------------------------
+# oracles: pairing_gl as 81 elementary actions, the bracket with every term
+# evaluated, and (ad t)^3 from two full 248 x 248 products
+
+def _elementary_act3(j, i, t):
+    """Action on t of the elementary matrix sending e_i to e_j."""
+    out = Trivector(t.field)
+    for trip, c in t.coeffs.items():
+        if i not in trip:
+            continue
+        slot = trip.index(i)
+        ins = _insert_sign(trip[:slot] + trip[slot + 1:], j)
+        if ins is None:
+            continue
+        key, sgn = ins
+        out = out + Trivector(t.field, {key: c if (-1) ** slot * sgn > 0
+                                        else -c})
+    return out
+
+
+def _vol_pairing_oracle(t, w):
+    acc = t.field.zero
+    for trip, c in t.coeffs.items():
+        if trip in w.coeffs:
+            v = c * w.coeffs[trip]
+            acc = acc + (v if EPS[trip] > 0 else -v)
+    return acc
+
+
+def _pairing_gl_oracle(t, w):
+    return Matrix(t.field, [[_vol_pairing_oracle(_elementary_act3(j, i, t), w)
+                             for j in range(1, 10)] for i in range(1, 10)])
+
+
+def _full_bracket(x, y):
+    """The bracket with no term skipped, the pairing from the oracle."""
+    field = x.field
+    k = e8_constants(field)
+
+    def pair(t, w):
+        out = _pairing_gl_oracle(t, w).scale(k.a)
+        out.rows[8][8] = out.rows[8][8] + k.a * k.tau * _vol_pairing_oracle(t, w)
+        return out
+
+    d0 = (_commutator_deg0(k, x.deg0, y.deg0) + pair(x.deg1, y.deg2)
+          - pair(y.deg1, x.deg2))
+    d1 = (k.act1(x.deg0, y.deg1) - k.act1(y.deg0, x.deg1)
+          + dual_wedge(x.deg2, y.deg2).scale(k.b))
+    d2 = (k.act2(x.deg0, y.deg2) - k.act2(y.deg0, x.deg2)
+          + wedge33(x.deg1, y.deg1))
+    return GradedE8Element(field, d0, d1, d2)
+
+
+_FIELDS = (GF(3), GF(7), GF(3, 2), Q)
+
+
+def _rand_trivector(field, r, n):
+    return Trivector(field, {TRIPLES[r.randrange(84)]: field.random(r)
+                             for _ in range(n)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_FIELDS), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 20), st.integers(0, 20))
+@example(GF(3), 1, 0, 8)        # empty t
+@example(Q, 2, 8, 0)            # empty w
+def test_pairing_gl_matches_elementary_actions(field, seed, n_t, n_w):
+    r = random.Random(seed)
+    t = _rand_trivector(field, r, n_t)
+    w = Wedge6(field, _rand_trivector(field, r, n_w).coeffs)
+    assert pairing_gl(t, w) == _pairing_gl_oracle(t, w)
+
+
+_DEG0_KINDS = ("random", "zero", "scalar", "diagonal")
+
+
+@st.composite
+def _sparse_elements(draw, field):
+    """A graded element whose components are emptied at random: deg0 zero,
+    a pure scalar class (zero modulo scalars), diagonal (trace-carrying) or
+    random; deg1 and deg2 empty or random."""
+    r = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(_DEG0_KINDS))
+    d0 = Matrix.zero(field, 9, 9)
+    if kind == "random":
+        for _ in range(5):
+            d0.rows[r.randrange(9)][r.randrange(9)] = field.random(r)
+    elif kind == "scalar":
+        d0 = Matrix.identity(field, 9).scale(field.random(r))
+    elif kind == "diagonal":
+        for d in range(9):
+            d0.rows[d][d] = field.random(r)
+    d1 = _rand_trivector(field, r, 5) if draw(st.booleans()) else None
+    d2 = (Wedge6(field, _rand_trivector(field, r, 5).coeffs)
+          if draw(st.booleans()) else None)
+    return GradedE8Element(field, d0, d1, d2)
+
+
+@st.composite
+def _sparse_triples(draw):
+    field = draw(st.sampled_from(_FIELDS))
+    return tuple(draw(_sparse_elements(field)) for _ in range(3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_sparse_triples())
+def test_bracket_skips_only_zero_terms(xyz):
+    x, y, z = xyz
+    for a, b in ((x, y), (y, z), (z, x), (x, x)):
+        assert bracket(a, b) == _full_bracket(a, b)
+        assert (bracket(a, b) + bracket(b, a)).is_zero()
+    j = (bracket(bracket(x, y), z) + bracket(bracket(y, z), x)
+         + bracket(bracket(z, x), y))
+    assert j.is_zero()
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(3, 2)], ids=str)
+def test_three_block_route_equals_full_ad_cube(field):
+    kern = field_kernel(field)
+    r = random.Random(field.order)
+    for n in (6, 20):
+        ad = _ad_codes(GradedE8Element(field, deg1=_rand_trivector(field, r, n)),
+                       kern)
+        full = _coded_matmul(kern, _coded_matmul(kern, ad, ad), ad)
+        block = _ad_cube_deg1_block(kern, ad)
+        assert np.array_equal(block, full[80:164, 80:164])
+
+
+def test_restricted_power_rejects_fields_past_the_table_limit():
+    t = build_gamma_c(CurveCoeffs(GF(3, 6), {24: 1}))
+    with pytest.raises(UnsupportedField, match=r"GF\(3\^5\)"):
+        restricted_power(t, 3)
+    with pytest.raises(UnsupportedField, match=r"GF\(3\^5\)"):
+        three_rank(CurveCoeffs(GF(3, 6), {24: 1}))
