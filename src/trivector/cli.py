@@ -111,7 +111,7 @@ def cmd_stability(args):
     t = ser.trivector_from_json(_load(args.gamma))
     verdict = destabilizer_search(
         t, max_ext_degree=args.max_ext,
-        budget=args.budget or DEFAULT_SUBSPACE_BUDGET, threads=args.threads)
+        budget=args.budget or DEFAULT_SUBSPACE_BUDGET)
     return verdict.to_json()
 
 
@@ -250,7 +250,9 @@ def build_parser():
                    help="global cap on enumeration sizes (unused by "
                         "'loci cubic', which does not scan)")
     p.add_argument("--threads", type=_thread_count, default=1,
-                   help="worker processes for the parallel kernels")
+                   help="worker processes for 'loci count' (the P^8 scan) "
+                        "and 'selftest' (the C1 family scan); other "
+                        "commands run serially")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gamma", help="build and transform normal forms")

@@ -534,26 +534,26 @@ def ad_matrix(x: GradedE8Element):
 def _act3_structure_codes(field, kern):
     """Coded matrix of the linear map gl9-canonical -> End(wedge^3):
     rows indexed by (out_triple, in_triple) pairs, columns by the 80
-    canonical coordinates; cached per field."""
+    canonical coordinates; cached per field.
+
+    The class action of E_ji on e_T moves slot i of T to j, with the signs
+    of _moves (stripped of their EPS factor); on the diagonal it is the
+    trace weight s1 plus, in the h-model, [i in T] - [9 in T] (the trace
+    moved onto E99), and [i in T] otherwise."""
     consts = e8_constants(field)
-    cols = 80
-    rows = 84 * 84
-    mat = np.zeros((rows, cols), dtype=np.int16)
-    col = 0
-    for i in range(9):
-        for j in range(9):
-            if i == j == 8:
-                continue
-            a = Matrix(field, [[field.one if (r, c) == (i, j) else field.zero
-                                for c in range(9)] for r in range(9)])
-            image_by_triple = {}
-            for t_idx, trip in enumerate(TRIPLES):
-                img = consts.act1(a, Trivector(field, {trip: field.one}))
-                for otrip, cval in img.coeffs.items():
-                    image_by_triple[(TRIPLE_INDEX[otrip], t_idx)] = cval
-            for (o, t), cval in image_by_triple.items():
-                mat[o * 84 + t, col] = kern.encode(cval)
-            col += 1
+    mat = np.zeros((84 * 84, 80), dtype=np.int16)
+    one, minus = kern.encode(field.one), kern.encode(-field.one)
+    for t_idx, trip in enumerate(TRIPLES):
+        for i, j, key, sign in _moves(trip):
+            if i != j:
+                o_idx = TRIPLE_INDEX[key]
+                mat[o_idx * 84 + t_idx, j * 9 + i] = \
+                    one if sign * EPS[key] > 0 else minus
+        for d in range(8):
+            val = field.el(int(d + 1 in trip)) + consts.s1
+            if consts.h_model:
+                val = val - field.el(int(9 in trip))
+            mat[t_idx * 84 + t_idx, d * 9 + d] = kern.encode(val)
     return mat
 
 

@@ -22,13 +22,15 @@ from .errors import (BudgetExceeded, CertificateFailure,
 from .fields import Field, parse_field
 from .linalg import Matrix, pfaffian, rank_and_kernel
 from .polys import MultiPoly, Poly, embed_map, extension_of, roots_in_field
-from .scan import field_kernel, projective_chunks, projective_count
+from .scan import (field_kernel, projective_count, projective_run,
+                   projective_runs)
 from .stability import curve_is_smooth
 from .trivector import (CurveCoeffs, Trivector, build_gamma_c, phi_at,
                         phi_pencil)
 
 __all__ = [
     "RankLocusReport", "enumerate_rank_locus", "rank_locus_codes",
+    "iter_rank_locus",
     "batch_eval", "CubicForm", "cubic_of_Y", "interpolate_cubic",
     "pfaffian_cubic", "DEGREE3_EXPONENTS",
     "jacobian_order_from_counts", "curve_point_counts", "curve_affine_points",
@@ -39,6 +41,7 @@ __all__ = [
 
 DEFAULT_POINT_BUDGET = 250_000_000   # nominally allows q = 11
 DEFAULT_POINT_CAP = 300_000
+DEFAULT_SCAN_CHUNK = 1 << 13   # points per run of the streaming scan
 
 
 @dataclass
@@ -95,59 +98,82 @@ def pfaffian_cubic(t: Trivector) -> MultiPoly:
     return MultiPoly(field, 9, terms)
 
 
-def _scan_lead_block(job):
-    """Scan worker for one lead block: the canonical points of P^8(F_q)
-    whose leading 1 sits at position `lead`.
+class _RunScanner:
+    """The chunk worker of the P^8 scan: the ranks of one run of canonical
+    points (see scan.projective_runs).
 
-    Returns (rank histogram of length 9, kept codes, kept ranks) in
-    lexicographic order.  Points where the Pfaffian cubic is nonzero have
-    rank 8; only its zeros go through build_skew + batched_rank (all points
-    do when the cubic is identically zero)."""
-    spec, tensor, cubic_codes, lead, max_rank, point_cap = job
-    kern = field_kernel(parse_field(spec))
-    cubic = MultiPoly(kern.field, 9,
-                      {e: kern.decode(c) for e, c in cubic_codes})
-    hist = np.zeros(9, dtype=np.int64)
-    kept_codes, kept_ranks = [], []
-    kept = 0
-    for pts in projective_chunks(kern.q, (lead,)):
+    Built once per scan and process, so the Pfaffian cubic is decoded once.
+    Points where the cubic is nonzero have rank 8; only its zeros go
+    through build_skew + batched_rank (all points do when the cubic is
+    identically zero).  Called on a run (lead, start, n), it returns
+    (codes, ranks, hist): the run's points of rank <= max_rank (none when
+    max_rank is None) with their ranks, in lexicographic order, and the
+    rank histogram (length 9) of the whole run."""
+
+    def __init__(self, spec, tensor, cubic_codes, max_rank):
+        self.kern = field_kernel(parse_field(spec))
+        self.tensor = tensor
+        self.cubic = MultiPoly(self.kern.field, 9,
+                               {e: self.kern.decode(c) for e, c in cubic_codes})
+        self.max_rank = max_rank
+
+    def __call__(self, run):
+        kern = self.kern
+        pts = projective_run(kern.q, *run)
         ranks = np.full(pts.shape[0], 8, dtype=np.int64)
-        if cubic.is_zero():
+        if self.cubic.is_zero():
             low = np.arange(pts.shape[0])
         else:
-            low = np.nonzero(batch_eval(kern, cubic, pts) == 0)[0]
+            low = np.nonzero(batch_eval(kern, self.cubic, pts) == 0)[0]
         if low.size:
-            low_ranks = kern.batched_rank(kern.build_skew(pts[low], tensor))
+            low_ranks = kern.batched_rank(kern.build_skew(pts[low],
+                                                          self.tensor))
             if np.any(low_ranks == 8):
                 raise Disagreement("rank 8 at a zero of the Pfaffian cubic")
             ranks[low] = low_ranks
-        hist += np.bincount(ranks, minlength=9)
-        if max_rank is not None:
-            keep = np.nonzero(ranks <= max_rank)[0]
-            kept += int(keep.size)
-            if kept > point_cap:
-                raise BudgetExceeded(
-                    "rank-locus point list exceeds cap %d" % point_cap,
-                    count=kept)
-            if keep.size:
-                kept_codes.append(pts[keep])
-                kept_ranks.append(ranks[keep])
-    codes = np.concatenate(kept_codes) if kept_codes else \
-        np.zeros((0, 9), kern.dtype)
-    rks = np.concatenate(kept_ranks) if kept_ranks else np.zeros(0, np.int64)
-    return hist, codes, rks
+        hist = np.bincount(ranks, minlength=9)
+        if self.max_rank is None:
+            return pts[:0], ranks[:0], hist
+        keep = ranks <= self.max_rank
+        return pts[keep], ranks[keep], hist
 
 
-def rank_locus_codes(t: Trivector, max_rank: int | None = None,
-                     budget: int = DEFAULT_POINT_BUDGET,
-                     point_cap: int = DEFAULT_POINT_CAP,
-                     threads: int = 1):
-    """Scan engine: returns (kern, report, codes, ranks) where codes/ranks
-    hold the canonical representatives with rank <= max_rank.
+_worker_scanner = None
 
-    The scan maps one worker over the 9 lead-position blocks, in this
-    process or in a pool of `threads` processes, and merges the blocks in
-    lead order, so the result is independent of the thread count."""
+
+def _init_worker(*args):
+    global _worker_scanner
+    _worker_scanner = _RunScanner(*args)
+
+
+def _scan_run_in_worker(run):
+    return _worker_scanner(run)
+
+
+def _ranked_runs(args, runs, threads):
+    """The one driver: the chunk worker mapped over the runs in order, in
+    this process or through an order-preserving imap over a pool."""
+    if threads > 1 and len(runs) > 1:
+        import multiprocessing as mp
+        with mp.Pool(min(threads, len(runs)), _init_worker, args) as pool:
+            yield from pool.imap(_scan_run_in_worker, runs)
+    else:
+        yield from map(_RunScanner(*args), runs)
+
+
+def iter_rank_locus(t: Trivector, max_rank: int | None = None,
+                    chunk: int = DEFAULT_SCAN_CHUNK,
+                    budget: int = DEFAULT_POINT_BUDGET, threads: int = 1):
+    """Streaming scan of P^8 over t's finite field: yields (codes, ranks,
+    hist) for contiguous runs of at most `chunk` canonical points, in
+    lexicographic order.  codes/ranks hold the run's points of rank <=
+    max_rank (none when max_rank is None) and hist the rank histogram
+    (length 9) of all its points.
+
+    The field and budget checks run before any point is scanned.  Runs are
+    scanned in this process, or with threads > 1 in a pool that exists
+    while the generator runs; either way the output is the same.  A
+    consumer may stop early: closing the generator ends the pool."""
     field = t.field
     if field.order is None:
         raise BudgetExceeded("rank-locus enumeration needs a finite field")
@@ -157,31 +183,40 @@ def rank_locus_codes(t: Trivector, max_rank: int | None = None,
         raise BudgetExceeded("P^8(F_%d) has %d points (budget %d)"
                              % (q, total, budget), count=total)
     kern = field_kernel(field)
+    args = (field.spec_str(), _structure_tensor_codes(t, kern),
+            [(e, kern.encode(c)) for e, c in pfaffian_cubic(t).terms.items()],
+            max_rank)
+    return _ranked_runs(args, list(projective_runs(q, chunk)), threads)
+
+
+def rank_locus_codes(t: Trivector, max_rank: int | None = None,
+                     budget: int = DEFAULT_POINT_BUDGET,
+                     point_cap: int = DEFAULT_POINT_CAP,
+                     threads: int = 1):
+    """Scan engine: returns (kern, report, codes, ranks) where codes/ranks
+    hold the canonical representatives with rank <= max_rank.
+
+    The collecting consumer of iter_rank_locus: the runs arrive in
+    lexicographic order whatever the thread count, and the point cap is
+    checked on the running total, so the result and any BudgetExceeded do
+    not depend on the thread count."""
     t0 = time.perf_counter()
-    tensor = _structure_tensor_codes(t, kern)
-    cubic_codes = [(e, kern.encode(c))
-                   for e, c in pfaffian_cubic(t).terms.items()]
-    jobs = [(field.spec_str(), tensor, cubic_codes, lead, max_rank, point_cap)
-            for lead in range(9)]
-    if threads > 1:
-        import multiprocessing as mp
-        with mp.Pool(min(threads, 9)) as pool:
-            parts = pool.map(_scan_lead_block, jobs)
-    else:
-        parts = map(_scan_lead_block, jobs)
+    runs = iter_rank_locus(t, max_rank, budget=budget, threads=threads)
     hist = np.zeros(9, dtype=np.int64)
     kept_codes, kept_ranks = [], []
     kept = 0
-    for block_hist, codes_part, ranks_part in parts:   # lead order
-        hist += block_hist
-        kept += codes_part.shape[0]
+    for codes, ranks, run_hist in runs:
+        hist += run_hist
+        kept += codes.shape[0]
         if kept > point_cap:
             raise BudgetExceeded(
                 "rank-locus point list exceeds cap %d" % point_cap, count=kept)
-        kept_codes.append(codes_part)
-        kept_ranks.append(ranks_part)
+        kept_codes.append(codes)
+        kept_ranks.append(ranks)
+    kern = field_kernel(t.field)
     counts = {r: int(n) for r, n in enumerate(hist) if n or r % 2 == 0}
-    report = RankLocusReport(q, counts, time.perf_counter() - t0)
+    report = RankLocusReport(kern.q, counts, time.perf_counter() - t0)
+    total = projective_count(kern.q)
     if report.total() != total:
         raise AssertionError("rank stratification lost points: %d != %d"
                              % (report.total(), total))

@@ -19,7 +19,8 @@ import numpy as np
 
 from .fields import ExtensionField, Field, PrimeField
 
-__all__ = ["FieldKernel", "projective_chunks", "projective_count", "code_dtype"]
+__all__ = ["FieldKernel", "projective_runs", "projective_run",
+           "projective_count", "code_dtype"]
 
 _kernel_cache: dict = {}
 
@@ -127,12 +128,14 @@ class FieldKernel:
     # batched structure -----------------------------------------------------
     def build_skew(self, points, tensor):
         """points: (N, 9) codes; tensor: (9, 9, 9) codes with
-        M[a,b] = sum_k tensor[a,b,k] * x_k; returns (N, 9, 9) codes."""
+        M[a,b] = sum_k tensor[a,b,k] * x_k; returns (N, 9, 9) codes in the
+        kernel's dtype (the prime path sums in int64, then narrows, so the
+        elimination that follows moves a quarter of the bytes)."""
         n = points.shape[0]
         if self.prime:
             t2 = tensor.reshape(81, 9).T.astype(np.int64)  # (9, 81)
             flat = (points.astype(np.int64) @ t2) % self.prime
-            return flat.reshape(n, 9, 9)
+            return flat.astype(self.dtype).reshape(n, 9, 9)
         mul = self.table[1]
         acc = np.zeros((n, 81), dtype=np.int16)
         t2 = tensor.reshape(81, 9)
@@ -283,21 +286,27 @@ def field_kernel(field: Field) -> FieldKernel:
     return _kernel_cache[key]
 
 
-def projective_chunks(q: int, leads=range(9), chunk_size: int = 1 << 17):
-    """Canonical representatives of P^8(F_q) (first nonzero coordinate is 1)
-    whose leading 1 sits at one of `leads`, yielded as (N, 9) integer-code
-    arrays in lexicographic order."""
-    for lead in leads:
-        tail = 8 - lead
-        total = q ** tail
-        start = 0
-        while start < total:
-            n = min(chunk_size, total - start)
-            idx = np.arange(start, start + n, dtype=np.int64)
-            pts = np.zeros((n, 9), dtype=code_dtype(q))
-            pts[:, lead] = 1
-            for pos in range(tail):
-                power = q ** (tail - 1 - pos)
-                pts[:, lead + 1 + pos] = (idx // power) % q
-            yield pts
-            start += n
+def projective_runs(q: int, chunk: int):
+    """The canonical representatives of P^8(F_q) (first nonzero coordinate
+    is 1) as runs (lead, start, n) of at most `chunk` points in
+    lexicographic order: run (lead, start, n) is the points whose leading 1
+    sits at position `lead` and whose tail indices are start..start+n-1
+    (see projective_run)."""
+    for lead in range(9):
+        total = q ** (8 - lead)
+        for start in range(0, total, chunk):
+            yield lead, start, min(chunk, total - start)
+
+
+def projective_run(q: int, lead: int, start: int, n: int):
+    """The (n, 9) integer codes of run (lead, start, n): coordinate `lead`
+    is 1, the ones before it 0, and the 8 - lead after it the base-q digits
+    of the tail index, most significant first."""
+    tail = 8 - lead
+    idx = np.arange(start, start + n, dtype=np.int64)
+    pts = np.zeros((n, 9), dtype=code_dtype(q))
+    pts[:, lead] = 1
+    for pos in range(tail):
+        power = q ** (tail - 1 - pos)
+        pts[:, lead + 1 + pos] = (idx // power) % q
+    return pts

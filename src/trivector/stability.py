@@ -23,6 +23,7 @@ from .errors import BudgetExceeded, Disagreement, UnsupportedField
 from .fields import GF, Field, RationalField
 from .linalg import Matrix, kernel_matrix
 from .polys import Poly, embed_map, extension_of, element_degree
+from .scan import field_kernel
 from .trivector import (CURVE_DEGREES, GAMMA_BASE_TERMS, GAMMA_C_TERMS,
                         CurveCoeffs, Trivector, build_gamma_c, gl_act,
                         phi_at)
@@ -273,6 +274,8 @@ def _scan_f2(gens, threads: int = 1):
     sequential position wins, so the result does not depend on the thread
     count.  A thread count below 1 runs serially and one above the number
     of patterns runs one worker per pattern, so every pattern is scanned.
+    Only the family scan passes a thread count: a single-trivector scan
+    takes about 0.05 s, less than starting a pool.
 
     Returns (witness_by_mask, checked): the annihilator rows of the first
     witness of each destabilized mask, and the sequential count of subspaces
@@ -299,8 +302,8 @@ def _scan_f2(gens, threads: int = 1):
 
 
 def destabilizer_search(t: Trivector, max_ext_degree: int = 1,
-                        budget: int = DEFAULT_SUBSPACE_BUDGET,
-                        threads: int = 1) -> StabilityVerdict:
+                        budget: int = DEFAULT_SUBSPACE_BUDGET
+                        ) -> StabilityVerdict:
     """Search extensions of the base field for a destabilizing 6-plane.
 
     "stable" only certifies absence of a witness up to the searched bound;
@@ -325,7 +328,7 @@ def destabilizer_search(t: Trivector, max_ext_degree: int = 1,
         emb = embed_map(base, ext)
         t_ext = t.map_coeffs(ext, emb) if d > 1 else t
         if ext.order == 2:
-            witness, n = _scan_f2([tuple(t_ext.coeffs)], threads)
+            witness, n = _scan_f2([tuple(t_ext.coeffs)])
             checked += n
             if witness:
                 u = _witness_rows_to_u(ext, witness[0])
@@ -549,7 +552,7 @@ def _witness_rows_to_u(field, rows_bits):
     return kernel_matrix(Matrix(field, rows))
 
 
-_ANCHOR_CHUNK = 1024
+_ANCHOR_CHUNK = 1 << 12
 
 
 def _anchored_hits(kern, points, tensor):
@@ -572,31 +575,33 @@ def anchored_witness_search(t: Trivector, ext_degree: int,
     6-plane is tried (for a witness plane W containing a rank-6 covector,
     the destabilizing subspace is exactly that image).
 
-    The rank-6 points are tested in lexicographic order, 1024 at a time, in
-    coded arithmetic; the first hit is rebuilt and checked through the
-    object route (phi_at, rref, kernel_matrix, destabilizes) and then
-    witness_verify, so the result is the image of the first rank-6 point
-    that passes.
+    The P^8 scan streams runs of 4096 points in lexicographic order; the
+    rank-6 points of each run are tested in one batch in coded arithmetic,
+    and the scan stops at the first run with a hit.  That hit is rebuilt
+    and checked through the object route (phi_at, rref, kernel_matrix,
+    destabilizes) and then witness_verify, so the result is the image of
+    the first rank-6 point that passes.
 
     Returns a verified 6x9 witness over the extension, or None.
     """
-    from .loci import _structure_tensor_codes, rank_locus_codes
+    from .loci import _structure_tensor_codes, iter_rank_locus
     base = t.field
     ext = extension_of(base, ext_degree)
     emb = embed_map(base, ext)
     te = t.map_coeffs(ext, emb) if ext_degree > 1 else t
-    kern, report, codes, ranks = rank_locus_codes(te, max_rank=6,
-                                                  budget=point_budget)
-    candidates = codes[ranks == 6]
+    runs = iter_rank_locus(te, max_rank=6, chunk=_ANCHOR_CHUNK,
+                           budget=point_budget)
+    kern = field_kernel(ext)
     tensor = _structure_tensor_codes(te, kern)
-    for start in range(0, candidates.shape[0], _ANCHOR_CHUNK):
-        chunk = candidates[start:start + _ANCHOR_CHUNK]
-        hits = np.nonzero(_anchored_hits(kern, chunk, tensor))[0]
+    for codes, ranks, _ in runs:
+        candidates = codes[ranks == 6]
+        hits = np.nonzero(_anchored_hits(kern, candidates, tensor))[0]
         if hits.size:
             break
     else:
         return None
-    red, piv = phi_at(te, [kern.decode(c) for c in chunk[hits[0]]]).rref()
+    point = [kern.decode(c) for c in candidates[hits[0]]]
+    red, piv = phi_at(te, point).rref()
     u = Matrix(ext, red.rows[:6])
     w = kernel_matrix(u)
     if len(piv) != 6 or w.nrows != 3 or not destabilizes(te, w):

@@ -7,16 +7,16 @@ from hypothesis import example, given, settings, strategies as st
 from trivector.errors import FieldMismatch, NotCharThree, UnsupportedField
 from trivector.fields import GF, Q
 from trivector.linalg import Matrix, is_semisimple
-from trivector.e8 import (EPS, GradedE8Element, Wedge6, _ad_codes,
-                          _ad_cube_deg1_block, _coded_matmul,
+from trivector.e8 import (EPS, GradedE8Element, Wedge6, _act3_structure_codes,
+                          _ad_codes, _ad_cube_deg1_block, _coded_matmul,
                           _commutator_deg0, _insert_sign, ad_matrix, bracket,
                           canonical_deg0, cube_class, deg0_basis_coords,
                           dual_wedge, e8_constants, pairing_gl,
                           restricted_power, three_rank, wedge33)
 from trivector.scan import field_kernel
 from trivector.stability import curve_is_smooth
-from trivector.trivector import (TRIPLES, CurveCoeffs, Trivector,
-                                 build_gamma_c, gamma0)
+from trivector.trivector import (TRIPLE_INDEX, TRIPLES, CurveCoeffs,
+                                 Trivector, build_gamma_c, gamma0)
 
 rng = random.Random(0)
 
@@ -335,3 +335,29 @@ def test_restricted_power_rejects_fields_past_the_table_limit():
         restricted_power(t, 3)
     with pytest.raises(UnsupportedField, match=r"GF\(3\^5\)"):
         three_rank(CurveCoeffs(GF(3, 6), {24: 1}))
+
+
+def _act3_structure_oracle(field, kern):
+    """The action table by the object route: act1 of each of the 80
+    canonical elementary matrices on each of the 84 basis trivectors."""
+    consts = e8_constants(field)
+    mat = np.zeros((84 * 84, 80), dtype=np.int16)
+    for col in range(80):
+        a = Matrix.zero(field, 9, 9)
+        a.rows[col // 9][col % 9] = field.one
+        for t_idx, trip in enumerate(TRIPLES):
+            img = consts.act1(a, Trivector(field, {trip: field.one}))
+            for otrip, cval in img.coeffs.items():
+                mat[TRIPLE_INDEX[otrip] * 84 + t_idx, col] = kern.encode(cval)
+    return mat
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(3, 2), GF(3, 3), GF(7)],
+                         ids=str)
+def test_action_table_equals_act1_table(field):
+    # GF(7) takes the trace-weight branch without the h-model
+    kern = field_kernel(field)
+    table = _act3_structure_codes(field, kern)
+    oracle = _act3_structure_oracle(field, kern)
+    assert table.dtype == oracle.dtype
+    assert table.tobytes() == oracle.tobytes()

@@ -12,11 +12,13 @@ from trivector.loci import (_structure_tensor_codes, batch_eval, cubic_of_Y,
                             curve_affine_points, curve_point_counts,
                             embedding_point, enumerate_rank_locus,
                             interpolate_cubic, isqrt_weil_bound,
-                            jacobian_order_from_counts, pencil_basis,
+                            iter_rank_locus, jacobian_order_from_counts,
+                            pencil_basis,
                             pfaffian_cubic, rank_locus_codes,
                             reconstruct_from_pencil, verify_curve_embedding)
 from trivector.polys import embed_map, extension_of
-from trivector.scan import field_kernel, projective_chunks
+from trivector.scan import (field_kernel, projective_count, projective_run,
+                            projective_runs)
 from trivector.stability import curve_is_smooth
 from trivector.trivector import (CURVE_DEGREES, TRIPLES, CurveCoeffs,
                                  Trivector, build_gamma_c, gamma0, gl_act,
@@ -31,12 +33,16 @@ def test_zero_trivector_all_rank_zero():
 def test_rank_locus_respects_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_rank_locus(gamma0(GF(2)), budget=100)
-    # the point cap is checked inside the workers; the count survives the pool
+    # the point cap is checked on the running total of the runs in order,
+    # so every thread count stops at the same run with the same count
     t = build_gamma_c(CurveCoeffs(GF(2), {15: 1}))
-    for threads in (1, 2):
+    raised = []
+    for threads in (1, 2, 3, 4):
         with pytest.raises(BudgetExceeded) as info:
             rank_locus_codes(t, max_rank=6, point_cap=10, threads=threads)
         assert info.value.count > 10
+        raised.append((str(info.value), info.value.count))
+    assert len(set(raised)) == 1
 
 
 def test_report_counts_total_and_scan_matches_phi():
@@ -191,15 +197,6 @@ def test_reconstruct_rejects_dependent_input():
         reconstruct_from_pencil(mats, seed=0)
 
 
-def test_parallel_scan_deterministic():
-    f2 = GF(2)
-    t = build_gamma_c(CurveCoeffs(f2, {15: 1}))
-    k1, r1, c1, rk1 = rank_locus_codes(t, max_rank=4)
-    k2, r2, c2, rk2 = rank_locus_codes(t, max_rank=4, threads=3)
-    assert r1.counts == r2.counts
-    assert np.array_equal(c1, c2) and np.array_equal(rk1, rk2)
-
-
 # ---------------------------------------------------------------------------
 # the Pfaffian cubic: identity, closed form against interpolation, sieve
 
@@ -243,7 +240,8 @@ def _oracle_scan(t, max_rank):
     kern = field_kernel(t.field)
     tensor = _structure_tensor_codes(t, kern)
     counts, codes, ranks = {}, [], []
-    for chunk in projective_chunks(kern.q):
+    for run in projective_runs(kern.q, 1 << 17):
+        chunk = projective_run(kern.q, *run)
         r = kern.batched_rank(kern.build_skew(chunk, tensor))
         for v in r:
             counts[int(v)] = counts.get(int(v), 0) + 1
@@ -303,3 +301,61 @@ def test_closed_form_cubic_matches_interpolation():
         closed, interp = cubic_of_Y(t), interpolate_cubic(t)
         assert closed.field == interp.field == c.field
         assert closed.coeffs == interp.coeffs
+
+
+# ---------------------------------------------------------------------------
+# the streaming scan: one driver for every thread count and chunk size
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2)], ids=repr)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_scan_threads_match_serial(field, data):
+    t = _trivector(field, data.draw(_random_trivector(field.order)))
+    max_rank = data.draw(st.sampled_from([None, 4, 6]))
+    _, rep, codes, ranks = rank_locus_codes(t, max_rank=max_rank)
+    for threads in (2, 3, 4):
+        _, rep_t, codes_t, ranks_t = rank_locus_codes(t, max_rank=max_rank,
+                                                      threads=threads)
+        assert rep_t.counts == rep.counts
+        assert codes_t.dtype == codes.dtype
+        assert np.array_equal(codes_t, codes)
+        assert np.array_equal(ranks_t, ranks)
+
+
+def test_parallel_scan_deterministic():
+    f2 = GF(2)
+    t = build_gamma_c(CurveCoeffs(f2, {15: 1}))
+    k1, r1, c1, rk1 = rank_locus_codes(t, max_rank=4)
+    k2, r2, c2, rk2 = rank_locus_codes(t, max_rank=4, threads=3)
+    assert r1.counts == r2.counts
+    assert np.array_equal(c1, c2) and np.array_equal(rk1, rk2)
+
+
+def _concatenated(runs):
+    codes, ranks, hists = zip(*runs)
+    return (np.concatenate(codes), np.concatenate(ranks),
+            np.sum(hists, axis=0), len(codes))
+
+
+def test_iter_rank_locus_chunks_concatenate_to_one_scan():
+    f3 = GF(3)
+    t = build_gamma_c(CurveCoeffs(f3, {30: 1, 12: 2}))
+    _, rep, codes, ranks = rank_locus_codes(t, max_rank=6)
+    hist = [rep.counts.get(r, 0) for r in range(9)]
+    total = projective_count(3)
+    for chunk, threads in ((7, 1), (100, 1), (100, 3), (4096, 1),
+                           (4096, 2), (None, 1)):
+        kwargs = {} if chunk is None else {"chunk": chunk}
+        c, r, h, n = _concatenated(iter_rank_locus(t, 6, threads=threads,
+                                                   **kwargs))
+        assert np.array_equal(c, codes) and np.array_equal(r, ranks)
+        assert h.tolist() == hist
+        if chunk is not None:
+            # each lead block q^(8-lead) is cut into runs of `chunk` points
+            assert n == sum(-(-3 ** (8 - lead) // chunk) for lead in range(9))
+    assert sum(hist) == total
+
+
+def test_iter_rank_locus_checks_budget_before_scanning():
+    with pytest.raises(BudgetExceeded):
+        iter_rank_locus(gamma0(GF(2)), budget=100)

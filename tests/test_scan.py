@@ -8,7 +8,7 @@ from trivector.loci import _structure_tensor_codes, batch_eval
 from trivector.polys import MultiPoly
 from trivector.scan import MAX_KERNEL_PRIME, field_kernel
 from trivector.stability import double_contract
-from trivector.trivector import TRIPLES, Trivector
+from trivector.trivector import TRIPLES, Trivector, phi_at
 
 
 def _codes(kern, values):
@@ -143,3 +143,26 @@ def test_batched_double_contraction_matches_object_route(field, data):
         ref = double_contract(t, [field.from_int(int(v)) for v in a],
                               [field.from_int(int(v)) for v in b])
         assert row.tolist() == [field.to_int(-x) for x in ref]
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(191), GF(40009), GF(3, 2)],
+                         ids=repr)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_build_skew_matches_phi_at_in_kernel_dtype(field, data):
+    kern = field_kernel(field)
+    q = field.order
+    vals = data.draw(st.lists(st.integers(0, q - 1), min_size=84, max_size=84))
+    t = Trivector(field, {trip: field.from_int(v)
+                          for trip, v in zip(TRIPLES, vals) if v})
+    vec = st.lists(st.integers(0, q - 1), min_size=9, max_size=9)
+    pts = np.array(data.draw(st.lists(vec, min_size=1, max_size=6)),
+                   dtype=kern.dtype)
+    mats = kern.build_skew(pts, _structure_tensor_codes(t, kern))
+    assert mats.dtype == kern.dtype
+    ranks = kern.batched_rank(mats.copy())
+    for x, m, r in zip(pts, mats, ranks):
+        ref = phi_at(t, [field.from_int(int(v)) for v in x])
+        assert m.tolist() == [[field.to_int(v) for v in row]
+                              for row in ref.rows]
+        assert r == ref.rank()

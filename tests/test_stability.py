@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -9,7 +10,10 @@ from trivector.fields import GF, Q
 from trivector.linalg import Matrix, kernel_matrix
 from trivector.loci import rank_locus_codes
 from trivector.polys import embed_map, extension_of
-from trivector.stability import (_gray_scan_f2, _witness_rows_to_u,
+from trivector import loci
+from trivector.scan import projective_count
+from trivector.stability import (_anchored_hits, _gray_scan_f2, _scan_f2,
+                                 _witness_rows_to_u,
                                  anchored_witness_search, curve_is_smooth,
                                  destabilizer_search, destabilizes,
                                  echelon_matrices, gamma_family_scan_f2,
@@ -170,9 +174,26 @@ def test_family_scan_agrees_with_direct_search(family_scan):
         assert direct.witness == _witness_rows_to_u(GF(2), witness[cmask])
 
 
+def _single_scans():
+    """One-generator scans: gamma0, a smooth curve (no witness), and a
+    trivector with no witness in pivot pattern 0 whose first witness opens
+    pattern 1 (worker 1 of 2), while worker 0 stops at a later one."""
+    f2 = GF(2)
+    tm = Trivector(f2, {trip: f2.one for trip in ((4, 6, 7), (5, 7, 8),
+                                                  (1, 5, 6), (2, 5, 6),
+                                                  (1, 3, 9))})
+    return [[tuple(t.coeffs)] for t in
+            (gamma0(f2), build_gamma_c(CurveCoeffs(f2, {15: 1})), tm)]
+
+
 def test_family_scan_threads_match_serial(family_scan):
+    # a thread count below 1 runs the serial scan, not an empty one
     for threads in (0, 2, 3):
         assert gamma_family_scan_f2(threads=threads) == family_scan
+    for gens in _single_scans():
+        serial = _scan_f2(gens)
+        for threads in (-1, 0, 2, 3, 4):
+            assert _scan_f2(gens, threads) == serial
 
 
 def _gray_scan_oracle(gens, pattern_indices):
@@ -302,6 +323,71 @@ def test_anchored_search_matches_object_loop(coeffs):
     assert u == _object_anchored_search(t, 2)
 
 
+def _degree2_singular_curves():
+    """The normal-form curves over F_2 whose singular points all have
+    degree 2 (none is F_2-rational)."""
+    f2 = GF(2)
+    out = []
+    for bits in range(256):
+        c = CurveCoeffs.from_list(f2, [f2.el(bits >> i & 1) for i in range(8)])
+        if not curve_is_smooth(c) and not singular_points_of_curve(c, 1):
+            out.append(c)
+    return out
+
+
+def _full_scan_anchored_search(t, ext_degree):
+    """Oracle: the collect-then-test route, a full rank_locus_codes scan
+    followed by the batched test of its rank-6 points, 1024 at a time."""
+    ext = extension_of(t.field, ext_degree)
+    te = t.map_coeffs(ext, embed_map(t.field, ext))
+    kern, _, codes, ranks = rank_locus_codes(te, max_rank=6)
+    candidates = codes[ranks == 6]
+    tensor = loci._structure_tensor_codes(te, kern)
+    for start in range(0, candidates.shape[0], 1024):
+        batch = candidates[start:start + 1024]
+        hits = np.nonzero(_anchored_hits(kern, batch, tensor))[0]
+        if hits.size:
+            point = [kern.decode(c) for c in batch[hits[0]]]
+            red, _ = phi_at(te, point).rref()
+            return Matrix(ext, red.rows[:6])
+    return None
+
+
+def test_streamed_anchored_search_matches_full_scan(monkeypatch):
+    curves = _degree2_singular_curves()
+    assert len(curves) == 16
+    scanned = []
+
+    def counting(*args, **kwargs):
+        for codes, ranks, hist in real(*args, **kwargs):
+            scanned[-1] += int(hist.sum())
+            yield codes, ranks, hist
+    real = loci.iter_rank_locus
+    monkeypatch.setattr(loci, "iter_rank_locus", counting)
+    for c in curves:
+        t = build_gamma_c(c)
+        scanned.append(0)
+        u = anchored_witness_search(t, 2)
+        assert 0 < scanned[-1] < projective_count(4) // 10
+        assert u is not None
+        assert u == _full_scan_anchored_search(t, 2)
+
+
+def test_anchored_search_budget_and_no_point_cap():
+    # refused before any scan: P^8(F_9) has 48,427,561 points
+    c3 = CurveCoeffs(GF(3), {})
+    with pytest.raises(BudgetExceeded):
+        anchored_witness_search(build_gamma_c(c3), 2)
+    # x^2 + z^5 over F_7 is singular at the origin; a collecting
+    # rank_locus_codes(max_rank=6) scan of it passes the default point cap
+    # (300,000) and raises, while the streamed search keeps no points and
+    # stops at the first hit
+    c7 = CurveCoeffs(GF(7), {})
+    assert not curve_is_smooth(c7)
+    u = anchored_witness_search(build_gamma_c(c7), 1)
+    assert u is not None and witness_verify(build_gamma_c(c7), u)
+
+
 def test_anchored_search_smooth_curve_has_no_witness():
     f2 = GF(2)
     c = CurveCoeffs(f2, {15: 1})
@@ -318,28 +404,17 @@ def test_rational_stability_via_reduction():
         rational_stability_report(gamma0(GF(7)))
 
 
-def test_parallel_scan_matches_sequential():
+def test_single_scan_witness_and_count():
     f2 = GF(2)
-    t = gamma0(f2)
-    v1 = destabilizer_search(t, 1)
-    v2 = destabilizer_search(t, 1, threads=3)
-    assert v1.witness == v2.witness
-    assert v1.subspaces_checked == v2.subspaces_checked
+    v = destabilizer_search(gamma0(f2), 1)
+    assert v.status == "non_stable" and witness_verify(gamma0(f2), v.witness)
     ts = build_gamma_c(CurveCoeffs(f2, {15: 1}))
-    s1 = destabilizer_search(ts, 1)
-    s2 = destabilizer_search(ts, 1, threads=4)
-    assert s1.status == s2.status == "stable"
-    assert s1.subspaces_checked == s2.subspaces_checked == 788035
-    # no witness in pivot pattern 0; the first is the opening subspace of
-    # pattern 1 (worker 1 of 2), and worker 0 stops at a later one
+    s = destabilizer_search(ts, 1)
+    assert s.status == "stable"
+    assert s.subspaces_checked == 788035
     tm = Trivector(f2, {trip: f2.one for trip in ((4, 6, 7), (5, 7, 8),
                                                   (1, 5, 6), (2, 5, 6),
                                                   (1, 3, 9))})
-    m1 = destabilizer_search(tm, 1)
-    assert m1.subspaces_checked == 262145
-    # a thread count below 1 runs the serial scan, not an empty one
-    for threads in (-1, 0, 2, 3):
-        m2 = destabilizer_search(tm, 1, threads=threads)
-        assert m2.status == "non_stable"
-        assert m1.witness == m2.witness
-        assert m2.subspaces_checked == 262145
+    m = destabilizer_search(tm, 1)
+    assert m.status == "non_stable"
+    assert m.subspaces_checked == 262145
