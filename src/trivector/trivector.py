@@ -17,7 +17,7 @@ from .polys import MultiPoly
 __all__ = [
     "TRIPLES", "Trivector", "CurveCoeffs", "build_gamma_c", "gamma0", "gl_act",
     "weighted_torus_act", "standard_cartan_element", "cartan_basis",
-    "phi_at", "phi_pencil", "ProjPoint", "SkewPencil", "sort_with_sign",
+    "phi_at", "phi_pencil", "ProjPoint", "sort_with_sign",
     "diagonal_matrix", "permutation_matrix", "FLAG_PERMUTATION",
     "permuted_gamma_c", "hyperplane_stabilizer_diag", "WEIGHTED_TORUS_WEIGHTS",
     "weighted_torus_diag", "GAMMA_BASE_TERMS", "GAMMA_C_TERMS", "CURVE_DEGREES",
@@ -383,24 +383,9 @@ def phi_at(t: Trivector, x) -> Matrix:
     return Matrix(field, m)
 
 
-class SkewPencil:
-    """9x9 grid of linear forms in 9 variables; entry (a,b) is the pencil of
-    phi_at matrices as x varies."""
-
-    __slots__ = ("field", "entries")
-
-    def __init__(self, field, entries):
-        self.field = field
-        self.entries = entries
-
-    def at(self, x) -> Matrix:
-        if isinstance(x, ProjPoint):
-            x = x.coords
-        return Matrix(self.field,
-                      [[e(x) for e in row] for row in self.entries])
-
-
-def phi_pencil(t: Trivector) -> SkewPencil:
+def phi_pencil(t: Trivector) -> list:
+    """The 9x9 grid of linear forms in 9 variables whose value at x is
+    phi_at(t, x)."""
     field = t.field
     zero = MultiPoly(field, 9)
     entries = [[zero for _ in range(9)] for _ in range(9)]
@@ -416,7 +401,7 @@ def phi_pencil(t: Trivector) -> SkewPencil:
         add(j, k, i, c)
         add(i, k, j, -c)
         add(i, j, k, c)
-    return SkewPencil(field, entries)
+    return entries
 
 
 def permuted_gamma_c(c: CurveCoeffs) -> Trivector:

@@ -1,8 +1,9 @@
+import multiprocessing
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from trivector.errors import (BudgetExceeded, DegenerateConfiguration,
                               KernelDimNotOne, SingularCurve, WeilViolation)
@@ -17,8 +18,8 @@ from trivector.loci import (_structure_tensor_codes, batch_eval, cubic_of_Y,
                             pfaffian_cubic, rank_locus_codes,
                             reconstruct_from_pencil, verify_curve_embedding)
 from trivector.polys import embed_map, extension_of
-from trivector.scan import (field_kernel, projective_count, projective_run,
-                            projective_runs)
+from trivector.scan import (FieldKernel, field_kernel, projective_count,
+                            projective_run, projective_runs)
 from trivector.stability import curve_is_smooth
 from trivector.trivector import (CURVE_DEGREES, TRIPLES, CurveCoeffs,
                                  Trivector, build_gamma_c, gamma0, gl_act,
@@ -42,6 +43,8 @@ def test_rank_locus_respects_budget():
             rank_locus_codes(t, max_rank=6, point_cap=10, threads=threads)
         assert info.value.count > 10
         raised.append((str(info.value), info.value.count))
+        # the pool ends with the scan, not when the traceback is collected
+        assert not multiprocessing.active_children()
     assert len(set(raised)) == 1
 
 
@@ -235,8 +238,51 @@ def test_pfaffian_identity_random_trivectors(field, data):
         assert _principal_pfaffian(m, i) == sign * cx * x[i]
 
 
+def _low_rank_case(field, data):
+    """(t, x) with phi_at(t, x) often of rank <= 4: a sparse trivector at a
+    sparse x, or gamma_c at the embedded image of an affine point of the
+    curve (rank <= 4 there, with C not identically zero)."""
+    q = field.order
+    if data.draw(st.booleans()):
+        terms = data.draw(st.dictionaries(st.sampled_from(TRIPLES),
+                                          st.integers(1, q - 1),
+                                          min_size=3, max_size=10))
+        x = data.draw(st.lists(st.sampled_from([0] * 4 + list(range(q))),
+                               min_size=9, max_size=9))
+        return (Trivector(field, {trip: field.from_int(v)
+                                  for trip, v in terms.items()}),
+                [field.from_int(v) for v in x])
+    c = CurveCoeffs(field, {d: field.from_int(data.draw(st.integers(0, q - 1)))
+                            for d in CURVE_DEGREES})
+    pts = curve_affine_points(c)
+    if not pts:
+        return build_gamma_c(c), [field.one] + [field.zero] * 8
+    x, z = data.draw(st.sampled_from(pts))
+    scale = field.from_int(data.draw(st.integers(1, q - 1)))
+    return build_gamma_c(c), [scale * v for v in embedding_point(field, x, z)]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2), GF(7)],
+                         ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gradient_vanishes_at_rank_le_4(field, data):
+    # the lemma behind the scan's second sieve stage: at a point of rank
+    # <= 4, C and all nine partials vanish (object arithmetic, no scan)
+    t, x = _low_rank_case(field, data)
+    rank = phi_at(t, x).rank()
+    cubic = pfaffian_cubic(t)
+    event("rank <= 4, C %s 0" % ("=" if cubic.is_zero() else "!=")
+          if rank <= 4 else "rank %d" % rank)
+    if rank > 4:
+        return
+    assert cubic(x).is_zero()
+    assert all(cubic.derivative(j)(x).is_zero() for j in range(9))
+
+
 def _oracle_scan(t, max_rank):
-    """Plain build_skew + batched_rank over every point, no sieve."""
+    """Plain build_skew + batched_rank over every point, no sieve; keeps
+    no points when max_rank is None."""
     kern = field_kernel(t.field)
     tensor = _structure_tensor_codes(t, kern)
     counts, codes, ranks = {}, [], []
@@ -245,7 +291,7 @@ def _oracle_scan(t, max_rank):
         r = kern.batched_rank(kern.build_skew(chunk, tensor))
         for v in r:
             counts[int(v)] = counts.get(int(v), 0) + 1
-        keep = r <= max_rank
+        keep = r <= (-1 if max_rank is None else max_rank)
         codes.append(chunk[keep])
         ranks.append(r[keep])
     return counts, np.concatenate(codes), np.concatenate(ranks)
@@ -258,12 +304,51 @@ def _assert_scan_matches_oracle(t, max_rank):
     assert np.array_equal(codes, ocodes) and np.array_equal(ranks, oranks)
 
 
-@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2)], ids=repr)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_sieved_scan_matches_oracle(field, data):
     t = _trivector(field, data.draw(_random_trivector(field.order)))
-    _assert_scan_matches_oracle(t, data.draw(st.sampled_from([4, 6, 8])))
+    max_rank = data.draw(st.sampled_from([None, 4, 6, 8]))
+    _assert_scan_matches_oracle(t, max_rank)
+
+
+@pytest.mark.parametrize("field, singular_rank6", [(GF(2), 4), (GF(3), 9)],
+                         ids=repr)
+def test_gradient_sieve_eliminates_exactly_the_singular_zeros(
+        field, singular_rank6, monkeypatch):
+    # the all-zero normal form has rank-6 zeros of C where every partial
+    # vanishes, so the elimination fallback must label them
+    t = build_gamma_c(CurveCoeffs(field))
+    eliminated = []
+    batched_rank = FieldKernel.batched_rank
+
+    def recording(kern, mats):
+        ranks = batched_rank(kern, mats)
+        eliminated.append(ranks.copy())
+        return ranks
+
+    monkeypatch.setattr(FieldKernel, "batched_rank", recording)
+    _, rep, codes, ranks = rank_locus_codes(t, max_rank=8)
+    monkeypatch.undo()
+    seen = np.bincount(np.concatenate(eliminated), minlength=9)
+    # the oracle ranks every point; the sieve eliminates exactly the points
+    # where C and its gradient vanish: every rank <= 4 point and the
+    # singular rank-6 points, counted here over the oracle's points
+    counts, ocodes, oranks = _oracle_scan(t, 8)
+    assert {k: v for k, v in rep.counts.items() if v} == counts
+    assert np.array_equal(codes, ocodes) and np.array_equal(ranks, oranks)
+    kern = field_kernel(field)
+    cubic = pfaffian_cubic(t)
+    rank6 = ocodes[oranks == 6]
+    singular = np.ones(rank6.shape[0], dtype=bool)
+    for j in range(9):
+        singular &= batch_eval(kern, cubic.derivative(j), rank6) == 0
+    assert singular.sum() == singular_rank6
+    assert seen[6] == singular_rank6 >= 1
+    assert seen[:6].sum() == sum(counts.get(r, 0) for r in range(6))
+    for max_rank in (None, 4, 6):
+        _assert_scan_matches_oracle(t, max_rank)
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)

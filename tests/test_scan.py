@@ -49,7 +49,8 @@ def test_prime_kernel_refuses_unrepresentable_prime():
 
 
 @pytest.mark.parametrize("field", [GF(7), GF(191), GF(40009), GF(2, 2),
-                                   GF(3, 2), GF(2, 4)], ids=repr)
+                                   GF(3, 2), GF(2, 4), GF(13, 2), GF(3, 5),
+                                   GF(2, 8)], ids=repr)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_coded_ops_equal_object_ops(field, data):
