@@ -17,7 +17,7 @@ from __future__ import annotations
 from .errors import NoCubeRoot
 from .fields import Field
 from .linalg import Matrix, rank_and_kernel
-from .trivector import TRIPLES, Trivector
+from .trivector import TRIPLE_INDEX, TRIPLES, Trivector, wedge3_minors
 
 __all__ = ["cube_root_of_unity", "heisenberg_operators", "wedge3_matrix",
            "heisenberg_invariants"]
@@ -64,20 +64,12 @@ def heisenberg_operators(field: Field):
 def wedge3_matrix(g: Matrix) -> Matrix:
     """The 84x84 matrix of the induced action on the third wedge power, in the
     basis of sorted triples."""
-    field = g.field
     cols = g.transpose().rows
-    z = field.zero
-    out = [[z] * 84 for _ in range(84)]
+    out = [[g.field.zero] * 84 for _ in range(84)]
     for col_idx, (i, j, k) in enumerate(TRIPLES):
-        vi, vj, vk = cols[i - 1], cols[j - 1], cols[k - 1]
-        for row_idx, (a, b, d) in enumerate(TRIPLES):
-            p, q, r = a - 1, b - 1, d - 1
-            det = (vi[p] * (vj[q] * vk[r] - vj[r] * vk[q])
-                   - vj[p] * (vi[q] * vk[r] - vi[r] * vk[q])
-                   + vk[p] * (vi[q] * vj[r] - vi[r] * vj[q]))
-            if not det.is_zero():
-                out[row_idx][col_idx] = det
-    return Matrix(field, out)
+        for trip, det in wedge3_minors(cols[i - 1], cols[j - 1], cols[k - 1]):
+            out[TRIPLE_INDEX[trip]][col_idx] = det
+    return Matrix(g.field, out)
 
 
 def heisenberg_invariants(field: Field):

@@ -25,7 +25,7 @@ from .fields import Field, parse_field
 from .linalg import Matrix, pfaffian, rank_and_kernel
 from .polys import MultiPoly, Poly, embed_map, extension_of, roots_in_field
 from .scan import (field_kernel, projective_count, projective_run,
-                   projective_runs)
+                   projective_runs, run_boxes)
 from .stability import curve_is_smooth
 from .trivector import (CurveCoeffs, Trivector, build_gamma_c, phi_at,
                         phi_pencil)
@@ -33,7 +33,7 @@ from .trivector import (CurveCoeffs, Trivector, build_gamma_c, phi_at,
 __all__ = [
     "RankLocusReport", "enumerate_rank_locus", "rank_locus_codes",
     "iter_rank_locus",
-    "batch_eval", "CubicForm", "cubic_of_Y", "interpolate_cubic",
+    "batch_eval", "box_eval", "CubicForm", "cubic_of_Y", "interpolate_cubic",
     "pfaffian_cubic", "DEGREE3_EXPONENTS",
     "jacobian_order_from_counts", "curve_point_counts", "curve_affine_points",
     "verify_curve_embedding", "embedding_point", "embedding_kernel_rows",
@@ -104,10 +104,11 @@ class _RunScanner:
     """The chunk worker of the P^8 scan: the ranks of one run of canonical
     points (see scan.projective_runs).
 
-    Built once per scan and process, so the Pfaffian cubic C and its nine
-    partials are decoded once.  The sieve has two stages:
+    Built once per scan and process, so the nine partials of the Pfaffian
+    cubic C are decoded once.  The sieve has two stages:
 
-    - C(x) != 0: rank 8 (see pfaffian_cubic);
+    - C(x) != 0: rank 8 (see pfaffian_cubic).  C is evaluated on the
+      product boxes of the run (scan.run_boxes, box_eval);
     - C(x) = 0 and some partial d_j C(x) != 0: rank 6.  Each entry m_ab
       occurs at most once in each term of a Pfaffian, so formally, in every
       characteristic, dPf/dm_ab = +-Pf of the principal block without rows
@@ -117,19 +118,20 @@ class _RunScanner:
 
     Only the zeros of C where all partials vanish (all points when C is
     identically zero) go through build_skew + batched_rank; each partial is
-    evaluated only on the zeros no earlier partial has marked.  Over F_4
-    that is about 10 of the 22,405 zeros of C of a smooth curve.  Called on
-    a run (lead, start, n), it returns (codes, ranks, hist): the run's
-    points of rank <= max_rank (none when max_rank is None) with their
-    ranks, in lexicographic order, and the rank histogram (length 9) of the
-    whole run."""
+    evaluated (batch_eval) only on the zeros no earlier partial has marked.
+    Over F_4 that is about 10 of the 22,405 zeros of C of a smooth curve.
+    Called on a run (lead, start, n), it returns (codes, ranks, hist): the
+    run's points of rank <= max_rank (none when max_rank is None) with
+    their ranks, in lexicographic order, and the rank histogram (length 9)
+    of the whole run."""
 
     def __init__(self, spec, tensor, cubic_codes, max_rank):
         self.kern = field_kernel(parse_field(spec))
         self.tensor = tensor
-        self.cubic = MultiPoly(self.kern.field, 9,
-                               {e: self.kern.decode(c) for e, c in cubic_codes})
-        self.partials = [d for d in map(self.cubic.derivative, range(9))
+        self.cubic_codes = cubic_codes
+        cubic = MultiPoly(self.kern.field, 9,
+                          {e: self.kern.decode(c) for e, c in cubic_codes})
+        self.partials = [d for d in map(cubic.derivative, range(9))
                          if not d.is_zero()]
         self.max_rank = max_rank
 
@@ -137,7 +139,9 @@ class _RunScanner:
         kern = self.kern
         pts = projective_run(kern.q, *run)
         ranks = np.full(pts.shape[0], 8, dtype=np.int64)
-        low = np.nonzero(batch_eval(kern, self.cubic, pts) == 0)[0]
+        values = np.concatenate([box_eval(kern, self.cubic_codes, box)
+                                 for box in run_boxes(kern.q, *run)])
+        low = np.nonzero(values == 0)[0]
         ranks[low] = 6
         for partial in self.partials:
             if not low.size:
@@ -188,10 +192,13 @@ def iter_rank_locus(t: Trivector, max_rank: int | None = None,
     max_rank (none when max_rank is None) and hist the rank histogram
     (length 9) of all its points.
 
-    The field and budget checks run before any point is scanned.  Runs are
-    scanned in this process, or with threads > 1 in a pool that exists
-    while the generator runs; either way the output is the same.  A
+    The chunk, field and budget checks run before any point is scanned.
+    Runs are scanned in this process, or with threads > 1 in a pool that
+    exists while the generator runs; either way the output is the same.  A
     consumer may stop early: closing the generator ends the pool."""
+    if chunk < 1:
+        raise ValueError("scan chunk must be at least 1 point, got %d"
+                         % chunk)
     field = t.field
     if field.order is None:
         raise BudgetExceeded("rank-locus enumeration needs a finite field")
@@ -275,6 +282,55 @@ def batch_eval(kern, mp: MultiPoly, codes):
                 term = kern.mul(term, codes[:, i])
         acc = kern.add(acc, term)
     return acc
+
+
+def box_eval(kern, terms, box):
+    """Evaluate a coded polynomial, terms (exponents, code), on every point
+    of a box (head, lo, hi) of scan.run_boxes, in the box's order.
+
+    The head coordinates are substituted with scalar ops.  The rest is
+    evaluated one variable at a time: split by the exponent k of the first
+    free variable, evaluate each part G_k on the remaining grid, and
+    combine sum_k v^k G_k for all values v at once, so a point costs a few
+    element ops per variable rather than a few per term."""
+    head, lo, hi = box
+    s = len(head)
+    degree = max((max(e) for e, _ in terms), default=0)
+    values = np.arange(kern.q, dtype=kern.dtype)
+    powers = [np.ones_like(values)]
+    for _ in range(degree):
+        powers.append(kern.mul(powers[-1], values))
+    free = {}
+    for e, c in terms:
+        for x, k in zip(head, e):
+            if k:
+                c = int(kern.mul(c, powers[k][x]))
+        free[e[s:]] = int(kern.add(free.get(e[s:], 0), c))
+    free = {e: c for e, c in free.items() if c}
+    if not free:
+        return np.zeros((hi - lo) * kern.q ** (8 - s), dtype=kern.dtype)
+    return _grid_eval(kern, free, [(lo, hi)] + [(0, kern.q)] * (8 - s),
+                      powers)
+
+
+def _grid_eval(kern, poly, axes, powers):
+    """Values of poly, {exponents: nonzero code}, not empty, on the grid of
+    value ranges axes, the first axis slowest, as a flat array."""
+    if not axes:
+        return np.array([poly[()]], dtype=kern.dtype)
+    (lo, hi), rest = axes[0], axes[1:]
+    parts = {}
+    for e, c in poly.items():
+        parts.setdefault(e[0], {})[e[1:]] = c
+    out = None
+    for k, part in parts.items():
+        g = _grid_eval(kern, part, rest, powers)[None, :]
+        if k:
+            g = kern.mul(powers[k][lo:hi, None], g)
+        out = g if out is None else kern.add(out, g)
+    if out.shape[0] != hi - lo:
+        out = out.repeat(hi - lo, axis=0)
+    return out.ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from .fields import ExtensionField, Field, PrimeField
 
-__all__ = ["FieldKernel", "projective_runs", "projective_run",
+__all__ = ["FieldKernel", "projective_runs", "projective_run", "run_boxes",
            "projective_count", "code_dtype"]
 
 _kernel_cache: dict = {}
@@ -308,6 +308,37 @@ def projective_runs(q: int, chunk: int):
         total = q ** (8 - lead)
         for start in range(0, total, chunk):
             yield lead, start, min(chunk, total - start)
+
+
+def run_boxes(q: int, lead: int, start: int, n: int):
+    """Tile run (lead, start, n) into product boxes, in order.
+
+    A box (head, lo, hi) is the points whose first len(head) coordinates
+    are head, whose next coordinate runs over lo..hi-1 and whose remaining
+    8 - len(head) coordinates run over all of F_q, in lexicographic order.
+    Concatenated, the boxes are projective_run(q, lead, start, n).  Each
+    box is the widest aligned block at its start, so a run of whole
+    digit blocks (every run of the default chunk over F_2, F_3, F_4) is
+    one box."""
+    tail = 8 - lead
+    zeros = (0,) * lead
+    if tail == 0:
+        yield zeros, 1, 2      # the one point e_9: its lead 1 as the range
+        return
+    pos, end = start, start + n
+    while pos < end:
+        free = 0
+        while (free + 1 < tail and pos % q ** (free + 1) == 0
+               and pos + q ** (free + 1) <= end):
+            free += 1
+        block = q ** free
+        digit = pos // block % q
+        count = min(q - digit, (end - pos) // block)
+        above = pos // (block * q)
+        fixed = tuple(above // q ** i % q
+                      for i in reversed(range(tail - 1 - free)))
+        yield zeros + (1,) + fixed, digit, digit + count
+        pos += count * block
 
 
 def projective_run(q: int, lead: int, start: int, n: int):

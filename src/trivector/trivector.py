@@ -21,7 +21,7 @@ __all__ = [
     "diagonal_matrix", "permutation_matrix", "FLAG_PERMUTATION",
     "permuted_gamma_c", "hyperplane_stabilizer_diag", "WEIGHTED_TORUS_WEIGHTS",
     "weighted_torus_diag", "GAMMA_BASE_TERMS", "GAMMA_C_TERMS", "CURVE_DEGREES",
-    "CARTAN_LINES", "TRIPLE_INDEX",
+    "CARTAN_LINES", "TRIPLE_INDEX", "wedge3_minors",
 ]
 
 TRIPLES = tuple(itertools.combinations(range(1, 10), 3))
@@ -257,23 +257,26 @@ def gl_act(g: Matrix, t: Trivector) -> Trivector:
     """Push each e_i to the i-th column of g and expand on wedge-cubes."""
     if not g.is_invertible():
         raise Singular("gl_act needs an invertible matrix")
-    field = t.field
     cols = g.transpose().rows  # cols[i] = image of e_{i+1}
     out = {}
     for (i, j, k), c in t.coeffs.items():
-        vi, vj, vk = cols[i - 1], cols[j - 1], cols[k - 1]
-        for (a, b, d) in TRIPLES:
-            p, q, r = a - 1, b - 1, d - 1
-            det = (vi[p] * (vj[q] * vk[r] - vj[r] * vk[q])
-                   - vj[p] * (vi[q] * vk[r] - vi[r] * vk[q])
-                   + vk[p] * (vi[q] * vj[r] - vi[r] * vj[q]))
-            if det.is_zero():
-                continue
-            key = (a, b, d)
+        for key, det in wedge3_minors(cols[i - 1], cols[j - 1], cols[k - 1]):
             s = out.get(key)
-            s = c * det if s is None else s + c * det
-            out[key] = s
-    return Trivector(field, out)
+            out[key] = c * det if s is None else s + c * det
+    return Trivector(t.field, out)
+
+
+def wedge3_minors(u, v, w):
+    """u ^ v ^ w for vectors u, v, w of length 9: the nonzero 3x3 minors of
+    the 9x3 matrix with columns u, v, w, as (row triple, minor) pairs in
+    the order of TRIPLES."""
+    for (a, b, d) in TRIPLES:
+        p, q, r = a - 1, b - 1, d - 1
+        det = (u[p] * (v[q] * w[r] - v[r] * w[q])
+               - v[p] * (u[q] * w[r] - u[r] * w[q])
+               + w[p] * (u[q] * v[r] - u[r] * v[q]))
+        if not det.is_zero():
+            yield (a, b, d), det
 
 
 def weighted_torus_diag(field, s):

@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 import random
 
@@ -9,17 +10,18 @@ from trivector.errors import (BudgetExceeded, DegenerateConfiguration,
                               KernelDimNotOne, SingularCurve, WeilViolation)
 from trivector.fields import GF
 from trivector.linalg import Matrix, pfaffian
-from trivector.loci import (_structure_tensor_codes, batch_eval, cubic_of_Y,
-                            curve_affine_points, curve_point_counts,
-                            embedding_point, enumerate_rank_locus,
-                            interpolate_cubic, isqrt_weil_bound,
-                            iter_rank_locus, jacobian_order_from_counts,
-                            pencil_basis,
+from trivector.loci import (DEGREE3_EXPONENTS, DEFAULT_SCAN_CHUNK,
+                            _structure_tensor_codes, batch_eval, box_eval,
+                            cubic_of_Y, curve_affine_points,
+                            curve_point_counts, embedding_point,
+                            enumerate_rank_locus, interpolate_cubic,
+                            isqrt_weil_bound, iter_rank_locus,
+                            jacobian_order_from_counts, pencil_basis,
                             pfaffian_cubic, rank_locus_codes,
                             reconstruct_from_pencil, verify_curve_embedding)
-from trivector.polys import embed_map, extension_of
+from trivector.polys import MultiPoly, embed_map, extension_of
 from trivector.scan import (FieldKernel, field_kernel, projective_count,
-                            projective_run, projective_runs)
+                            projective_run, projective_runs, run_boxes)
 from trivector.stability import curve_is_smooth
 from trivector.trivector import (CURVE_DEGREES, TRIPLES, CurveCoeffs,
                                  Trivector, build_gamma_c, gamma0, gl_act,
@@ -362,6 +364,88 @@ def test_sieved_scan_degenerate_cubic(field):
             cubic_of_Y(t)
 
 
+def _box_points(q, box):
+    """The points of a box (head, lo, hi), listed from its definition."""
+    head, lo, hi = box
+    rows = [head + (v,) + rest for v in range(lo, hi)
+            for rest in itertools.product(range(q), repeat=8 - len(head))]
+    return np.array(rows, dtype=np.int64).reshape(-1, 9)
+
+
+def _random_run(data, q):
+    """A run of projective_runs(q, chunk) for a drawn chunk, drawn without
+    listing the runs (there are 48 million of chunk 1 over F_9)."""
+    chunk = data.draw(st.sampled_from([1, 7, 100, 4096, 8192]))
+    lead = data.draw(st.integers(0, 8))
+    total = q ** (8 - lead)
+    start = chunk * data.draw(st.integers(0, (total - 1) // chunk))
+    return lead, start, min(chunk, total - start)
+
+
+def _random_cubic(data, field, codes):
+    """A sparse cubic with coefficient codes drawn from `codes`."""
+    terms = data.draw(st.dictionaries(st.sampled_from(DEGREE3_EXPONENTS),
+                                      codes, max_size=40))
+    return MultiPoly(field, 9,
+                     {e: field.from_int(c) for e, c in terms.items()})
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2), GF(5), GF(7),
+                                   GF(3, 2)], ids=repr)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_box_eval_on_run_boxes_matches_batch_eval(field, data):
+    q = field.order
+    kern = field_kernel(field)
+    run = _random_run(data, q)
+    boxes = list(run_boxes(q, *run))
+    pts = projective_run(q, *run)
+    assert all(lo < hi for _, lo, hi in boxes)
+    assert np.array_equal(np.concatenate([_box_points(q, b) for b in boxes]),
+                          pts)
+    kind = data.draw(st.sampled_from(["random", "pfaffian", "zero"]))
+    event(kind)
+    if kind == "random":
+        cubic = _random_cubic(data, field, st.integers(1, q - 1))
+    elif kind == "pfaffian":
+        cubic = pfaffian_cubic(_trivector(field,
+                                          data.draw(_random_trivector(q))))
+    else:
+        cubic = pfaffian_cubic(Trivector(field))
+        assert cubic.is_zero()
+    terms = [(e, kern.encode(c)) for e, c in cubic.terms.items()]
+    values = np.concatenate([box_eval(kern, terms, b) for b in boxes])
+    assert np.array_equal(values, batch_eval(kern, cubic, pts))
+
+
+@pytest.mark.parametrize("field", [GF(191), GF(257)], ids=repr)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_box_eval_wide_primes(field, data):
+    # products of codes above 181 overflow int16: these kernels widen
+    q = field.order
+    kern = field_kernel(field)
+    size = data.draw(st.integers(7, 8))
+    head = tuple(data.draw(st.lists(st.integers(0, q - 1), min_size=size,
+                                    max_size=size)))
+    lo = data.draw(st.integers(0, q - 1))
+    hi = data.draw(st.integers(lo + 1, min(q, lo + (300 if size == 8 else 2))))
+    pts = _box_points(q, (head, lo, hi))
+    cubic = _random_cubic(data, field, st.integers(q - 40, q - 1))
+    terms = [(e, kern.encode(c)) for e, c in cubic.terms.items()]
+    values = box_eval(kern, terms, (head, lo, hi))
+    assert np.array_equal(values, batch_eval(kern, cubic, pts))
+    for i in range(0, len(pts), max(1, len(pts) // 20)):
+        x = [field.from_int(int(v)) for v in pts[i]]
+        assert values[i] == kern.encode(cubic(x))
+
+
+def test_default_chunk_runs_are_single_boxes():
+    for q in (2, 3, 4):
+        for run in projective_runs(q, DEFAULT_SCAN_CHUNK):
+            assert len(list(run_boxes(q, *run))) == 1
+
+
 def test_closed_form_cubic_matches_interpolation():
     # F_2 and F_4 are also covered by acceptance criterion C4
     rng = random.Random(4)
@@ -444,3 +528,10 @@ def test_iter_rank_locus_chunks_concatenate_to_one_scan():
 def test_iter_rank_locus_checks_budget_before_scanning():
     with pytest.raises(BudgetExceeded):
         iter_rank_locus(gamma0(GF(2)), budget=100)
+
+
+@pytest.mark.parametrize("chunk", [0, -5])
+def test_iter_rank_locus_rejects_bad_chunk(chunk):
+    # chunk -5 used to yield no runs at all, chunk 0 leaked range()'s error
+    with pytest.raises(ValueError, match="chunk .*%d" % chunk):
+        iter_rank_locus(gamma0(GF(2)), chunk=chunk)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trivector.errors import NotInvertible, Singular
 from trivector.fields import GF, Q
@@ -9,9 +10,10 @@ from trivector.stability import double_contract
 from trivector.trivector import (CARTAN_LINES, CURVE_DEGREES, FLAG_PERMUTATION,
                                  GAMMA_BASE_TERMS, TRIPLES, CurveCoeffs,
                                  ProjPoint, Trivector, build_gamma_c,
-                                 diagonal_matrix, gamma0, gl_act, phi_at,
-                                 phi_pencil, sort_with_sign,
-                                 standard_cartan_element, weighted_torus_act)
+                                 diagonal_matrix, gamma0, gl_act,
+                                 permutation_matrix, phi_at, phi_pencil,
+                                 sort_with_sign, standard_cartan_element,
+                                 weighted_torus_act)
 
 
 def _random_trivector(field, rng, nterms=8):
@@ -49,6 +51,37 @@ def test_gl_act_identity_and_composition():
             h = _random_invertible(field, rng)
             assert gl_act(Matrix.identity(field, 9), t) == t
             assert gl_act(g, gl_act(h, t)) == gl_act(g * h, t)
+
+
+def _elements(field):
+    if field.order is None:
+        return st.integers(-3, 3).map(field.el)
+    return st.integers(0, field.order - 1).map(field.from_int)
+
+
+@st.composite
+def _invertible(draw, field):
+    """P L U: a permutation, a unit lower triangle and an upper triangle
+    with nonzero diagonal, so every draw is invertible."""
+    el, nonzero = _elements(field), _elements(field).filter(
+        lambda a: not a.is_zero())
+    sigma = draw(st.permutations(range(1, 10)))
+    low = [[draw(el) if j < i else field.el(int(i == j)) for j in range(9)]
+           for i in range(9)]
+    up = [[draw(nonzero) if i == j else draw(el) if j > i else field.zero
+           for j in range(9)] for i in range(9)]
+    return permutation_matrix(field, sigma) * Matrix(field, low) \
+        * Matrix(field, up)
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(2, 2), Q], ids=repr)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_gl_act_is_a_homomorphism(field, data):
+    t = Trivector(field, data.draw(st.dictionaries(
+        st.sampled_from(TRIPLES), _elements(field), max_size=6)))
+    g, h = data.draw(_invertible(field)), data.draw(_invertible(field))
+    assert gl_act(g, gl_act(h, t)) == gl_act(g * h, t)
 
 
 def test_gl_act_rejects_singular():
