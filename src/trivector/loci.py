@@ -33,7 +33,7 @@ from .trivector import (CurveCoeffs, Trivector, build_gamma_c, phi_at,
 __all__ = [
     "RankLocusReport", "enumerate_rank_locus", "rank_locus_codes",
     "iter_rank_locus",
-    "batch_eval", "box_eval", "CubicForm", "cubic_of_Y", "interpolate_cubic",
+    "batch_eval", "CubicForm", "cubic_of_Y", "interpolate_cubic",
     "pfaffian_cubic", "DEGREE3_EXPONENTS",
     "jacobian_order_from_counts", "curve_point_counts", "curve_affine_points",
     "verify_curve_embedding", "embedding_point", "embedding_kernel_rows",
@@ -105,10 +105,11 @@ class _RunScanner:
     points (see scan.projective_runs).
 
     Built once per scan and process, so the nine partials of the Pfaffian
-    cubic C are decoded once.  The sieve has two stages:
+    cubic C are decoded, and the power table of the field built, once.
+    The sieve has two stages:
 
     - C(x) != 0: rank 8 (see pfaffian_cubic).  C is evaluated on the
-      product boxes of the run (scan.run_boxes, box_eval);
+      product boxes of the run (scan.run_boxes, _box_eval);
     - C(x) = 0 and some partial d_j C(x) != 0: rank 6.  Each entry m_ab
       occurs at most once in each term of a Pfaffian, so formally, in every
       characteristic, dPf/dm_ab = +-Pf of the principal block without rows
@@ -133,13 +134,15 @@ class _RunScanner:
                           {e: self.kern.decode(c) for e, c in cubic_codes})
         self.partials = [d for d in map(cubic.derivative, range(9))
                          if not d.is_zero()]
+        self.powers = _power_table(self.kern, 3)
         self.max_rank = max_rank
 
     def __call__(self, run):
         kern = self.kern
         pts = projective_run(kern.q, *run)
         ranks = np.full(pts.shape[0], 8, dtype=np.int64)
-        values = np.concatenate([box_eval(kern, self.cubic_codes, box)
+        values = np.concatenate([_box_eval(kern, self.cubic_codes, box,
+                                           self.powers)
                                  for box in run_boxes(kern.q, *run)])
         low = np.nonzero(values == 0)[0]
         ranks[low] = 6
@@ -284,9 +287,20 @@ def batch_eval(kern, mp: MultiPoly, codes):
     return acc
 
 
-def box_eval(kern, terms, box):
-    """Evaluate a coded polynomial, terms (exponents, code), on every point
-    of a box (head, lo, hi) of scan.run_boxes, in the box's order.
+def _power_table(kern, degree):
+    """powers[k][v] = v^k for every code v, k = 0..degree: the table the
+    box evaluator reads all powers from."""
+    values = np.arange(kern.q, dtype=kern.dtype)
+    powers = [np.ones_like(values)]
+    for _ in range(degree):
+        powers.append(kern.mul(powers[-1], values))
+    return powers
+
+
+def _box_eval(kern, terms, box, powers):
+    """Evaluate a coded polynomial, terms (exponents, code) of degree at
+    most len(powers) - 1 in each variable, on every point of a box (head,
+    lo, hi) of scan.run_boxes, in the box's order.
 
     The head coordinates are substituted with scalar ops.  The rest is
     evaluated one variable at a time: split by the exponent k of the first
@@ -295,16 +309,12 @@ def box_eval(kern, terms, box):
     element ops per variable rather than a few per term."""
     head, lo, hi = box
     s = len(head)
-    degree = max((max(e) for e, _ in terms), default=0)
-    values = np.arange(kern.q, dtype=kern.dtype)
-    powers = [np.ones_like(values)]
-    for _ in range(degree):
-        powers.append(kern.mul(powers[-1], values))
+    head_powers = [[int(p[x]) for p in powers] for x in head]
     free = {}
     for e, c in terms:
-        for x, k in zip(head, e):
+        for xk, k in zip(head_powers, e):
             if k:
-                c = int(kern.mul(c, powers[k][x]))
+                c = int(kern.mul(c, xk[k]))
         free[e[s:]] = int(kern.add(free.get(e[s:], 0), c))
     free = {e: c for e, c in free.items() if c}
     if not free:

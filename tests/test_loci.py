@@ -11,7 +11,8 @@ from trivector.errors import (BudgetExceeded, DegenerateConfiguration,
 from trivector.fields import GF
 from trivector.linalg import Matrix, pfaffian
 from trivector.loci import (DEGREE3_EXPONENTS, DEFAULT_SCAN_CHUNK,
-                            _structure_tensor_codes, batch_eval, box_eval,
+                            _box_eval, _power_table,
+                            _structure_tensor_codes, batch_eval,
                             cubic_of_Y, curve_affine_points,
                             curve_point_counts, embedding_point,
                             enumerate_rank_locus, interpolate_cubic,
@@ -414,7 +415,9 @@ def test_box_eval_on_run_boxes_matches_batch_eval(field, data):
         cubic = pfaffian_cubic(Trivector(field))
         assert cubic.is_zero()
     terms = [(e, kern.encode(c)) for e, c in cubic.terms.items()]
-    values = np.concatenate([box_eval(kern, terms, b) for b in boxes])
+    powers = _power_table(kern, 3)
+    values = np.concatenate([_box_eval(kern, terms, b, powers)
+                             for b in boxes])
     assert np.array_equal(values, batch_eval(kern, cubic, pts))
 
 
@@ -433,7 +436,7 @@ def test_box_eval_wide_primes(field, data):
     pts = _box_points(q, (head, lo, hi))
     cubic = _random_cubic(data, field, st.integers(q - 40, q - 1))
     terms = [(e, kern.encode(c)) for e, c in cubic.terms.items()]
-    values = box_eval(kern, terms, (head, lo, hi))
+    values = _box_eval(kern, terms, (head, lo, hi), _power_table(kern, 3))
     assert np.array_equal(values, batch_eval(kern, cubic, pts))
     for i in range(0, len(pts), max(1, len(pts) // 20)):
         x = [field.from_int(int(v)) for v in pts[i]]
