@@ -25,7 +25,7 @@ from .trivector import (CARTAN_LINES, CURVE_DEGREES, CurveCoeffs, Trivector,
                         hyperplane_stabilizer_diag, permuted_gamma_c,
                         weighted_torus_act)
 
-__all__ = ["CriterionResult", "run_criterion", "run_all", "CRITERIA"]
+__all__ = ["CriterionResult", "run_criterion", "CRITERIA"]
 
 
 @dataclass
@@ -56,10 +56,10 @@ def _smooth_curves(field, n, rng, weierstrass=False):
     return out
 
 
-def c1_stability_vs_smoothness(threads: int = 1):
+def c1_stability_vs_smoothness():
     """All 256 coefficient vectors over F_2: destabilizer search agrees with
     the smoothness test, witnesses verified."""
-    reports, checked = stability_family_report_f2(threads=threads)
+    reports, checked = stability_family_report_f2()
     disagreements = sum(0 if r.consistent else 1 for r in reports)
     n_stable = sum(1 for r in reports if r.verdict.status == "stable")
     ext_wit = sum(1 for r in reports if r.verdict.searched_ext_degree > 1)
@@ -349,25 +349,15 @@ CRITERIA = [
 ]
 
 
-def run_criterion(cid: str, **kwargs) -> CriterionResult:
+def run_criterion(cid: str) -> CriterionResult:
     for id_, desc, fn in CRITERIA:
         if id_ == cid:
             t0 = time.perf_counter()
             try:
-                passed, detail = fn(**kwargs) if kwargs else fn()
+                passed, detail = fn()
             except Exception as exc:   # a raised check is a failed criterion
                 passed, detail = False, "%s: %s" % (type(exc).__name__, exc)
             return CriterionResult(cid, desc, passed, detail,
                                    time.perf_counter() - t0)
     raise KeyError("unknown criterion %r" % cid)
 
-
-def run_all(threads: int = 1, report=print):
-    results = []
-    for cid, desc, fn in CRITERIA:
-        kwargs = {"threads": threads} if cid == "C1" and threads > 1 else {}
-        res = run_criterion(cid, **kwargs)
-        results.append(res)
-        if report:
-            report(res.line())
-    return results

@@ -211,10 +211,7 @@ def cmd_selftest(args):
     lines = []
     all_ok = True
     for cid in wanted:
-        kwargs = {}
-        if cid == "C1" and args.threads > 1:
-            kwargs["threads"] = args.threads
-        res = run_criterion(cid.strip(), **kwargs)
+        res = run_criterion(cid.strip())
         print(res.line(), file=sys.stderr)
         lines.append({"id": res.cid, "pass": res.passed,
                       "detail": res.detail, "elapsed_s": round(res.elapsed, 1)})
@@ -250,9 +247,8 @@ def build_parser():
                    help="global cap on enumeration sizes (unused by "
                         "'loci cubic', which does not scan)")
     p.add_argument("--threads", type=_thread_count, default=1,
-                   help="worker processes for 'loci count' (the P^8 scan) "
-                        "and 'selftest' (the C1 family scan); other "
-                        "commands run serially")
+                   help="worker processes for the P^8 scan of "
+                        "'loci count'")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gamma", help="build and transform normal forms")

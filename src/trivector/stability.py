@@ -149,151 +149,114 @@ class StabilityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# the F_2 Gray-code witness scan over a list of generators
+# the F_2 witness scan: one contraction table per trivector, gathered by block
 
-def _solve_f2_family(vecs):
-    """All masks c in [0, 2^(len(vecs)-1)) with
-    vecs[0] ^ xor(vecs[i] for set bits i-1 of c) == 0."""
-    basis = {}
-    kernel = []
-    for i in range(1, len(vecs)):
-        v, m = vecs[i], 1 << (i - 1)
-        while v:
-            low = v & -v
-            if low in basis:
-                bv, bm = basis[low]
-                v ^= bv
-                m ^= bm
-            else:
-                basis[low] = (v, m)
-                break
-        if v == 0:
-            kernel.append(m)
-    r, m0 = vecs[0], 0
-    while r:
-        low = r & -r
-        if low not in basis:
-            return []
-        bv, bm = basis[low]
-        r ^= bv
-        m0 ^= bm
-    sols = [m0]
-    for km in kernel:
-        sols += [s ^ km for s in sols]
-    return sols
+def _contraction_table(terms):
+    """C[a, b]: the 9-bit image of the double contraction of the F_2
+    trivector with the given triples by the covectors with bit codes a, b.
+    Over F_2 the contraction is bilinear and symmetric, so C grows from the
+    table of basis pairs by XOR-doubling over the bits of a, then of b."""
+    pair = np.zeros((9, 9), dtype=np.uint16)
+    for (i, j, k) in terms:
+        for a, b, other in ((i, j, k), (i, k, j), (j, k, i)):
+            pair[a - 1, b - 1] ^= 1 << (other - 1)
+            pair[b - 1, a - 1] ^= 1 << (other - 1)
+    half = np.zeros((512, 9), dtype=np.uint16)      # half[a, j] = C[a, 2^j]
+    table = np.zeros((512, 512), dtype=np.uint16)
+    for k in range(9):
+        half[1 << k:2 << k] = half[:1 << k] ^ pair[k]
+    for k in range(9):
+        table[:, 1 << k:2 << k] = table[:, :1 << k] ^ half[:, k, None]
+    return table
 
 
-def _row_bits(pivot, free, bits):
-    """The 9-bit echelon row with its pivot at `pivot` and free entries
-    `bits` (bit i for column free[i])."""
-    return 1 << pivot | sum(1 << c for i, c in enumerate(free)
-                            if bits >> i & 1)
+def _echelon_rows(pivot, free):
+    """The 9-bit echelon rows with their pivot at `pivot`, in binary order of
+    their free entries (bit i for column free[i])."""
+    bits = np.arange(1 << len(free), dtype=np.uint16)
+    rows = np.full_like(bits, 1 << pivot)
+    for i, c in enumerate(free):
+        rows |= (bits >> i & 1) << c
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _f2_layout():
+    """The scan order of the annihilators W, independent of the trivector.
+
+    A block is a (first row alpha, second row beta) pair; blocks run through
+    the pivot patterns in colex order and both rows in binary order of their
+    free entries.  Returns (pairs, start, offset, width, thirds): pairs[k] =
+    alpha << 9 | beta for block k; pattern p owns blocks start[p] to
+    start[p + 1], and its subspaces start at sequential position offset[p]
+    with 2^width[p] per block; thirds[p] holds its third rows in Gray-code
+    order, padded to 64 with the first one, so a padded hit always repeats
+    an earlier one."""
+    patterns = pivot_patterns(3, 9)
+    thirds = np.zeros((len(patterns), 64), dtype=np.uint16)
+    pairs, blocks, sizes, width = [], [], [], []
+    for p, (pivots, free) in enumerate(patterns):
+        alpha, beta, delta = map(_echelon_rows, pivots, free)
+        pairs.append((alpha.astype(np.uint32)[:, None] << 9 | beta).ravel())
+        steps = np.arange(delta.size)
+        thirds[p] = delta[0]
+        thirds[p, :delta.size] = delta[steps ^ steps >> 1]
+        blocks.append(pairs[-1].size)
+        width.append(len(free[2]))
+        sizes.append(pairs[-1].size << width[-1])
+    start = np.cumsum([0] + blocks)
+    offset = np.cumsum([0] + sizes)
+    return np.concatenate(pairs), start, offset, width, thirds
 
 
 def _gray_scan_f2(gens, pattern_indices):
     """Witness scan over F_2 for the trivectors gens[0] + sum c_i gens[i]
     (c_i = bit i-1 of the mask c; each generator a tuple of triples).
 
-    Annihilators W run through the given pivot patterns; the third row runs
-    in Gray-code order.  The double-contraction image of generator g takes
-    bits 9g..9g+8 of one int, so each Gray step is one XOR for all
-    generators.  A (first, second row) block is skipped when no mask kills
-    their contraction.  Returns {mask: (position, (alpha, beta, delta))}
-    with the first hit of each mask at its sequential position, and stops
-    once every mask has one (for one generator: at the first hit)."""
-    n = len(gens)
-    table = [[0] * 9 for _ in range(9)]
-    for g, terms in enumerate(gens):
-        for (i, j, k) in terms:
-            for a, b, other in ((i, j, k), (i, k, j), (j, k, i)):
-                bit = 1 << (9 * g + other - 1)
-                table[a - 1][b - 1] ^= bit
-                table[b - 1][a - 1] ^= bit
-    # rows[s][b]: the packed contraction image of (covector s, e_b*)
-    rows = [[0] * 9]
-    for s in range(1, 512):
-        low = s & -s
-        rows.append([x ^ y for x, y in
-                     zip(rows[s ^ low], table[low.bit_length() - 1])])
-    # v packs the contractions (alpha, beta), (alpha, delta), (beta, delta)
-    # side by side, 9n bits each; `higher` covers the generators past gens[0]
-    wide = 9 * n
-    higher = ((1 << 3 * wide) - 1) ^ (511 | 511 << wide | 511 << 2 * wide)
-    all_masks = range(1 << (n - 1))
-
-    def solve(v):
-        """The masks whose trivector has all three contractions in v zero."""
-        if not v & higher:
-            return () if v else all_masks
-        return _solve_f2_family([(v >> s & 511) | (v >> (s + wide) & 511) << 9
-                                 | (v >> (s + 2 * wide) & 511) << 18
-                                 for s in range(0, wide, 9)])
-
-    patterns = pivot_patterns(3, 9)
-    offsets = list(itertools.accumulate(
-        (1 << sum(map(len, free)) for _, free in patterns), initial=0))
+    Annihilators W run through the blocks of the given pivot patterns in
+    the order of _f2_layout, the third row in Gray-code order.  For each
+    mask one gather from its contraction table keeps the blocks whose first
+    two rows contract to zero, and a second one tests every third row of
+    those blocks against both.  The masks run in Gray-code order, so each
+    table is the previous one XOR one generator's table.  Returns
+    {mask: (position, (alpha, beta, delta))}: the first hit of each mask
+    that has one, at its sequential position."""
+    pairs, start, offset, width, thirds = _f2_layout()
+    wanted = np.zeros(len(width), dtype=bool)
+    wanted[list(pattern_indices)] = True
+    tables = [_contraction_table(terms) for terms in gens]
+    table = tables[0]
     first = {}
-    for index in pattern_indices:
-        (q0, q1, q2), (f0, f1, f2) = patterns[index]
-        flips = [-1] + [(s & -s).bit_length() - 1
-                        for s in range(1, 1 << len(f2))]
-        betas = [_row_bits(q1, f1, bits1) for bits1 in range(1 << len(f1))]
-        for bits0 in range(1 << len(f0)):
-            alpha = _row_bits(q0, f0, bits0)
-            ra = rows[alpha]
-            alpha_cols = [c for c in range(9) if alpha >> c & 1]
-            for bits1, beta in enumerate(betas):
-                rb = rows[beta]
-                v01 = 0
-                for c in alpha_cols:
-                    v01 ^= rb[c]
-                if not solve(v01):
-                    continue
-                # Gray increments; flips[0] = -1 picks the trailing 0
-                incs = [(ra[c] | rb[c] << wide) << wide for c in f2] + [0]
-                v = v01 | (ra[q2] | rb[q2] << wide) << wide
-                base = offsets[index] + ((bits0 << len(f1) | bits1)
-                                         << len(f2))
-                for step, idx in enumerate(flips):
-                    v ^= incs[idx]
-                    if v and not v & higher:
-                        continue
-                    for mask in solve(v):
-                        if mask not in first:
-                            delta = _row_bits(q2, f2, step ^ step >> 1)
-                            first[mask] = (base + step, (alpha, beta, delta))
-                            if len(first) == len(all_masks):
-                                return first
+    for step in range(1 << (len(gens) - 1)):
+        if step:
+            table ^= tables[(step & -step).bit_length()]
+        flat = table.ravel()
+        kept = np.flatnonzero(flat[pairs] == 0)
+        pattern = np.searchsorted(start, kept, side="right") - 1
+        kept, pattern = kept[wanted[pattern]], pattern[wanted[pattern]]
+        codes = pairs[kept]
+        alpha, beta = codes >> 9, codes & 511
+        delta = thirds[pattern]
+        hit = ((flat[alpha[:, None] << 9 | delta] == 0)
+               & (flat[beta[:, None] << 9 | delta] == 0)).ravel()
+        if hit.any():
+            r, gray = divmod(int(hit.argmax()), 64)
+            p = pattern[r]
+            position = int(offset[p] + ((kept[r] - start[p]) << width[p]))
+            first[step ^ step >> 1] = (position + gray, (
+                int(alpha[r]), int(beta[r]), int(delta[r, gray])))
     return first
 
 
-def _scan_f2(gens, threads: int = 1):
-    """The one driver of the F_2 witness scans: the kernel mapped over a
-    round-robin partition of the pivot patterns (`starmap` serially,
-    `Pool.starmap` with threads > 1).  For each mask the hit with the lowest
-    sequential position wins, so the result does not depend on the thread
-    count.  A thread count below 1 runs serially and one above the number
-    of patterns runs one worker per pattern, so every pattern is scanned.
-    Only the family scan passes a thread count: a single-trivector scan
-    takes about 0.05 s, less than starting a pool.
+def _scan_f2(gens):
+    """The F_2 witness scan over all of Gr(6,9)(F_2); the full scan of a
+    single trivector takes about 1 ms.
 
     Returns (witness_by_mask, checked): the annihilator rows of the first
     witness of each destabilized mask, and the sequential count of subspaces
     up to the last first hit, or all of them when some mask has no witness.
     """
-    npat = len(pivot_patterns(3, 9))
-    threads = min(max(threads, 1), npat)
-    jobs = [(gens, range(i, npat, threads)) for i in range(threads)]
-    if threads > 1:
-        import multiprocessing as mp
-        with mp.Pool(threads) as pool:
-            parts = pool.starmap(_gray_scan_f2, jobs)
-    else:
-        parts = itertools.starmap(_gray_scan_f2, jobs)
-    first = {}
-    for part in parts:
-        for mask, hit in part.items():
-            first[mask] = min(first.get(mask, hit), hit)
+    first = _gray_scan_f2(gens, range(len(pivot_patterns(3, 9))))
     if len(first) < 1 << (len(gens) - 1):
         checked = gaussian_binomial(9, 3, 2)
     else:
@@ -532,17 +495,19 @@ def _dedupe_points(points):
 # ---------------------------------------------------------------------------
 # the degree-1 witness scan for the whole F_2 coefficient family
 
-def gamma_family_scan_f2(threads: int = 1):
-    """One pass over the 788,035 subspaces of Gr(6,9)(F_2) deciding, for all
-    256 coefficient vectors at once, which normal-form trivectors have a
-    degree-1 destabilizing 6-plane.
+def gamma_family_scan_f2():
+    """One walk over the 788,035 subspaces of Gr(6,9)(F_2) per coefficient
+    vector, deciding which of the 256 normal-form trivectors have a
+    degree-1 destabilizing 6-plane.  The vectors run in Gray-code order, so
+    each contraction table is the last one XOR one coefficient's table; the
+    whole family takes about 0.3 s.
 
     Returns (destabilized_mask_by_c, witness_by_c, subspaces_checked) where
     witness_by_c maps the 8-bit coefficient code of each destabilized c to the
     annihilator rows (three 9-bit ints) of the first witness found.
     """
     gens = [GAMMA_BASE_TERMS] + [(GAMMA_C_TERMS[d][1],) for d in CURVE_DEGREES]
-    witness, checked = _scan_f2(gens, threads)
+    witness, checked = _scan_f2(gens)
     return [c in witness for c in range(256)], witness, checked
 
 
@@ -651,12 +616,12 @@ def stability_verdict_gamma_c(c: CurveCoeffs, max_ext_degree: int = 1,
     return GammaCConsistency(c, smooth, verdict)
 
 
-def stability_family_report_f2(threads: int = 1):
-    """Criterion-grade sweep: all 256 coefficient vectors over F_2, one shared
-    Grassmannian pass for the searches plus per-c smoothness; returns
+def stability_family_report_f2():
+    """Criterion-grade sweep: all 256 coefficient vectors over F_2, one
+    family scan for the searches plus per-c smoothness; returns
     (reports, subspaces_checked)."""
     f2 = GF(2)
-    found, witness, checked = gamma_family_scan_f2(threads)
+    found, witness, checked = gamma_family_scan_f2()
     reports = []
     for cmask in range(256):
         cc = CurveCoeffs(f2, {d: (cmask >> i) & 1

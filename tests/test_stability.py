@@ -1,3 +1,5 @@
+import bisect
+import hashlib
 import itertools
 import random
 
@@ -22,7 +24,8 @@ from trivector.stability import (_anchored_hits, _gray_scan_f2, _scan_f2,
                                  singular_point_search,
                                  singular_points_of_curve,
                                  stability_verdict_gamma_c, witness_verify)
-from trivector.trivector import (CURVE_DEGREES, TRIPLES, CurveCoeffs,
+from trivector.trivector import (CURVE_DEGREES, GAMMA_BASE_TERMS,
+                                 GAMMA_C_TERMS, TRIPLES, CurveCoeffs,
                                  Trivector, build_gamma_c, gamma0, gl_act,
                                  phi_at)
 
@@ -177,7 +180,7 @@ def test_family_scan_agrees_with_direct_search(family_scan):
 def _single_scans():
     """One-generator scans: gamma0, a smooth curve (no witness), and a
     trivector with no witness in pivot pattern 0 whose first witness opens
-    pattern 1 (worker 1 of 2), while worker 0 stops at a later one."""
+    pattern 1."""
     f2 = GF(2)
     tm = Trivector(f2, {trip: f2.one for trip in ((4, 6, 7), (5, 7, 8),
                                                   (1, 5, 6), (2, 5, 6),
@@ -186,50 +189,79 @@ def _single_scans():
             (gamma0(f2), build_gamma_c(CurveCoeffs(f2, {15: 1})), tm)]
 
 
-def test_family_scan_threads_match_serial(family_scan):
-    # a thread count below 1 runs the serial scan, not an empty one
-    for threads in (0, 2, 3):
-        assert gamma_family_scan_f2(threads=threads) == family_scan
-    for gens in _single_scans():
-        serial = _scan_f2(gens)
-        for threads in (-1, 0, 2, 3, 4):
-            assert _scan_f2(gens, threads) == serial
+def _sha256(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_f2_scans_match_pinned_outputs(family_scan):
+    """Outputs of the F_2 scans recorded from the list-based Gray-code
+    kernel that preceded the contraction-table scan."""
+    assert [_scan_f2(gens) for gens in _single_scans()] == [
+        ({0: (1, 2, 4)}, 1), ({}, 788035), ({0: (1, 2, 8)}, 262145)]
+    found, witness, checked = family_scan
+    assert _sha256((found, sorted(witness.items()), checked)) == \
+        "e8fe2e343ae7f81386e7ac97a012aa272e351633d83b4a15b980600a6f9b2d73"
+    gens = [GAMMA_BASE_TERMS] + [(GAMMA_C_TERMS[d][1],) for d in CURVE_DEGREES]
+    first = _gray_scan_f2(gens, range(len(pivot_patterns(3, 9))))
+    assert _sha256(sorted(first.items())) == \
+        "358b21944382b07d36780e7d86f3cfc91bda5049aa32a877d9ed428cc9608d30"
+
+
+def _pattern_offsets():
+    offsets = [0]
+    for _, free in pivot_patterns(3, 9):
+        offsets.append(offsets[-1] + 2 ** sum(len(f) for f in free))
+    return offsets
+
+
+def _mask_trivector(gens, mask):
+    """gens[0] + sum of gens[i] over the set bits i-1 of mask, over F_2."""
+    f2 = GF(2)
+    terms = {}
+    for g, gen in enumerate(gens):
+        if g == 0 or mask >> (g - 1) & 1:
+            for trip in gen:
+                terms[trip] = terms.get(trip, 0) ^ 1
+    return Trivector(f2, {trip: f2.one for trip, v in terms.items() if v})
+
+
+def _pattern_rows(index, local):
+    """The annihilator rows at position `local` of pivot pattern `index` in
+    the scan order: first row, then second row in binary order of their
+    free entries, then the third row in Gray-code order."""
+    pivots, free = pivot_patterns(3, 9)[index]
+    n0, n1, n2 = (len(f) for f in free)
+    step = local % 2 ** n2
+    bits = (local >> (n1 + n2), (local >> n2) % 2 ** n1, step ^ (step >> 1))
+    return tuple((1 << pivots[r]) | sum(1 << c for i, c in enumerate(free[r])
+                                        if bits[r] >> i & 1)
+                 for r in range(3))
+
+
+def _position_rows(position):
+    """The annihilator rows at a sequential position of the whole scan."""
+    offsets = _pattern_offsets()
+    index = bisect.bisect_right(offsets, position) - 1
+    return _pattern_rows(index, position - offsets[index])
+
+
+def _rows_matrix(rows):
+    f2 = GF(2)
+    return Matrix(f2, [[f2.one if x >> c & 1 else f2.zero for c in range(9)]
+                       for x in rows])
 
 
 def _gray_scan_oracle(gens, pattern_indices):
     """First hit per mask by the object route, walking each pattern in the
-    scan order: first row, then second row in binary order of their free
-    entries, then the third row in Gray-code order."""
-    f2 = GF(2)
-    patterns = pivot_patterns(3, 9)
-    offsets = [0]
-    for _, free in patterns:
-        offsets.append(offsets[-1] + 2 ** sum(len(f) for f in free))
-    trivectors = {}
-    for mask in range(2 ** (len(gens) - 1)):
-        terms = {}
-        for g, gen in enumerate(gens):
-            if g == 0 or mask >> (g - 1) & 1:
-                for trip in gen:
-                    terms[trip] = terms.get(trip, 0) ^ 1
-        trivectors[mask] = Trivector(f2, {trip: f2.one
-                                          for trip, v in terms.items() if v})
-
-    def row(pivot, free, bits):
-        return (1 << pivot) | sum(1 << c for i, c in enumerate(free)
-                                  if bits >> i & 1)
-
+    scan order of _pattern_rows."""
+    offsets = _pattern_offsets()
+    trivectors = {mask: _mask_trivector(gens, mask)
+                  for mask in range(2 ** (len(gens) - 1))}
     first = {}
     for index in pattern_indices:
-        pivots, free = patterns[index]
-        n0, n1, n2 = (len(f) for f in free)
-        for local in range(2 ** (n0 + n1 + n2)):
-            step = local % 2 ** n2
-            bits = (local >> (n1 + n2), (local >> n2) % 2 ** n1,
-                    step ^ (step >> 1))
-            rows = tuple(row(pivots[r], free[r], bits[r]) for r in range(3))
-            w = Matrix(f2, [[f2.one if x >> c & 1 else f2.zero
-                             for c in range(9)] for x in rows])
+        for local in range(offsets[index + 1] - offsets[index]):
+            rows = _pattern_rows(index, local)
+            w = _rows_matrix(rows)
             for mask, t in trivectors.items():
                 if mask not in first and destabilizes(t, w):
                     first[mask] = (offsets[index] + local, rows)
@@ -253,6 +285,18 @@ _SMALL_PATTERNS = [i for i, (_, free) in enumerate(pivot_patterns(3, 9))
 def test_gray_scan_matches_object_oracle(gens, pattern_indices):
     assert _gray_scan_f2(gens, pattern_indices) == \
         _gray_scan_oracle(gens, pattern_indices)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(TRIPLES), min_size=1, max_size=12,
+                         unique=True).map(tuple), min_size=1, max_size=3))
+def test_gray_scan_whole_grassmannian(gens):
+    # every first hit over all 84 patterns destabilizes its trivector by the
+    # object route and sits at the position the oracle's scan order gives it
+    first = _gray_scan_f2(gens, range(len(pivot_patterns(3, 9))))
+    for mask, (position, rows) in first.items():
+        assert destabilizes(_mask_trivector(gens, mask), _rows_matrix(rows))
+        assert _position_rows(position) == rows
 
 
 def test_pivot_patterns_colex_order_and_count():
