@@ -112,23 +112,13 @@ class Wedge6:
                           for t, c in sorted(self.coeffs.items())) or "0"
 
 
-def act3(a: Matrix, t: Trivector) -> Trivector:
-    """Derivation action of a matrix on the third wedge power."""
-    field = t.field
+def _act_subsets(a: Matrix, coeffs: dict) -> dict:
+    """Derivation action of a matrix on a wedge power, with elements as
+    {sorted k-subset of 1..9: nonzero coefficient}."""
     out = {}
-
-    def bump(key, val):
-        s = out.get(key)
-        s = val if s is None else s + val
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-
-    for trip, c in t.coeffs.items():
-        for slot in range(3):
-            i = trip[slot]
-            rest = trip[:slot] + trip[slot + 1:]
+    for sub, c in coeffs.items():
+        for slot, i in enumerate(sub):
+            rest = sub[:slot] + sub[slot + 1:]
             sign0 = -1 if slot % 2 else 1
             for row in range(1, 10):
                 aval = a.rows[row - 1][i - 1]
@@ -141,41 +131,23 @@ def act3(a: Matrix, t: Trivector) -> Trivector:
                 v = c * aval
                 if sign0 * sgn < 0:
                     v = -v
-                bump(key, v)
-    return Trivector(field, out)
+                s = out.get(key)
+                s = v if s is None else s + v
+                if s.is_zero():
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+    return out
+
+
+def act3(a: Matrix, t: Trivector) -> Trivector:
+    """Derivation action of a matrix on the third wedge power."""
+    return Trivector(t.field, _act_subsets(a, t.coeffs))
 
 
 def act6(a: Matrix, w: Wedge6) -> Wedge6:
     """Derivation action on the sixth wedge power (same conventions)."""
-    field = w.field
-    out = {}
-
-    def bump(six, val):
-        s = out.get(six)
-        s = val if s is None else s + val
-        if s.is_zero():
-            out.pop(six, None)
-        else:
-            out[six] = s
-
-    for six, c in w.six_subsets().items():
-        for slot in range(6):
-            i = six[slot]
-            rest = six[:slot] + six[slot + 1:]
-            sign0 = -1 if slot % 2 else 1
-            for row in range(1, 10):
-                aval = a.rows[row - 1][i - 1]
-                if aval.is_zero():
-                    continue
-                ins = _insert_sign(rest, row)
-                if ins is None:
-                    continue
-                key, sgn = ins
-                v = c * aval
-                if sign0 * sgn < 0:
-                    v = -v
-                bump(key, v)
-    return Wedge6.from_six_subsets(field, out)
+    return Wedge6.from_six_subsets(w.field, _act_subsets(a, w.six_subsets()))
 
 
 def wedge33(t: Trivector, u: Trivector) -> Wedge6:

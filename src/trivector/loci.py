@@ -11,6 +11,7 @@ rank 6, and only the singular points of C go through elimination."""
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import time
 from contextlib import closing
@@ -25,7 +26,7 @@ from .fields import Field, parse_field
 from .linalg import Matrix, pfaffian, rank_and_kernel
 from .polys import MultiPoly, Poly, embed_map, extension_of, roots_in_field
 from .scan import (field_kernel, projective_count, projective_run,
-                   projective_runs, run_boxes)
+                   projective_runs)
 from .stability import curve_is_smooth
 from .trivector import (CurveCoeffs, Trivector, build_gamma_c, phi_at,
                         phi_pencil)
@@ -102,14 +103,14 @@ def pfaffian_cubic(t: Trivector) -> MultiPoly:
 
 class _RunScanner:
     """The chunk worker of the P^8 scan: the ranks of one run of canonical
-    points (see scan.projective_runs).
+    points, a product box (head, lo, hi) of scan.projective_runs.
 
     Built once per scan and process, so the nine partials of the Pfaffian
     cubic C are decoded, and the power table of the field built, once.
     The sieve has two stages:
 
     - C(x) != 0: rank 8 (see pfaffian_cubic).  C is evaluated on the
-      product boxes of the run (scan.run_boxes, _box_eval);
+      run's box in one _box_eval call;
     - C(x) = 0 and some partial d_j C(x) != 0: rank 6.  Each entry m_ab
       occurs at most once in each term of a Pfaffian, so formally, in every
       characteristic, dPf/dm_ab = +-Pf of the principal block without rows
@@ -121,7 +122,7 @@ class _RunScanner:
     identically zero) go through build_skew + batched_rank; each partial is
     evaluated (batch_eval) only on the zeros no earlier partial has marked.
     Over F_4 that is about 10 of the 22,405 zeros of C of a smooth curve.
-    Called on a run (lead, start, n), it returns (codes, ranks, hist): the
+    Called on a run (head, lo, hi), it returns (codes, ranks, hist): the
     run's points of rank <= max_rank (none when max_rank is None) with
     their ranks, in lexicographic order, and the rank histogram (length 9)
     of the whole run."""
@@ -141,9 +142,7 @@ class _RunScanner:
         kern = self.kern
         pts = projective_run(kern.q, *run)
         ranks = np.full(pts.shape[0], 8, dtype=np.int64)
-        values = np.concatenate([_box_eval(kern, self.cubic_codes, box,
-                                           self.powers)
-                                 for box in run_boxes(kern.q, *run)])
+        values = _box_eval(kern, self.cubic_codes, run, self.powers)
         low = np.nonzero(values == 0)[0]
         ranks[low] = 6
         for partial in self.partials:
@@ -177,10 +176,12 @@ def _scan_run_in_worker(run):
 
 def _ranked_runs(args, runs, threads):
     """The one driver: the chunk worker mapped over the runs in order, in
-    this process or through an order-preserving imap over a pool."""
-    if threads > 1 and len(runs) > 1:
+    this process or through an order-preserving imap over a pool of at most
+    one process per run and per CPU."""
+    processes = min(threads, len(runs), os.cpu_count() or 1)
+    if processes > 1:
         import multiprocessing as mp
-        with mp.Pool(min(threads, len(runs)), _init_worker, args) as pool:
+        with mp.Pool(processes, _init_worker, args) as pool:
             yield from pool.imap(_scan_run_in_worker, runs)
     else:
         yield from map(_RunScanner(*args), runs)
@@ -191,9 +192,10 @@ def iter_rank_locus(t: Trivector, max_rank: int | None = None,
                     budget: int = DEFAULT_POINT_BUDGET, threads: int = 1):
     """Streaming scan of P^8 over t's finite field: yields (codes, ranks,
     hist) for contiguous runs of at most `chunk` canonical points, in
-    lexicographic order.  codes/ranks hold the run's points of rank <=
-    max_rank (none when max_rank is None) and hist the rank histogram
-    (length 9) of all its points.
+    lexicographic order, each run one product box (scan.projective_runs).
+    codes/ranks hold the run's points of rank <= max_rank (none when
+    max_rank is None) and hist the rank histogram (length 9) of all its
+    points.
 
     The chunk, field and budget checks run before any point is scanned.
     Runs are scanned in this process, or with threads > 1 in a pool that
@@ -300,7 +302,7 @@ def _power_table(kern, degree):
 def _box_eval(kern, terms, box, powers):
     """Evaluate a coded polynomial, terms (exponents, code) of degree at
     most len(powers) - 1 in each variable, on every point of a box (head,
-    lo, hi) of scan.run_boxes, in the box's order.
+    lo, hi), a run of scan.projective_runs, in the box's order.
 
     The head coordinates are substituted with scalar ops.  The rest is
     evaluated one variable at a time: split by the exponent k of the first

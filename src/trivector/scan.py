@@ -19,11 +19,13 @@ adding or multiplying, which keeps every result exact.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .fields import ExtensionField, Field, PrimeField
 
-__all__ = ["FieldKernel", "projective_runs", "projective_run", "run_boxes",
+__all__ = ["FieldKernel", "projective_runs", "projective_run",
            "projective_count", "code_dtype"]
 
 _kernel_cache: dict = {}
@@ -300,56 +302,40 @@ def field_kernel(field: Field) -> FieldKernel:
 
 def projective_runs(q: int, chunk: int):
     """The canonical representatives of P^8(F_q) (first nonzero coordinate
-    is 1) as runs (lead, start, n) of at most `chunk` points in
-    lexicographic order: run (lead, start, n) is the points whose leading 1
-    sits at position `lead` and whose tail indices are start..start+n-1
-    (see projective_run)."""
-    for lead in range(9):
-        total = q ** (8 - lead)
-        for start in range(0, total, chunk):
-            yield lead, start, min(chunk, total - start)
+    is 1) as runs of at most `chunk` points in lexicographic order, each
+    one product box (head, lo, hi): its points have first len(head)
+    coordinates head (the zeros before the leading 1, the 1 and some fixed
+    digits), next coordinate in lo..hi-1 and the remaining 8 - len(head)
+    coordinates anywhere in F_q (see projective_run).
 
-
-def run_boxes(q: int, lead: int, start: int, n: int):
-    """Tile run (lead, start, n) into product boxes, in order.
-
-    A box (head, lo, hi) is the points whose first len(head) coordinates
-    are head, whose next coordinate runs over lo..hi-1 and whose remaining
-    8 - len(head) coordinates run over all of F_q, in lexicographic order.
-    Concatenated, the boxes are projective_run(q, lead, start, n).  Each
-    box is the widest aligned block at its start, so a run of whole
-    digit blocks (every run of the default chunk over F_2, F_3, F_4) is
-    one box."""
-    tail = 8 - lead
-    zeros = (0,) * lead
-    if tail == 0:
-        yield zeros, 1, 2      # the one point e_9: its lead 1 as the range
-        return
-    pos, end = start, start + n
-    while pos < end:
+    A lead block with m coordinates after its 1 leaves the last f of them
+    free, the most that q^f <= chunk and f < m allow, and cuts the digit
+    before them into ranges of min(q, chunk // q^f) values.  The point e_9
+    is the box with its leading 1 as the range."""
+    for lead in range(8):
+        tail = 8 - lead
         free = 0
-        while (free + 1 < tail and pos % q ** (free + 1) == 0
-               and pos + q ** (free + 1) <= end):
+        while free + 1 < tail and q ** (free + 1) <= chunk:
             free += 1
-        block = q ** free
-        digit = pos // block % q
-        count = min(q - digit, (end - pos) // block)
-        above = pos // (block * q)
-        fixed = tuple(above // q ** i % q
-                      for i in reversed(range(tail - 1 - free)))
-        yield zeros + (1,) + fixed, digit, digit + count
-        pos += count * block
+        width = min(q, chunk // q ** free)
+        ranges = [(lo, min(q, lo + width)) for lo in range(0, q, width)]
+        prefix = (0,) * lead + (1,)
+        for fixed in itertools.product(range(q), repeat=tail - 1 - free):
+            head = prefix + fixed
+            for lo, hi in ranges:
+                yield head, lo, hi
+    yield (0,) * 8, 1, 2
 
 
-def projective_run(q: int, lead: int, start: int, n: int):
-    """The (n, 9) integer codes of run (lead, start, n): coordinate `lead`
-    is 1, the ones before it 0, and the 8 - lead after it the base-q digits
-    of the tail index, most significant first."""
-    tail = 8 - lead
-    idx = np.arange(start, start + n, dtype=np.int64)
-    pts = np.zeros((n, 9), dtype=code_dtype(q))
-    pts[:, lead] = 1
-    for pos in range(tail):
-        power = q ** (tail - 1 - pos)
-        pts[:, lead + 1 + pos] = (idx // power) % q
+def projective_run(q: int, head: tuple, lo: int, hi: int):
+    """The (n, 9) integer codes of run (head, lo, hi) of projective_runs,
+    in lexicographic order: n = (hi - lo) * q^(8 - len(head))."""
+    s = len(head)
+    free = 8 - s
+    idx = np.arange((hi - lo) * q ** free, dtype=np.int64)
+    pts = np.empty((idx.size, 9), dtype=code_dtype(q))
+    pts[:, :s] = head
+    pts[:, s] = lo + idx // q ** free
+    for pos in range(s + 1, 9):
+        pts[:, pos] = idx // q ** (8 - pos) % q
     return pts

@@ -540,7 +540,8 @@ def anchored_witness_search(t: Trivector, ext_degree: int,
     6-plane is tried (for a witness plane W containing a rank-6 covector,
     the destabilizing subspace is exactly that image).
 
-    The P^8 scan streams runs of 4096 points in lexicographic order; the
+    The P^8 scan streams runs of at most 4096 points in lexicographic
+    order (run boundaries do not change which point passes first); the
     rank-6 points of each run are tested in one batch in coded arithmetic,
     and the scan stops at the first run with a hit.  That hit is rebuilt
     and checked through the object route (phi_at, rref, kernel_matrix,

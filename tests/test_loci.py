@@ -1,5 +1,10 @@
+import collections
+import functools
+import hashlib
 import itertools
 import multiprocessing
+import operator
+import os
 import random
 
 import numpy as np
@@ -21,8 +26,8 @@ from trivector.loci import (DEGREE3_EXPONENTS, DEFAULT_SCAN_CHUNK,
                             pfaffian_cubic, rank_locus_codes,
                             reconstruct_from_pencil, verify_curve_embedding)
 from trivector.polys import MultiPoly, embed_map, extension_of
-from trivector.scan import (FieldKernel, field_kernel, projective_count,
-                            projective_run, projective_runs, run_boxes)
+from trivector.scan import (FieldKernel, code_dtype, field_kernel,
+                            projective_count, projective_run, projective_runs)
 from trivector.stability import curve_is_smooth
 from trivector.trivector import (CURVE_DEGREES, TRIPLES, CurveCoeffs,
                                  Trivector, build_gamma_c, gamma0, gl_act,
@@ -283,21 +288,27 @@ def test_gradient_vanishes_at_rank_le_4(field, data):
     assert all(cubic.derivative(j)(x).is_zero() for j in range(9))
 
 
+@functools.cache
+def _canonical_points(q):
+    """The canonical points of P^8(F_q) in lexicographic order, listed from
+    the definition (zeros, the leading 1, then any digits), read-only."""
+    pts = np.array([(0,) * lead + (1,) + rest for lead in range(9)
+                    for rest in itertools.product(range(q), repeat=8 - lead)],
+                   dtype=code_dtype(q))
+    pts.flags.writeable = False
+    return pts
+
+
 def _oracle_scan(t, max_rank):
     """Plain build_skew + batched_rank over every point, no sieve; keeps
     no points when max_rank is None."""
     kern = field_kernel(t.field)
     tensor = _structure_tensor_codes(t, kern)
-    counts, codes, ranks = {}, [], []
-    for run in projective_runs(kern.q, 1 << 17):
-        chunk = projective_run(kern.q, *run)
-        r = kern.batched_rank(kern.build_skew(chunk, tensor))
-        for v in r:
-            counts[int(v)] = counts.get(int(v), 0) + 1
-        keep = r <= (-1 if max_rank is None else max_rank)
-        codes.append(chunk[keep])
-        ranks.append(r[keep])
-    return counts, np.concatenate(codes), np.concatenate(ranks)
+    pts = _canonical_points(kern.q)
+    r = kern.batched_rank(kern.build_skew(pts, tensor))
+    counts = {int(v): int(n) for v, n in enumerate(np.bincount(r)) if n}
+    keep = r <= (-1 if max_rank is None else max_rank)
+    return counts, pts[keep], r[keep]
 
 
 def _assert_scan_matches_oracle(t, max_rank):
@@ -374,13 +385,14 @@ def _box_points(q, box):
 
 
 def _random_run(data, q):
-    """A run of projective_runs(q, chunk) for a drawn chunk, drawn without
-    listing the runs (there are 48 million of chunk 1 over F_9)."""
+    """Run k of projective_runs(q, chunk), or its last run if it has fewer,
+    for a drawn chunk and k <= 20,000.  It is read from the generator
+    without listing the runs (there are 48 million of chunk 1 over F_9);
+    where there are fewer, the draw reaches every lead block and e_9."""
     chunk = data.draw(st.sampled_from([1, 7, 100, 4096, 8192]))
-    lead = data.draw(st.integers(0, 8))
-    total = q ** (8 - lead)
-    start = chunk * data.draw(st.integers(0, (total - 1) // chunk))
-    return lead, start, min(chunk, total - start)
+    k = data.draw(st.integers(0, 20_000))
+    return collections.deque(itertools.islice(projective_runs(q, chunk),
+                                              k + 1), maxlen=1)[0]
 
 
 def _random_cubic(data, field, codes):
@@ -399,11 +411,9 @@ def test_box_eval_on_run_boxes_matches_batch_eval(field, data):
     q = field.order
     kern = field_kernel(field)
     run = _random_run(data, q)
-    boxes = list(run_boxes(q, *run))
     pts = projective_run(q, *run)
-    assert all(lo < hi for _, lo, hi in boxes)
-    assert np.array_equal(np.concatenate([_box_points(q, b) for b in boxes]),
-                          pts)
+    assert run[1] < run[2]
+    assert np.array_equal(_box_points(q, run), pts)
     kind = data.draw(st.sampled_from(["random", "pfaffian", "zero"]))
     event(kind)
     if kind == "random":
@@ -416,8 +426,7 @@ def test_box_eval_on_run_boxes_matches_batch_eval(field, data):
         assert cubic.is_zero()
     terms = [(e, kern.encode(c)) for e, c in cubic.terms.items()]
     powers = _power_table(kern, 3)
-    values = np.concatenate([_box_eval(kern, terms, b, powers)
-                             for b in boxes])
+    values = _box_eval(kern, terms, run, powers)
     assert np.array_equal(values, batch_eval(kern, cubic, pts))
 
 
@@ -443,10 +452,84 @@ def test_box_eval_wide_primes(field, data):
         assert values[i] == kern.encode(cubic(x))
 
 
-def test_default_chunk_runs_are_single_boxes():
-    for q in (2, 3, 4):
-        for run in projective_runs(q, DEFAULT_SCAN_CHUNK):
-            assert len(list(run_boxes(q, *run))) == 1
+def _aligned_run_count(q, chunk):
+    """The number of runs of projective_runs(q, chunk): each lead block
+    with m > 0 coordinates after its 1 leaves the last f free, the most
+    with q^f <= chunk and f < m, and cuts the digit before them into
+    ranges of min(q, chunk // q^f) values."""
+    count = 1                                   # e_9
+    for m in range(1, 9):
+        free = max(f for f in range(m) if q ** f <= chunk)
+        width = min(q, chunk // q ** free)
+        count += q ** (m - 1 - free) * -(-q // width)
+    return count
+
+
+def _run_spans(q, runs):
+    """(start, size) arrays of the runs: start is the index of a run's first
+    point in the lexicographic listing of P^8(F_q).  The runs are read in
+    batches and converted with array ops (there are 10.8 million of chunk
+    7 over F_9)."""
+    block = np.array([q ** (8 - lead) for lead in range(9)], dtype=np.int64)
+    offset = np.cumsum(block) - block
+    weight = q ** np.arange(8, -1, -1, dtype=np.int64)
+    while batch := list(itertools.islice(runs, 1 << 16)):
+        n = len(batch)
+        heads = list(map(operator.itemgetter(0), batch))
+        lens = np.fromiter(map(len, heads), np.int64, n)
+        los = np.fromiter(map(operator.itemgetter(1), batch), np.int64, n)
+        his = np.fromiter(map(operator.itemgetter(2), batch), np.int64, n)
+        # first point of each run: its head, then lo, then zeros
+        first = np.zeros((n, 9), dtype=np.int64)
+        rows = np.repeat(np.arange(n), lens)
+        cols = np.arange(rows.size) - np.repeat(np.cumsum(lens) - lens, lens)
+        first[rows, cols] = np.fromiter(itertools.chain.from_iterable(heads),
+                                        np.int64, rows.size)
+        first[np.arange(n), lens] = los
+        lead = np.argmax(first != 0, axis=1)
+        yield (offset[lead] + first @ weight - block[lead],
+               (his - los) * q ** (8 - lens))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_projective_runs_tile_p8(q):
+    total = projective_count(q)
+    for chunk in (1,) * (q <= 3) + (7, 100, 4096, 8192):
+        end, count = 0, 0
+        for starts, sizes in _run_spans(q, projective_runs(q, chunk)):
+            assert sizes.min() >= 1 and sizes.max() <= chunk
+            # each run starts at the point right after the previous one
+            assert starts[0] == end
+            assert np.array_equal(starts[1:], starts[:-1] + sizes[:-1])
+            end = int(starts[-1] + sizes[-1])
+            count += starts.size
+        assert end == total
+        assert count == _aligned_run_count(q, chunk)
+        if q <= 4:
+            runs = projective_runs(q, chunk)
+            assert np.array_equal(
+                np.concatenate([projective_run(q, *r) for r in runs]),
+                _canonical_points(q))
+
+
+def test_default_chunk_runs_are_fixed_size_cuts():
+    # where the benchmark scans (the default chunk over F_2-F_4, the
+    # anchored search's 4096 over F_4) and over F_8, the aligned runs are
+    # the cuts of each lead block into runs of `chunk` points
+    for q, chunk, count in ((2, DEFAULT_SCAN_CHUNK, 9),
+                            (3, DEFAULT_SCAN_CHUNK, 9),
+                            (4, DEFAULT_SCAN_CHUNK, 17), (4, 4096, 27),
+                            (8, 4096, 4685)):
+        cuts, offset = [], 0
+        for lead in range(9):
+            block = q ** (8 - lead)
+            cuts += [(offset + a, min(chunk, block - a))
+                     for a in range(0, block, chunk)]
+            offset += block
+        spans = [(int(a), int(n)) for starts, sizes
+                 in _run_spans(q, projective_runs(q, chunk))
+                 for a, n in zip(starts, sizes)]
+        assert spans == cuts and len(spans) == count
 
 
 def test_closed_form_cubic_matches_interpolation():
@@ -523,9 +606,57 @@ def test_iter_rank_locus_chunks_concatenate_to_one_scan():
         assert np.array_equal(c, codes) and np.array_equal(r, ranks)
         assert h.tolist() == hist
         if chunk is not None:
-            # each lead block q^(8-lead) is cut into runs of `chunk` points
-            assert n == sum(-(-3 ** (8 - lead) // chunk) for lead in range(9))
+            assert n == _aligned_run_count(3, chunk)
     assert sum(hist) == total
+
+
+def test_scan_pool_is_capped_at_cpu_count(monkeypatch):
+    # a fake pool records its size and maps the runs in this process
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, runs):
+            return map(fn, runs)
+
+    t = build_gamma_c(CurveCoeffs(GF(3), {30: 1, 12: 2}))
+    _, rep, codes, ranks = rank_locus_codes(t, max_rank=4)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    for cpus, threads, size in ((3, 5000, 3), (None, 5000, None),
+                                (16, 4, 4), (16, 5000, 9)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        _, rep_t, codes_t, ranks_t = rank_locus_codes(t, max_rank=4,
+                                                      threads=threads)
+        assert sizes == ([] if size is None else [size])
+        assert rep_t.counts == rep.counts
+        assert np.array_equal(codes_t, codes)
+        assert np.array_equal(ranks_t, ranks)
+
+
+def test_f5_scan_matches_pinned_outputs():
+    """Recorded from the scan that cut runs at multiples of the chunk and
+    split them into product boxes.  Over F_5 a run's digit range can be
+    shorter than the others ([4, 5)), which no F_2-F_4 scan at the default
+    chunk has."""
+    f5 = GF(5)
+    c = CurveCoeffs(f5, {3: 1, 9: 2, 12: 3, 15: 1, 18: 3, 24: 4})
+    assert curve_is_smooth(c)
+    _, rep, codes, ranks = rank_locus_codes(build_gamma_c(c), max_rank=4)
+    assert rep.counts == {0: 0, 2: 0, 4: 30, 6: 100776, 8: 387475}
+    digest = hashlib.sha256(codes.astype(np.int64).tobytes()
+                            + ranks.astype(np.int64).tobytes()).hexdigest()
+    assert digest == \
+        "ac78452941a73d44593ed227298ec521428c55cc452c1f8109dfef5d33c08d24"
 
 
 def test_iter_rank_locus_checks_budget_before_scanning():
