@@ -14,6 +14,7 @@ import itertools
 import os
 import random
 import time
+from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -176,15 +177,30 @@ def _scan_run_in_worker(run):
 
 def _ranked_runs(args, runs, threads):
     """The one driver: the chunk worker mapped over the runs in order, in
-    this process or through an order-preserving imap over a pool of at most
-    one process per run and per CPU."""
+    this process or on a pool of at most one process per run and per CPU.
+
+    The pool is fed at most two runs per process ahead of the consumer.  On
+    the way out, also when the consumer stops early, it finishes those runs
+    and is closed and joined.  It is never terminated with runs still being
+    fed: Pool.terminate can then deadlock, its task handler blocked on the
+    task queue (seen within a few hundred early-stopped scans on 2 CPUs)."""
     processes = min(threads, len(runs), os.cpu_count() or 1)
-    if processes > 1:
-        import multiprocessing as mp
-        with mp.Pool(processes, _init_worker, args) as pool:
-            yield from pool.imap(_scan_run_in_worker, runs)
-    else:
+    if processes <= 1:
         yield from map(_RunScanner(*args), runs)
+        return
+    import multiprocessing as mp
+    with mp.Pool(processes, _init_worker, args) as pool:
+        pending = deque()
+        try:
+            for run in runs:
+                pending.append(pool.apply_async(_scan_run_in_worker, (run,)))
+                if len(pending) > 2 * processes:
+                    yield pending.popleft().get()
+            while pending:
+                yield pending.popleft().get()
+        finally:
+            pool.close()
+            pool.join()
 
 
 def iter_rank_locus(t: Trivector, max_rank: int | None = None,

@@ -625,8 +625,21 @@ def test_scan_pool_is_capped_at_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, runs):
-            return map(fn, runs)
+        def apply_async(self, fn, args):
+            return Done(fn(*args))
+
+        def close(self):
+            pass
+
+        def join(self):
+            pass
+
+    class Done:
+        def __init__(self, value):
+            self.value = value
+
+        def get(self):
+            return self.value
 
     t = build_gamma_c(CurveCoeffs(GF(3), {30: 1, 12: 2}))
     _, rep, codes, ranks = rank_locus_codes(t, max_rank=4)
