@@ -175,6 +175,14 @@ def _scan_run_in_worker(run):
     return _worker_scanner(run)
 
 
+def _cpu_count():
+    """The CPUs this process may run on: its affinity mask where the OS has
+    one (a container's cpuset), else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _ranked_runs(args, runs, threads):
     """The one driver: the chunk worker mapped over the runs in order, in
     this process or on a pool of at most one process per run and per CPU.
@@ -184,7 +192,10 @@ def _ranked_runs(args, runs, threads):
     and is closed and joined.  It is never terminated with runs still being
     fed: Pool.terminate can then deadlock, its task handler blocked on the
     task queue (seen within a few hundred early-stopped scans on 2 CPUs)."""
-    processes = min(threads, len(runs), os.cpu_count() or 1)
+    runs = iter(runs)
+    head = list(itertools.islice(runs, max(0, min(threads, _cpu_count()))))
+    processes = len(head)
+    runs = itertools.chain(head, runs)
     if processes <= 1:
         yield from map(_RunScanner(*args), runs)
         return
@@ -232,7 +243,7 @@ def iter_rank_locus(t: Trivector, max_rank: int | None = None,
     args = (field.spec_str(), _structure_tensor_codes(t, kern),
             [(e, kern.encode(c)) for e, c in pfaffian_cubic(t).terms.items()],
             max_rank)
-    return _ranked_runs(args, list(projective_runs(q, chunk)), threads)
+    return _ranked_runs(args, projective_runs(q, chunk), threads)
 
 
 def rank_locus_codes(t: Trivector, max_rank: int | None = None,

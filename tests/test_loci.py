@@ -1,4 +1,3 @@
-import collections
 import functools
 import hashlib
 import itertools
@@ -384,15 +383,30 @@ def _box_points(q, box):
     return np.array(rows, dtype=np.int64).reshape(-1, 9)
 
 
+def _block_layout(q, chunk, m):
+    """(free, width) of the runs of projective_runs(q, chunk) in a lead
+    block with m > 0 coordinates after its 1: they leave the last `free`
+    coordinates free, the most with q^free <= chunk and free < m, and cut
+    the digit before them into ranges of `width` values."""
+    free = max(f for f in range(m) if q ** f <= chunk)
+    return free, min(q, chunk // q ** free)
+
+
 def _random_run(data, q):
-    """Run k of projective_runs(q, chunk), or its last run if it has fewer,
-    for a drawn chunk and k <= 20,000.  It is read from the generator
-    without listing the runs (there are 48 million of chunk 1 over F_9);
-    where there are fewer, the draw reaches every lead block and e_9."""
+    """A run of projective_runs(q, chunk) for a drawn chunk, built by the
+    rule of _block_layout (test_projective_runs_tile_p8 checks the
+    generator against it): a drawn lead block or e_9, then drawn fixed
+    digits and digit range.  Every part of the layout can be drawn without
+    listing the runs (there are 48 million of chunk 1 over F_9)."""
     chunk = data.draw(st.sampled_from([1, 7, 100, 4096, 8192]))
-    k = data.draw(st.integers(0, 20_000))
-    return collections.deque(itertools.islice(projective_runs(q, chunk),
-                                              k + 1), maxlen=1)[0]
+    lead = data.draw(st.integers(0, 8))
+    if lead == 8:
+        return (0,) * 8, 1, 2
+    free, width = _block_layout(q, chunk, 8 - lead)
+    fixed = data.draw(st.lists(st.integers(0, q - 1), min_size=7 - lead - free,
+                               max_size=7 - lead - free))
+    lo = width * data.draw(st.integers(0, -(-q // width) - 1))
+    return (0,) * lead + (1,) + tuple(fixed), lo, min(q, lo + width)
 
 
 def _random_cubic(data, field, codes):
@@ -453,14 +467,11 @@ def test_box_eval_wide_primes(field, data):
 
 
 def _aligned_run_count(q, chunk):
-    """The number of runs of projective_runs(q, chunk): each lead block
-    with m > 0 coordinates after its 1 leaves the last f free, the most
-    with q^f <= chunk and f < m, and cuts the digit before them into
-    ranges of min(q, chunk // q^f) values."""
+    """The number of runs of projective_runs(q, chunk): the runs of each
+    lead block by _block_layout, and e_9."""
     count = 1                                   # e_9
     for m in range(1, 9):
-        free = max(f for f in range(m) if q ** f <= chunk)
-        width = min(q, chunk // q ** free)
+        free, width = _block_layout(q, chunk, m)
         count += q ** (m - 1 - free) * -(-q // width)
     return count
 
@@ -644,9 +655,19 @@ def test_scan_pool_is_capped_at_cpu_count(monkeypatch):
     t = build_gamma_c(CurveCoeffs(GF(3), {30: 1, 12: 2}))
     _, rep, codes, ranks = rank_locus_codes(t, max_rank=4)
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    for cpus, threads, size in ((3, 5000, 3), (None, 5000, None),
-                                (16, 4, 4), (16, 5000, 9)):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    # (affinity mask size or None where the OS has none, os.cpu_count(),
+    # threads, pool size or None for a serial scan); F_3 has 9 runs
+    for mask, cpus, threads, size in ((3, 64, 5000, 3), (1, 64, 5000, None),
+                                      (16, 64, 4, 4), (16, 64, 5000, 9),
+                                      (None, 3, 5000, 3),
+                                      (None, None, 5000, None)):
+        if mask is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=mask: set(range(n)),
+                                raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
         sizes.clear()
         _, rep_t, codes_t, ranks_t = rank_locus_codes(t, max_rank=4,
                                                       threads=threads)
