@@ -109,18 +109,19 @@ def cmd_gamma_act(args):
 def cmd_stability(args):
     from .stability import DEFAULT_SUBSPACE_BUDGET, destabilizer_search
     t = ser.trivector_from_json(_load(args.gamma))
-    verdict = destabilizer_search(
-        t, max_ext_degree=args.max_ext,
-        budget=args.budget or DEFAULT_SUBSPACE_BUDGET)
+    budget = DEFAULT_SUBSPACE_BUDGET if args.budget is None else args.budget
+    verdict = destabilizer_search(t, max_ext_degree=args.max_ext,
+                                  budget=budget)
     return verdict.to_json()
 
 
 def cmd_loci_count(args):
     from .loci import DEFAULT_POINT_BUDGET, enumerate_rank_locus
     t = _embed_to_q(ser.trivector_from_json(_load(args.gamma)), args.q)
+    budget = DEFAULT_POINT_BUDGET if args.budget is None else args.budget
     report, points = enumerate_rank_locus(
         t, max_rank=args.max_rank, with_points=args.points is not None,
-        budget=args.budget or DEFAULT_POINT_BUDGET, threads=args.threads)
+        budget=budget)
     out = report.to_json()
     if args.points is not None and args.max_rank is not None:
         f = t.field
@@ -185,8 +186,8 @@ def cmd_flags_search(args):
     from .flags import flag_search
     from .loci import DEFAULT_POINT_BUDGET
     t = _embed_to_q(ser.trivector_from_json(_load(args.gamma)), args.q)
-    rep = flag_search(t, max_ext_degree=args.max_ext,
-                      point_budget=args.budget or DEFAULT_POINT_BUDGET)
+    budget = DEFAULT_POINT_BUDGET if args.budget is None else args.budget
+    rep = flag_search(t, max_ext_degree=args.max_ext, point_budget=budget)
     return rep.to_json()
 
 
@@ -226,7 +227,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit2("%s: error: %s" % (self.prog, message))
 
 
-def _thread_count(text):
+def _positive_int(text):
     try:
         n = int(text)
     except ValueError:
@@ -243,12 +244,9 @@ def build_parser():
                     "their genus-2 curve data")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for any randomized sampling (default 0)")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_positive_int, default=None,
                    help="global cap on enumeration sizes (unused by "
                         "'loci cubic', which does not scan)")
-    p.add_argument("--threads", type=_thread_count, default=1,
-                   help="worker processes for the P^8 scan of "
-                        "'loci count'")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gamma", help="build and transform normal forms")

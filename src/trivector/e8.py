@@ -560,19 +560,6 @@ def _ad_codes(x: GradedE8Element, kern):
     return out
 
 
-def _coded_matmul(kern, a, b):
-    if kern.prime:
-        return (a.astype(np.int64) @ b.astype(np.int64)) % kern.prime
-    # table-based: expand through the additive structure of the field
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int16)
-    for k in range(a.shape[1]):
-        colk = a[:, k]
-        rowk = b[k, :]
-        prod = kern.mul(colk[:, None], rowk[None, :])
-        out = kern.add(out, prod)
-    return out
-
-
 def _ad_cube_deg1_block(kern, ad):
     """The deg1 -> deg1 block of (ad x)^3 for x of pure degree 1, from the
     coded ad x: it runs deg1 -> deg2 -> deg0 -> deg1, so it is the product
@@ -580,8 +567,7 @@ def _ad_cube_deg1_block(kern, ad):
     to1_from0 = ad[80:164, :80]
     to0_from2 = ad[:80, 164:]
     to2_from1 = ad[164:, 80:164]
-    return _coded_matmul(kern, _coded_matmul(kern, to1_from0, to0_from2),
-                         to2_from1)
+    return kern.matmul(kern.matmul(to1_from0, to0_from2), to2_from1)
 
 
 def _check_char3_field(field, what):
@@ -603,7 +589,7 @@ def restricted_power(t: Trivector, e: int = 3) -> Matrix:
         raise ValueError("supported exponents: 3, 9, 27")
     kern = field_kernel(field)
     ad = _ad_codes(GradedE8Element(field, deg1=t), kern)
-    block = _ad_cube_deg1_block(kern, ad).astype(np.int16)
+    block = _ad_cube_deg1_block(kern, ad)
     a3 = _solve_deg0_from_action(field, block)
     if e == 3:
         return a3

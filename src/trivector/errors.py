@@ -34,9 +34,6 @@ class BudgetExceeded(TrivectorError):
         super().__init__(msg)
         self.count = count
 
-    def __reduce__(self):       # keep the count across a worker process
-        return type(self), (str(self), self.count)
-
 
 class WeilViolation(TrivectorError):
     pass

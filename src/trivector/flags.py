@@ -219,17 +219,9 @@ def _line_codes(field: Field):
     return np.array(rows, dtype=code_dtype(field.order))
 
 
-def _matmul(kern, a, b):
-    """Coded (..., r, k) @ (..., k, c)."""
-    acc = kern.mul(a[..., :, 0, None], b[..., None, 0, :])
-    for j in range(1, a.shape[-1]):
-        acc = kern.add(acc, kern.mul(a[..., :, j, None], b[..., None, j, :]))
-    return acc
-
-
 def _vanishes(kern, a, b):
     """Whether the coded product a @ b is zero, per stacked matrix."""
-    return ~_matmul(kern, a, b).any(axis=(1, 2))
+    return ~kern.matmul(a, b).any(axis=(1, 2))
 
 
 def _span_stack(kern, v, span):
@@ -275,7 +267,7 @@ def _coded_flag_candidates(t: Trivector, kern, points):
         ranks, _, red = kern.batched_rref(m)
         pidx = np.repeat(np.nonzero(ranks == 4)[0], n_lines)
         lidx = np.tile(np.arange(n_lines), len(pidx) // n_lines)
-        u = _matmul(kern, lines[lidx, None, :], red[pidx, :4, :])[:, 0]
+        u = kern.matmul(lines[lidx, None, :], red[pidx, :4, :])[:, 0]
         mflat = m.reshape(-1, 81)[pidx]
         v1 = kern.sub(kern.mul(u[:, upos[:, 0]], mflat[:, ment[:, 0]]),
                       kern.mul(u[:, upos[:, 1]], mflat[:, ment[:, 1]]))
@@ -298,14 +290,14 @@ def _coded_flag_candidates(t: Trivector, kern, points):
         ok &= _vanishes(kern, a6, f3.transpose(0, 2, 1))
         ok &= _vanishes(kern, x[pidx][:, None, :], f6.transpose(0, 2, 1))
         # t(A_8, A_1, A_3) = A_1 phi(x) A_3^T
-        ok &= _vanishes(kern, a1, _matmul(kern, m[pidx], a3t))
+        ok &= _vanishes(kern, a1, kern.matmul(m[pidx], a3t))
         # t(A_6, A_6, A_1) and t(A_6, A_3, A_3)
         for a, b in ((0, 1), (0, 2), (1, 2)):
             w = kern.double_contract(a6[:, a], a6[:, b], tensor)
             ok &= _vanishes(kern, a1, w[:, :, None])
         for a in range(3):
             ma = kern.build_skew(a6[:, a], tensor)
-            ok &= _vanishes(kern, a3, _matmul(kern, ma, a3t))
+            ok &= _vanishes(kern, a3, kern.matmul(ma, a3t))
         for n in np.nonzero(ok)[0]:
             yield start + pidx[n], u[n], f3[n], f6[n]
 

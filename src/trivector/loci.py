@@ -11,11 +11,8 @@ rank 6, and only the singular points of C go through elimination."""
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
-from collections import deque
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +20,7 @@ import numpy as np
 from .errors import (BudgetExceeded, CertificateFailure,
                      DegenerateConfiguration, Disagreement, KernelDimNotOne,
                      SingularCurve, WeilViolation)
-from .fields import Field, parse_field
+from .fields import Field
 from .linalg import Matrix, pfaffian, rank_and_kernel
 from .polys import MultiPoly, Poly, embed_map, extension_of, roots_in_field
 from .scan import (field_kernel, projective_count, projective_run,
@@ -103,11 +100,11 @@ def pfaffian_cubic(t: Trivector) -> MultiPoly:
 
 
 class _RunScanner:
-    """The chunk worker of the P^8 scan: the ranks of one run of canonical
+    """The run scanner of the P^8 scan: the ranks of one run of canonical
     points, a product box (head, lo, hi) of scan.projective_runs.
 
-    Built once per scan and process, so the nine partials of the Pfaffian
-    cubic C are decoded, and the power table of the field built, once.
+    Built once per scan, so the nine partials of the Pfaffian cubic C are
+    decoded, and the power table of the field built, once.
     The sieve has two stages:
 
     - C(x) != 0: rank 8 (see pfaffian_cubic).  C is evaluated on the
@@ -128,8 +125,8 @@ class _RunScanner:
     their ranks, in lexicographic order, and the rank histogram (length 9)
     of the whole run."""
 
-    def __init__(self, spec, tensor, cubic_codes, max_rank):
-        self.kern = field_kernel(parse_field(spec))
+    def __init__(self, kern, tensor, cubic_codes, max_rank):
+        self.kern = kern
         self.tensor = tensor
         self.cubic_codes = cubic_codes
         cubic = MultiPoly(self.kern.field, 9,
@@ -163,60 +160,9 @@ class _RunScanner:
         return pts[keep], ranks[keep], hist
 
 
-_worker_scanner = None
-
-
-def _init_worker(*args):
-    global _worker_scanner
-    _worker_scanner = _RunScanner(*args)
-
-
-def _scan_run_in_worker(run):
-    return _worker_scanner(run)
-
-
-def _cpu_count():
-    """The CPUs this process may run on: its affinity mask where the OS has
-    one (a container's cpuset), else os.cpu_count()."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _ranked_runs(args, runs, threads):
-    """The one driver: the chunk worker mapped over the runs in order, in
-    this process or on a pool of at most one process per run and per CPU.
-
-    The pool is fed at most two runs per process ahead of the consumer.  On
-    the way out, also when the consumer stops early, it finishes those runs
-    and is closed and joined.  It is never terminated with runs still being
-    fed: Pool.terminate can then deadlock, its task handler blocked on the
-    task queue (seen within a few hundred early-stopped scans on 2 CPUs)."""
-    runs = iter(runs)
-    head = list(itertools.islice(runs, max(0, min(threads, _cpu_count()))))
-    processes = len(head)
-    runs = itertools.chain(head, runs)
-    if processes <= 1:
-        yield from map(_RunScanner(*args), runs)
-        return
-    import multiprocessing as mp
-    with mp.Pool(processes, _init_worker, args) as pool:
-        pending = deque()
-        try:
-            for run in runs:
-                pending.append(pool.apply_async(_scan_run_in_worker, (run,)))
-                if len(pending) > 2 * processes:
-                    yield pending.popleft().get()
-            while pending:
-                yield pending.popleft().get()
-        finally:
-            pool.close()
-            pool.join()
-
-
 def iter_rank_locus(t: Trivector, max_rank: int | None = None,
                     chunk: int = DEFAULT_SCAN_CHUNK,
-                    budget: int = DEFAULT_POINT_BUDGET, threads: int = 1):
+                    budget: int = DEFAULT_POINT_BUDGET):
     """Streaming scan of P^8 over t's finite field: yields (codes, ranks,
     hist) for contiguous runs of at most `chunk` canonical points, in
     lexicographic order, each run one product box (scan.projective_runs).
@@ -224,10 +170,8 @@ def iter_rank_locus(t: Trivector, max_rank: int | None = None,
     max_rank is None) and hist the rank histogram (length 9) of all its
     points.
 
-    The chunk, field and budget checks run before any point is scanned.
-    Runs are scanned in this process, or with threads > 1 in a pool that
-    exists while the generator runs; either way the output is the same.  A
-    consumer may stop early: closing the generator ends the pool."""
+    The chunk, field and budget checks run before any point is scanned;
+    the runs are scanned in this process as the consumer asks for them."""
     if chunk < 1:
         raise ValueError("scan chunk must be at least 1 point, got %d"
                          % chunk)
@@ -240,10 +184,11 @@ def iter_rank_locus(t: Trivector, max_rank: int | None = None,
         raise BudgetExceeded("P^8(F_%d) has %d points (budget %d)"
                              % (q, total, budget), count=total)
     kern = field_kernel(field)
-    args = (field.spec_str(), _structure_tensor_codes(t, kern),
-            [(e, kern.encode(c)) for e, c in pfaffian_cubic(t).terms.items()],
-            max_rank)
-    return _ranked_runs(args, projective_runs(q, chunk), threads)
+    scanner = _RunScanner(
+        kern, _structure_tensor_codes(t, kern),
+        [(e, kern.encode(c)) for e, c in pfaffian_cubic(t).terms.items()],
+        max_rank)
+    return map(scanner, projective_runs(q, chunk))
 
 
 def rank_locus_codes(t: Trivector, max_rank: int | None = None,
@@ -253,26 +198,21 @@ def rank_locus_codes(t: Trivector, max_rank: int | None = None,
     """Scan engine: returns (kern, report, codes, ranks) where codes/ranks
     hold the canonical representatives with rank <= max_rank.
 
-    The collecting consumer of iter_rank_locus: the runs arrive in
-    lexicographic order whatever the thread count, and the point cap is
-    checked on the running total, so the result and any BudgetExceeded do
-    not depend on the thread count.  The generator is closed on the way
-    out, so a pool ends with the scan even when the cap is exceeded, not
-    whenever the garbage collector finalizes the generator."""
+    The collecting consumer of iter_rank_locus: the point cap is checked on
+    the running total of the runs in lexicographic order.  `threads` is
+    ignored; the scan always runs in this process."""
     t0 = time.perf_counter()
     hist = np.zeros(9, dtype=np.int64)
     kept_codes, kept_ranks = [], []
     kept = 0
-    with closing(iter_rank_locus(t, max_rank, budget=budget,
-                                 threads=threads)) as runs:
-        for codes, ranks, run_hist in runs:
-            hist += run_hist
-            kept += codes.shape[0]
-            if kept > point_cap:
-                raise BudgetExceeded("rank-locus point list exceeds cap %d"
-                                     % point_cap, count=kept)
-            kept_codes.append(codes)
-            kept_ranks.append(ranks)
+    for codes, ranks, run_hist in iter_rank_locus(t, max_rank, budget=budget):
+        hist += run_hist
+        kept += codes.shape[0]
+        if kept > point_cap:
+            raise BudgetExceeded("rank-locus point list exceeds cap %d"
+                                 % point_cap, count=kept)
+        kept_codes.append(codes)
+        kept_ranks.append(ranks)
     kern = field_kernel(t.field)
     counts = {r: int(n) for r, n in enumerate(hist) if n or r % 2 == 0}
     report = RankLocusReport(kern.q, counts, time.perf_counter() - t0)
@@ -288,14 +228,13 @@ def rank_locus_codes(t: Trivector, max_rank: int | None = None,
 def enumerate_rank_locus(t: Trivector, max_rank: int | None = None,
                          with_points: bool = False,
                          budget: int = DEFAULT_POINT_BUDGET,
-                         point_cap: int = DEFAULT_POINT_CAP,
-                         threads: int = 1) -> tuple:
+                         point_cap: int = DEFAULT_POINT_CAP) -> tuple:
     """Exact rank stratification of the pencil over P^8 of t's base field.
 
     Returns (report, points) where points lists (coords, rank) for canonical
     representatives with rank <= max_rank (empty unless requested)."""
     kern, report, codes, ranks = rank_locus_codes(
-        t, max_rank if with_points else None, budget, point_cap, threads)
+        t, max_rank if with_points else None, budget, point_cap)
     points = []
     if with_points and max_rank is not None:
         for row, r in zip(codes, ranks):

@@ -141,6 +141,19 @@ class FieldKernel:
         return self.field.from_int(int(code))
 
     # batched structure -----------------------------------------------------
+    def matmul(self, a, b):
+        """Coded (..., r, k) @ (..., k, c) in the kernel's dtype: prime
+        fields multiply in int64 and reduce once, table fields accumulate
+        one column-by-row product of codes per k."""
+        if self.prime:
+            prod = np.matmul(a.astype(np.int64), b.astype(np.int64))
+            return (prod % self.prime).astype(self.dtype)
+        acc = self.mul(a[..., :, 0, None], b[..., None, 0, :])
+        for j in range(1, a.shape[-1]):
+            acc = self.add(acc, self.mul(a[..., :, j, None],
+                                         b[..., None, j, :]))
+        return acc
+
     def build_skew(self, points, tensor):
         """points: (N, 9) codes; tensor: (9, 9, 9) codes with
         M[a,b] = sum_k tensor[a,b,k] * x_k; returns (N, 9, 9) codes in the
@@ -244,13 +257,7 @@ class FieldKernel:
         phi(x) = build_skew(x, tensor): the double contraction of the
         trivector by alpha and beta, up to sign, as (N, 9) codes."""
         mats = self.build_skew(alpha, tensor)
-        if self.prime:
-            prod = mats.astype(np.int64) * beta.astype(np.int64)[:, None, :]
-            return prod.sum(axis=2) % self.prime
-        acc = np.zeros(alpha.shape, dtype=np.int16)
-        for j in range(9):
-            acc = self.add(acc, self.mul(mats[:, :, j], beta[:, j, None]))
-        return acc
+        return self.matmul(mats, beta[:, :, None])[:, :, 0]
 
     def rref(self, mat):
         """Exact reduced row echelon form of a single coded matrix;

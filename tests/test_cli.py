@@ -136,8 +136,7 @@ def test_selftest_single_criterion(capsys):
 
 
 def test_selftest_c1_parallel_family_scan(capsys):
-    code, rep = run_cli(capsys, "--threads", "2", "selftest", "--criteria",
-                        "C1")
+    code, rep = run_cli(capsys, "selftest", "--criteria", "C1")
     assert code == 0
     assert rep["verdict"]["all_pass"] is True
     assert "788035 subspaces" in rep["verdict"]["criteria"][0]["detail"]
@@ -201,23 +200,30 @@ def test_flags_check_cli(tmp_path, capsys):
 
 
 def test_usage_errors_exit_1(capsys):
-    # --threads is a top-level option: after the subcommand it is a usage
-    # error, which exits 1 (2 is reserved for a Disagreement)
-    code = main(["selftest", "--criteria", "C11", "--threads", "2"])
+    # the P^8 scan has no worker option: --threads is a usage error, which
+    # exits 1 (2 is reserved for a Disagreement) with one line, before the
+    # gamma file is read
+    code = main(["loci", "count", "--gamma", "absent.json", "--threads", "2"])
     err = capsys.readouterr().err
     assert code == 1
     assert "unrecognized arguments: --threads 2" in err
+    assert len(err.strip().splitlines()) == 1
+    assert main(["--threads", "2", "loci", "count", "--gamma",
+                 "absent.json"]) == 1
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert main(["flags"]) == 1
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("threads", ["0", "-3", "two"])
-def test_threads_below_one_rejected_at_parse_time(threads, capsys):
+@pytest.mark.parametrize("budget", ["0", "-3", "two"])
+def test_budget_below_one_rejected_at_parse_time(budget, capsys):
     # the gamma file does not exist: parsing fails before anything runs
-    code = main(["--threads", threads, "stability", "--gamma", "absent.json"])
+    code = main(["--budget", budget, "loci", "count", "--gamma",
+                 "absent.json"])
     err = capsys.readouterr().err
     assert code == 1
-    assert "argument --threads" in err and "absent.json" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert "argument --budget" in err and "absent.json" not in err
 
 
 BAD_INPUTS = Path(__file__).parent / "fixtures" / "bad_inputs"

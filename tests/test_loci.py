@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import multiprocessing
 import operator
-import os
 import random
 
 import numpy as np
@@ -41,18 +40,11 @@ def test_zero_trivector_all_rank_zero():
 def test_rank_locus_respects_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_rank_locus(gamma0(GF(2)), budget=100)
-    # the point cap is checked on the running total of the runs in order,
-    # so every thread count stops at the same run with the same count
+    # the point cap is checked on the running total of the runs in order
     t = build_gamma_c(CurveCoeffs(GF(2), {15: 1}))
-    raised = []
-    for threads in (1, 2, 3, 4):
-        with pytest.raises(BudgetExceeded) as info:
-            rank_locus_codes(t, max_rank=6, point_cap=10, threads=threads)
-        assert info.value.count > 10
-        raised.append((str(info.value), info.value.count))
-        # the pool ends with the scan, not when the traceback is collected
-        assert not multiprocessing.active_children()
-    assert len(set(raised)) == 1
+    with pytest.raises(BudgetExceeded) as info:
+        rank_locus_codes(t, max_rank=6, point_cap=10)
+    assert info.value.count > 10
 
 
 def test_report_counts_total_and_scan_matches_phi():
@@ -570,31 +562,24 @@ def test_closed_form_cubic_matches_interpolation():
 
 
 # ---------------------------------------------------------------------------
-# the streaming scan: one driver for every thread count and chunk size
+# the streaming scan: the same result for every chunk size
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2)], ids=repr)
 @settings(max_examples=4, deadline=None)
 @given(data=st.data())
 def test_scan_threads_match_serial(field, data):
+    # rank_locus_codes accepts threads and ignores it: the scan stays in
+    # this process and gives the serial result
     t = _trivector(field, data.draw(_random_trivector(field.order)))
     max_rank = data.draw(st.sampled_from([None, 4, 6]))
     _, rep, codes, ranks = rank_locus_codes(t, max_rank=max_rank)
-    for threads in (2, 3, 4):
-        _, rep_t, codes_t, ranks_t = rank_locus_codes(t, max_rank=max_rank,
-                                                      threads=threads)
-        assert rep_t.counts == rep.counts
-        assert codes_t.dtype == codes.dtype
-        assert np.array_equal(codes_t, codes)
-        assert np.array_equal(ranks_t, ranks)
-
-
-def test_parallel_scan_deterministic():
-    f2 = GF(2)
-    t = build_gamma_c(CurveCoeffs(f2, {15: 1}))
-    k1, r1, c1, rk1 = rank_locus_codes(t, max_rank=4)
-    k2, r2, c2, rk2 = rank_locus_codes(t, max_rank=4, threads=3)
-    assert r1.counts == r2.counts
-    assert np.array_equal(c1, c2) and np.array_equal(rk1, rk2)
+    _, rep_t, codes_t, ranks_t = rank_locus_codes(t, max_rank=max_rank,
+                                                  threads=2)
+    assert not multiprocessing.active_children()
+    assert rep_t.counts == rep.counts
+    assert codes_t.dtype == codes.dtype
+    assert np.array_equal(codes_t, codes)
+    assert np.array_equal(ranks_t, ranks)
 
 
 def _concatenated(runs):
@@ -609,72 +594,14 @@ def test_iter_rank_locus_chunks_concatenate_to_one_scan():
     _, rep, codes, ranks = rank_locus_codes(t, max_rank=6)
     hist = [rep.counts.get(r, 0) for r in range(9)]
     total = projective_count(3)
-    for chunk, threads in ((7, 1), (100, 1), (100, 3), (4096, 1),
-                           (4096, 2), (None, 1)):
+    for chunk in (7, 100, 4096, None):
         kwargs = {} if chunk is None else {"chunk": chunk}
-        c, r, h, n = _concatenated(iter_rank_locus(t, 6, threads=threads,
-                                                   **kwargs))
+        c, r, h, n = _concatenated(iter_rank_locus(t, 6, **kwargs))
         assert np.array_equal(c, codes) and np.array_equal(r, ranks)
         assert h.tolist() == hist
         if chunk is not None:
             assert n == _aligned_run_count(3, chunk)
     assert sum(hist) == total
-
-
-def test_scan_pool_is_capped_at_cpu_count(monkeypatch):
-    # a fake pool records its size and maps the runs in this process
-    sizes = []
-
-    class FakePool:
-        def __init__(self, processes, initializer, initargs):
-            sizes.append(processes)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def apply_async(self, fn, args):
-            return Done(fn(*args))
-
-        def close(self):
-            pass
-
-        def join(self):
-            pass
-
-    class Done:
-        def __init__(self, value):
-            self.value = value
-
-        def get(self):
-            return self.value
-
-    t = build_gamma_c(CurveCoeffs(GF(3), {30: 1, 12: 2}))
-    _, rep, codes, ranks = rank_locus_codes(t, max_rank=4)
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    # (affinity mask size or None where the OS has none, os.cpu_count(),
-    # threads, pool size or None for a serial scan); F_3 has 9 runs
-    for mask, cpus, threads, size in ((3, 64, 5000, 3), (1, 64, 5000, None),
-                                      (16, 64, 4, 4), (16, 64, 5000, 9),
-                                      (None, 3, 5000, 3),
-                                      (None, None, 5000, None)):
-        if mask is None:
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        else:
-            monkeypatch.setattr(os, "sched_getaffinity",
-                                lambda pid, n=mask: set(range(n)),
-                                raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
-        sizes.clear()
-        _, rep_t, codes_t, ranks_t = rank_locus_codes(t, max_rank=4,
-                                                      threads=threads)
-        assert sizes == ([] if size is None else [size])
-        assert rep_t.counts == rep.counts
-        assert np.array_equal(codes_t, codes)
-        assert np.array_equal(ranks_t, ranks)
 
 
 def test_f5_scan_matches_pinned_outputs():

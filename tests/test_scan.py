@@ -67,6 +67,36 @@ def test_coded_ops_equal_object_ops(field, data):
     assert kern.mul(a, b).tolist() == [field.to_int(x * y) for x, y in zip(ea, eb)]
 
 
+@pytest.mark.parametrize("field", [GF(3), GF(7), GF(2, 2), GF(3, 2),
+                                   GF(257)], ids=repr)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_coded_matmul_equals_object_product(field, data):
+    # GF(257) takes the widened prime path: (p - 1)^2 overflows int16
+    kern = field_kernel(field)
+    stack = data.draw(st.sampled_from([(), (1,), (3,)]))
+    r, k, c = (data.draw(st.integers(1, 5)) for _ in range(3))
+
+    def draw(shape):
+        n = int(np.prod(shape))
+        values = data.draw(st.lists(st.integers(0, field.order - 1),
+                                    min_size=n, max_size=n))
+        return np.array(values, dtype=kern.dtype).reshape(shape)
+
+    a, b = draw(stack + (r, k)), draw(stack + (k, c))
+    prod = kern.matmul(a, b)
+    assert prod.dtype == kern.dtype and prod.shape == stack + (r, c)
+
+    def obj(m):
+        return Matrix(field, [[field.from_int(int(v)) for v in row]
+                              for row in m])
+
+    for i in np.ndindex(*stack):
+        want = obj(a[i]) * obj(b[i])
+        assert prod[i].tolist() == [[field.to_int(x) for x in row]
+                                    for row in want.rows]
+
+
 def _skew_of_rank(field, rank, lower, upper):
     """G^T J G for the rank-`rank` standard symplectic J and the invertible
     G = L U (unit lower L, upper U with nonzero diagonal from `upper`)."""
