@@ -12,7 +12,7 @@ from .trivector import (CurveCoeffs, ProjPoint, Trivector, build_gamma_c,
                         standard_cartan_element, weighted_torus_act)
 from .heisenberg import heisenberg_invariants
 from .stability import (curve_is_smooth, destabilizer_search,
-                        singular_point_search, stability_verdict_gamma_c)
+                        stability_verdict_gamma_c)
 from .loci import (cubic_of_Y, curve_point_counts, enumerate_rank_locus,
                    interpolate_cubic, jacobian_order_from_counts,
                    pfaffian_cubic, reconstruct_from_pencil,
@@ -27,7 +27,7 @@ __all__ = [
     "build_gamma_c", "gamma0", "gl_act", "permuted_gamma_c", "phi_at",
     "phi_pencil", "standard_cartan_element", "weighted_torus_act",
     "heisenberg_invariants", "curve_is_smooth", "destabilizer_search",
-    "singular_point_search", "stability_verdict_gamma_c", "cubic_of_Y",
+    "stability_verdict_gamma_c", "cubic_of_Y",
     "interpolate_cubic", "pfaffian_cubic", "curve_point_counts",
     "enumerate_rank_locus",
     "jacobian_order_from_counts", "reconstruct_from_pencil",

@@ -237,16 +237,33 @@ def _positive_int(text):
     return n
 
 
-def build_parser():
-    p = _Parser(
-        prog="trivec",
-        description="exact computations with trivectors in 9 variables and "
-                    "their genus-2 curve data")
+def _global_options(p):
     p.add_argument("--seed", type=int, default=0,
                    help="seed for any randomized sampling (default 0)")
     p.add_argument("--budget", type=_positive_int, default=None,
                    help="global cap on enumeration sizes (unused by "
                         "'loci cubic', which does not scan)")
+    return p
+
+
+def _unknown_leading_options(argv):
+    """The options before the subcommand that trivec does not know.
+    argparse reads the value of such an option as the subcommand and
+    reports "invalid choice: '2'" for `--threads 2 loci ...`; a parse
+    error names these options instead."""
+    lead = _global_options(_Parser(prog="trivec", add_help=False))
+    lead.add_argument("rest", nargs=argparse.REMAINDER)
+    try:
+        return lead.parse_known_args(argv)[1]
+    except SystemExit2:
+        return []
+
+
+def build_parser():
+    p = _global_options(_Parser(
+        prog="trivec",
+        description="exact computations with trivectors in 9 variables and "
+                    "their genus-2 curve data"))
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gamma", help="build and transform normal forms")
@@ -333,6 +350,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
     except SystemExit2 as exc:
+        unknown = _unknown_leading_options(
+            sys.argv[1:] if argv is None else argv)
+        if unknown:
+            exc = "trivec: error: unrecognized arguments: %s" % " ".join(unknown)
         print(str(exc), file=sys.stderr)
         return 1
     t0 = time.perf_counter()

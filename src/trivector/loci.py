@@ -64,18 +64,16 @@ class RankLocusReport:
 
 
 def _structure_tensor_codes(t: Trivector, kern):
+    """codes[a, b, v] is the code of the coefficient of x_v in entry (a, b)
+    of the pencil.  The triples of t are strictly sorted, so each one owns
+    its six slots (the orderings of two of its indices, the third as v) and
+    no slot is written twice."""
     codes = np.zeros((9, 9, 9), dtype=kern.dtype)
-
-    def add(a, b, k, el):
-        codes[a - 1, b - 1, k - 1] = kern.encode(
-            kern.decode(codes[a - 1, b - 1, k - 1]) + el)
-        codes[b - 1, a - 1, k - 1] = kern.encode(
-            kern.decode(codes[b - 1, a - 1, k - 1]) + (-el))
-
     for (i, j, k), c in t.coeffs.items():
-        add(j, k, i, c)
-        add(i, k, j, -c)
-        add(i, j, k, c)
+        pos, neg = kern.encode(c), kern.encode(-c)
+        for a, b, v in ((j, k, i), (k, i, j), (i, j, k)):
+            codes[a - 1, b - 1, v - 1] = pos
+            codes[b - 1, a - 1, v - 1] = neg
     return codes
 
 
@@ -270,7 +268,7 @@ def _box_eval(kern, terms, box, powers):
     most len(powers) - 1 in each variable, on every point of a box (head,
     lo, hi), a run of scan.projective_runs, in the box's order.
 
-    The head coordinates are substituted with scalar ops.  The rest is
+    The head coordinates are plugged in with scalar ops.  The rest is
     evaluated one variable at a time: split by the exponent k of the first
     free variable, evaluate each part G_k on the remaining grid, and
     combine sum_k v^k G_k for all values v at once, so a point costs a few
@@ -508,9 +506,7 @@ def curve_point_counts(c: CurveCoeffs, degrees,
     for d in degrees:
         ext = extension_of(base, d)
         emb = embed_map(base, ext)
-        ce = c.map_coeffs(ext, emb)
-        az = Poly(ext, [ce[15], ce[9], ce[3]])
-        bz = Poly(ext, [ce[30], ce[24], ce[18], ce[12], ce[6], ext.one])
+        az, bz = c.map_coeffs(ext, emb).xz_parts()
         n = 1
         for z in ext.elements():
             n += _quadratic_root_count(ext, az(z), bz(z))
@@ -521,8 +517,7 @@ def curve_point_counts(c: CurveCoeffs, degrees,
 def curve_affine_points(c: CurveCoeffs):
     """All affine points (x, z) over the base field."""
     field = c.field
-    az = Poly(field, [c[15], c[9], c[3]])
-    bz = Poly(field, [c[30], c[24], c[18], c[12], c[6], field.one])
+    az, bz = c.xz_parts()
     pts = []
     for z in field.elements():
         quad = Poly(field, [bz(z), az(z), field.one])

@@ -6,9 +6,9 @@ the multivariate type maps exponent tuples to nonzero coefficients.
 
 from __future__ import annotations
 
-import math
 import random
 
+from .errors import UnsupportedField
 from .fields import GF, Field, PrimeField, ExtensionField, RationalField
 
 __all__ = ["Poly", "MultiPoly", "extension_of", "embed_map", "roots_in_field"]
@@ -144,25 +144,6 @@ class Poly:
                           for i, c in enumerate(self.coeffs) if not c.is_zero())
 
 
-def resultant(f: Poly, g: Poly):
-    """Resultant of two univariate polynomials over a field."""
-    field = f.field
-    if f.is_zero() or g.is_zero():
-        return field.zero
-    if f.deg == 0:
-        return f.coeffs[0] ** g.deg
-    if g.deg == 0:
-        return g.coeffs[0] ** f.deg
-    if f.deg < g.deg:
-        sign = field.el(-1) ** (f.deg * g.deg)
-        return sign * resultant(g, f)
-    r = f % g
-    if r.is_zero():
-        return field.zero
-    sign = field.el(-1) ** (f.deg * g.deg)
-    return sign * g.lc() ** (f.deg - r.deg) * resultant(g, r)
-
-
 def _frobenius_image(f: Poly, q: int) -> Poly:
     """x^q mod f, by square and multiply."""
     return Poly.x(f.field).powmod(q, f)
@@ -171,12 +152,12 @@ def _frobenius_image(f: Poly, q: int) -> Poly:
 def roots_in_field(f: Poly, rng=None):
     """All roots of f in its coefficient field, each listed once."""
     field = f.field
+    if isinstance(field, RationalField):
+        raise UnsupportedField("roots_in_field needs a finite field")
     if f.is_zero():
         raise ValueError("zero polynomial has every root")
     if f.deg == 0:
         return []
-    if isinstance(field, RationalField):
-        return _rational_roots(f)
     q = field.order
     # product of linear factors
     xq = _frobenius_image(f, q)
@@ -217,44 +198,6 @@ def _split_linear(g: Poly, rng, out):
             _split_linear(d, rng, out)
             _split_linear(g // d, rng, out)
             return
-
-
-def _rational_roots(f: Poly):
-    """Rational roots via the rational root theorem on the cleared form."""
-    from fractions import Fraction
-    dens = [c.val.denominator for c in f.coeffs]
-    lcm = math.lcm(*dens)
-    ints = [int(c.val * lcm) for c in f.coeffs]
-    while ints and ints[0] == 0:
-        ints.pop(0)  # factor out x
-    roots = set()
-    if len(ints) < len(f.coeffs):
-        roots.add(f.field.zero)
-    if not ints:
-        return sorted(roots, key=lambda a: (a.val.numerator, a.val.denominator))
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for p in _divisors(a0):
-        for qd in _divisors(an):
-            for s in (1, -1):
-                cand = f.field.el(Fraction(s * p, qd))
-                if f(cand).is_zero():
-                    roots.add(cand)
-    return sorted(roots, key=lambda a: (a.val.numerator, a.val.denominator))
-
-
-def _divisors(n):
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def extension_of(field: Field, d: int) -> Field:
@@ -418,28 +361,6 @@ class MultiPoly:
         return MultiPoly(target_field, self.nvars,
                          {e: fn(c) for e, c in self.terms.items()})
 
-    def as_univariate(self, i) -> Poly:
-        """View as univariate in variable i (all other exponents must be 0)."""
-        coeffs = {}
-        for e, c in self.terms.items():
-            if any(e[j] for j in range(self.nvars) if j != i):
-                raise ValueError("polynomial is not univariate in variable %d" % i)
-            coeffs[e[i]] = c
-        n = max(coeffs, default=-1) + 1
-        return Poly(self.field, [coeffs.get(d, self.field.zero) for d in range(n)])
-
-    def substitute(self, i, value):
-        """Plug a field element into variable i (result keeps nvars, exp 0)."""
-        out = MultiPoly(self.field, self.nvars)
-        for e, c in self.terms.items():
-            t = c
-            for _ in range(e[i]):
-                t = t * value
-            e2 = list(e)
-            e2[i] = 0
-            out = out + MultiPoly(self.field, self.nvars, {tuple(e2): t})
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -448,64 +369,3 @@ class MultiPoly:
             mono = "*".join("x%d^%d" % (i, k) for i, k in enumerate(e) if k)
             parts.append("(%r)%s" % (self.terms[e], "*" + mono if mono else ""))
         return " + ".join(parts)
-
-
-def bivariate_resultant(f: MultiPoly, g: MultiPoly, elim: int) -> Poly:
-    """Resultant of two 2-variable polynomials with respect to variable `elim`;
-    the output is univariate in the other variable."""
-    keep = 1 - elim
-    field = f.field
-
-    def rows(mp):
-        # coefficients of elim^d as univariate polys in the kept variable
-        byd = {}
-        for e, c in mp.terms.items():
-            byd.setdefault(e[elim], {})[e[keep]] = c
-        deg = max(byd, default=-1)
-        out = []
-        for d in range(deg + 1):
-            cs = byd.get(d, {})
-            n = max(cs, default=-1) + 1
-            out.append(Poly(field, [cs.get(j, field.zero) for j in range(n)]))
-        return out
-
-    fc, gc = rows(f), rows(g)
-    m, n = len(fc) - 1, len(gc) - 1
-    if m < 0 or n < 0:
-        return Poly(field, [])
-    if m == 0:
-        return _poly_pow(fc[0], n)
-    if n == 0:
-        return _poly_pow(gc[0], m)
-    size = m + n
-    zero = Poly(field, [])
-    syl = [[zero] * size for _ in range(size)]
-    for i in range(n):
-        for j, c in enumerate(reversed(fc)):
-            syl[i][i + j] = c
-    for i in range(m):
-        for j, c in enumerate(reversed(gc)):
-            syl[n + i][i + j] = c
-    return _poly_det(syl, zero)
-
-
-def _poly_pow(p: Poly, n: int) -> Poly:
-    out = Poly(p.field, [p.field.one])
-    for _ in range(n):
-        out = out * p
-    return out
-
-
-def _poly_det(mat, zero):
-    """Determinant by cofactor expansion; entries are polynomials (small sizes)."""
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    acc = zero
-    for j in range(n):
-        if mat[0][j].is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in mat[1:]]
-        term = mat[0][j] * _poly_det(minor, zero)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BudgetExceeded, Disagreement, UnsupportedField
 from .fields import GF, Field, RationalField
 from .linalg import Matrix, kernel_matrix
-from .polys import Poly, embed_map, extension_of, element_degree
+from .polys import embed_map, extension_of, element_degree
 from .scan import field_kernel
 from .trivector import (CURVE_DEGREES, GAMMA_BASE_TERMS, GAMMA_C_TERMS,
                         CurveCoeffs, Trivector, build_gamma_c, gl_act,
@@ -30,7 +30,7 @@ from .trivector import (CURVE_DEGREES, GAMMA_BASE_TERMS, GAMMA_C_TERMS,
 
 __all__ = [
     "StabilityVerdict", "destabilizer_search", "witness_verify",
-    "curve_is_smooth", "singular_point_search", "stability_verdict_gamma_c",
+    "curve_is_smooth", "singular_points_of_curve", "stability_verdict_gamma_c",
     "gamma_family_scan_f2", "gaussian_binomial", "pivot_patterns",
     "echelon_matrices", "double_contract", "destabilizes",
     "rational_stability_report", "DEFAULT_SUBSPACE_BUDGET",
@@ -314,21 +314,13 @@ def destabilizer_search(t: Trivector, max_ext_degree: int = 1,
 # ---------------------------------------------------------------------------
 # curve smoothness (exact, gcd-based; complete over the algebraic closure)
 
-def _curve_xz_parts(c: CurveCoeffs):
-    """F = x^2 + A(z) x + B(z); returns (A, B) as univariate polys in z."""
-    f = c.field
-    a = Poly(f, [c[15], c[9], c[3]])
-    b = Poly(f, [c[30], c[24], c[18], c[12], c[6], f.one])
-    return a, b
-
-
 def curve_is_smooth(c: CurveCoeffs) -> bool:
     """Whether the affine normal-form curve is smooth over the algebraic
     closure.  The gcd formulation is complete, so no extension bound enters.
     The point at infinity of the normal form is smooth by convention.
     """
     f = c.field
-    a, b = _curve_xz_parts(c)
+    a, b = c.xz_parts()
     if f.char == 2:
         if a.is_zero():
             return False
@@ -346,149 +338,44 @@ def curve_is_smooth(c: CurveCoeffs) -> bool:
     return u.gcd(v).deg == 0
 
 
-def singular_points_of_curve(c: CurveCoeffs, max_ext_degree: int):
-    """Singular affine points of the normal-form curve via the generic
-    polynomial-system search; the enumeration oracle for curve_is_smooth."""
-    f = c.field
-    F = c.curve_poly()
-    fx = F.derivative(0)
-    fz = F.derivative(1)
-    return singular_point_search([F, fx, fz], f, max_ext_degree)
-
-
 _BRUTE_POINT_BUDGET = 1 << 22
 
 
-def singular_point_search(system, base_field: Field, max_ext_degree: int):
-    """Common zeros of a polynomial system in <= 3 variables over all
-    extensions of degree <= max_ext_degree.
+def singular_points_of_curve(c: CurveCoeffs, max_ext_degree: int):
+    """Singular affine points of the normal-form curve over the extensions
+    of degree <= max_ext_degree, by enumeration: the oracle for
+    curve_is_smooth, independent of its gcd derivation.
 
-    Elimination by bivariate resultants with brute-force enumeration as the
-    fallback for degenerate resultants; every solution is tagged with its
-    minimal field of definition.  Returns a list of (coords, degree) pairs
-    with coordinates in the degree-d extension.
-    """
-    if isinstance(base_field, RationalField):
-        raise UnsupportedField("zero search over extensions needs a finite field")
+    For each d every point (x, z) of the degree-d extension squared is
+    tested in coded arithmetic for F = F_x = F_z = 0.  Each singular point
+    is reported once, as (coords, d) with d its degree of definition and
+    coords in the degree-d extension."""
+    from .loci import batch_eval
+    base = c.field
+    if base.order is None:
+        raise UnsupportedField("singular point enumeration needs a finite field")
     if max_ext_degree < 1:
         raise ValueError("max_ext_degree must be >= 1")
-    system = [p for p in system if not p.is_zero()]
-    nvars = system[0].nvars if system else 0
-    if any(p.nvars != nvars for p in system):
-        raise ValueError("mixed variable counts")
-    if nvars > 3:
-        raise ValueError("at most 3 variables supported")
-    if not system:
-        raise ValueError("empty system (everything vanishes)")
-
-    if nvars == 1:
-        return _search_univariate(system, base_field, max_ext_degree)
-    if nvars == 2:
-        return _search_bivariate(system, base_field, max_ext_degree)
-    return _search_brute(system, base_field, max_ext_degree)
-
-
-def _min_degree_of_point(coords, base_field, ext):
-    return math.lcm(*(element_degree(x, base_field) for x in coords))
-
-
-def _search_univariate(system, base, bound):
-    from .polys import roots_in_field
-    g = system[0].as_univariate(0)
-    for p in system[1:]:
-        g = g.gcd(p.as_univariate(0))
-    if g.is_zero():
-        return _search_brute(system, base, bound)
     out = []
-    for d in range(1, bound + 1):
+    for d in range(1, max_ext_degree + 1):
         ext = extension_of(base, d)
-        emb = embed_map(base, ext)
-        ge = Poly(ext, [emb(c) for c in g.coeffs])
-        for r in roots_in_field(ge):
-            if element_degree(r, base) == d:
-                out.append(((r,), d))
-    return out
-
-
-def _search_bivariate(system, base, bound):
-    from .polys import Poly as _P, bivariate_resultant, roots_in_field
-    # polynomials without the eliminated variable constrain z directly;
-    # pairwise resultants only make sense between x-positive ones
-    pure, posx = [], []
-    for p in system:
-        if all(e[0] == 0 for e in p.terms):
-            pure.append(_P(base, [
-                dict((e[1], c) for e, c in p.terms.items()).get(d, base.zero)
-                for d in range(max(e[1] for e in p.terms) + 1)]))
-        else:
-            posx.append(p)
-    res = None
-    for g in pure:
-        res = g if res is None else res.gcd(g)
-    for i in range(len(posx)):
-        for j in range(i + 1, len(posx)):
-            r = bivariate_resultant(posx[i], posx[j], elim=0)
-            if r.is_zero():
-                continue
-            res = r if res is None else res.gcd(r)
-    if res is None or res.deg < 0:
-        return _search_brute(system, base, bound)
-    out = []
-    for d in range(1, bound + 1):
-        ext = extension_of(base, d)
-        emb = embed_map(base, ext)
-        res_e = Poly(ext, [emb(c) for c in res.coeffs])
-        sys_e = [p.map_coeffs(ext, emb) for p in system]
-        for z0 in roots_in_field(res_e):
-            g = None
-            for p in sys_e:
-                sub = p.substitute(1, z0).as_univariate(0)
-                g = sub if g is None else g.gcd(sub)
-                if g.deg == 0:
-                    break
-            if g is None or g.deg == 0:
-                continue
-            if g.is_zero():
-                # the whole x-line sits in the zero set; enumerate it
-                for x0 in ext.elements():
-                    yield_pt = (x0, z0)
-                    dd = _min_degree_of_point(yield_pt, base, ext)
-                    if dd == d:
-                        out.append((yield_pt, d))
-                continue
-            for x0 in roots_in_field(g):
-                pt = (x0, z0)
-                dd = _min_degree_of_point(pt, base, ext)
-                if dd == d:
-                    out.append((pt, d))
-    return _dedupe_points(out)
-
-
-def _search_brute(system, base, bound):
-    nvars = system[0].nvars
-    out = []
-    for d in range(1, bound + 1):
-        ext = extension_of(base, d)
-        if ext.order ** nvars > _BRUTE_POINT_BUDGET:
-            raise BudgetExceeded("brute-force zero search over %r^%d refused"
-                                 % (ext, nvars), count=ext.order ** nvars)
-        emb = embed_map(base, ext)
-        sys_e = [p.map_coeffs(ext, emb) for p in system]
-        for coords in itertools.product(ext.elements(), repeat=nvars):
-            if all(p(coords).is_zero() for p in sys_e):
-                if _min_degree_of_point(coords, base, ext) == d:
-                    out.append((coords, d))
-    return _dedupe_points(out)
-
-
-def _dedupe_points(points):
-    seen = set()
-    out = []
-    for coords, d in points:
-        key = (d,) + tuple(repr(x) for x in coords)
-        if key not in seen:
-            seen.add(key)
-            out.append((coords, d))
+        q = ext.order
+        if q * q > _BRUTE_POINT_BUDGET:
+            raise BudgetExceeded("singular point enumeration over %r^2 refused"
+                                 % ext, count=q * q)
+        try:
+            kern = field_kernel(ext)
+        except ValueError as exc:
+            raise BudgetExceeded("singular point enumeration over %r: %s"
+                                 % (ext, exc), count=q * q)
+        f = c.map_coeffs(ext, embed_map(base, ext)).curve_poly()
+        points = np.indices((q, q), dtype=kern.dtype).reshape(2, -1).T
+        for p in (f, f.derivative(0), f.derivative(1)):
+            points = points[batch_eval(kern, p, points) == 0]
+        for codes in points:
+            pt = tuple(kern.decode(int(v)) for v in codes)
+            if math.lcm(*(element_degree(v, base) for v in pt)) == d:
+                out.append((pt, d))
     return out
 
 

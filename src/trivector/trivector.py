@@ -12,7 +12,7 @@ import itertools
 from .errors import NotInvertible, Singular
 from .fields import Field
 from .linalg import Matrix
-from .polys import MultiPoly
+from .polys import MultiPoly, Poly
 
 __all__ = [
     "TRIPLES", "Trivector", "CurveCoeffs", "build_gamma_c", "gamma0", "gl_act",
@@ -210,6 +210,12 @@ class CurveCoeffs:
             (0, 1): self.c[24], (0, 0): self.c[30],
         }
         return MultiPoly(f, 2, terms)
+
+    def xz_parts(self):
+        """F = x^2 + A(z) x + B(z): (A, B) as univariate polys in z."""
+        f, c = self.field, self.c
+        return (Poly(f, [c[15], c[9], c[3]]),
+                Poly(f, [c[30], c[24], c[18], c[12], c[6], f.one]))
 
     def map_coeffs(self, target_field, fn):
         return CurveCoeffs(target_field, {d: fn(c) for d, c in self.c.items()})

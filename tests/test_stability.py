@@ -21,7 +21,6 @@ from trivector.stability import (_anchored_hits, _gray_scan_f2, _scan_f2,
                                  echelon_matrices, gamma_family_scan_f2,
                                  gaussian_binomial, pivot_patterns,
                                  rational_stability_report,
-                                 singular_point_search,
                                  singular_points_of_curve,
                                  stability_verdict_gamma_c, witness_verify)
 from trivector.trivector import (CURVE_DEGREES, GAMMA_BASE_TERMS,
@@ -91,6 +90,34 @@ def test_smoothness_against_enumeration_oracle():
         assert smooth == (not pts)
 
 
+def _singular_points_digest(curves, bound):
+    """sha256 over the curves of each one's sorted (degree, coordinate
+    codes) singular points up to the given extension degree."""
+    h = hashlib.sha256()
+    for c in curves:
+        pts = sorted((d, tuple(x.field.to_int(x) for x in coords))
+                     for coords, d in singular_points_of_curve(c, bound))
+        h.update(repr(pts).encode())
+    return h.hexdigest()
+
+
+def test_singular_points_match_pinned_outputs():
+    # pinned from the resultant-based solver this enumeration replaced:
+    # 160 points over all 256 F_2 curves, 22 over 30 seeded F_3 curves
+    f2, f3 = GF(2), GF(3)
+    f2_curves = [CurveCoeffs.from_list(f2, [f2.el(b >> i & 1)
+                                            for i in range(8)])
+                 for b in range(256)]
+    assert _singular_points_digest(f2_curves, 4) == (
+        "d886690a8ee6d537c5fc4dd6c4afb07833206f5ed56063b2b6fb231a5c9f24bd")
+    rng = random.Random(15)
+    f3_curves = [CurveCoeffs(f3, {d: f3.el(rng.randrange(3))
+                                  for d in CURVE_DEGREES})
+                 for _ in range(30)]
+    assert _singular_points_digest(f3_curves, 2) == (
+        "ed4a82d500a776a7fe116e2090337b40e01845bf7f35044c5e16d48785ced4c5")
+
+
 def test_smoothness_over_q():
     c = CurveCoeffs(Q, {30: 1})
     assert curve_is_smooth(c)
@@ -98,20 +125,21 @@ def test_smoothness_over_q():
 
 
 def test_singular_point_search_examples():
-    from trivector.polys import MultiPoly
-    f2 = GF(2)
-    x = MultiPoly.variable(f2, 2, 0)
-    z = MultiPoly.variable(f2, 2, 1)
-    sols = singular_point_search([x, z], f2, 3)
-    assert len(sols) == 1
-    coords, d = sols[0]
-    assert d == 1 and all(v.is_zero() for v in coords)
     # the cusp curve has its singular point at the origin
-    c0 = CurveCoeffs(f2)
+    c0 = CurveCoeffs(GF(2))
     pts = singular_points_of_curve(c0, 4)
     assert any(all(v.is_zero() for v in coords) for coords, _ in pts)
     with pytest.raises(UnsupportedField):
-        singular_point_search([MultiPoly.variable(Q, 1, 0)], Q, 2)
+        singular_points_of_curve(CurveCoeffs(Q), 1)
+
+
+def test_singular_points_input_boundary():
+    with pytest.raises(ValueError):
+        singular_points_of_curve(CurveCoeffs(GF(3)), 0)
+    # GF(2^9) is past the coded kernel; GF(2^12)^2 is past the 2^22 grid
+    for field in (GF(2, 9), GF(2, 12)):
+        with pytest.raises(BudgetExceeded):
+            singular_points_of_curve(CurveCoeffs(field), 1)
 
 
 def test_destabilizer_criterion_gl_equivariant():
