@@ -2,14 +2,19 @@
 
 Every element is stored in a canonical form (reduced fraction, least
 nonnegative residue, reduced coefficient vector), so value equality and
-representation equality coincide.  No floating point anywhere.
+representation equality coincide.  A finite field of order <= 256 holds each
+of its elements as one interned object, and its arithmetic is table lookup.
+No floating point anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from fractions import Fraction
+
+import numpy as np
 
 __all__ = [
     "Field", "RationalField", "PrimeField", "ExtensionField",
@@ -17,6 +22,10 @@ __all__ = [
 ]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# finite fields up to this order intern their elements and keep q x q
+# code tables of + and * (shared with scan.FieldKernel)
+MAX_TABLE_ORDER = 256
 
 
 def is_prime(n: int) -> bool:
@@ -44,20 +53,38 @@ def is_prime(n: int) -> bool:
 
 
 class FieldElement:
-    """Base class; concrete elements live in exactly one field."""
+    """Base class; concrete elements live in exactly one field.
+
+    A finite field of order <= MAX_TABLE_ORDER keeps its q elements interned
+    (one object per element, see _intern_elements): each carries its rows of
+    sums and products indexed by code, so +, -, *, negation, inverse and **
+    are lookups that return an existing element.  The class defaults below
+    (None) select the allocating arithmetic of Q and of the larger fields."""
 
     __slots__ = ("field",)
+    _add = _mul = _neg = _inv = _log = None
 
     def __bool__(self):
         return not self.is_zero()
 
     def __sub__(self, other):
+        row = self._add
+        if row is not None:
+            return row[other._neg.code]
         return self + (-other)
 
     def __truediv__(self, other):
         return self * other.inv()
 
     def __pow__(self, n: int):
+        lg = self._log
+        if lg is not None:
+            if lg >= 0:
+                exp = self.field._exp
+                return exp[lg * n % len(exp)]
+            if n < 0:
+                raise ZeroDivisionError("inverse of 0 in %r" % self.field)
+            return self if n else self.field.one
         if n < 0:
             return self.inv() ** (-n)
         result, base = self.field.one, self
@@ -104,6 +131,8 @@ class QElement(FieldElement):
 
 
 class PFElement(FieldElement):
+    """Element of GF(p): its least nonnegative residue, which is its code."""
+
     __slots__ = ("val",)
 
     def __init__(self, field, val: int):
@@ -111,6 +140,9 @@ class PFElement(FieldElement):
         self.val = val
 
     def __add__(self, other):
+        row = self._add
+        if row is not None:
+            return row[other.val]
         p = self.field.p
         s = self.val + other.val
         if s >= p:
@@ -118,12 +150,21 @@ class PFElement(FieldElement):
         return PFElement(self.field, s)
 
     def __mul__(self, other):
+        row = self._mul
+        if row is not None:
+            return row[other.val]
         return PFElement(self.field, self.val * other.val % self.field.p)
 
     def __neg__(self):
+        n = self._neg
+        if n is not None:
+            return n
         return PFElement(self.field, -self.val % self.field.p)
 
     def inv(self):
+        r = self._inv
+        if r is not None:
+            return r
         if self.val == 0:
             raise ZeroDivisionError("inverse of 0 in GF(%d)" % self.field.p)
         return PFElement(self.field, pow(self.val, -1, self.field.p))
@@ -132,14 +173,25 @@ class PFElement(FieldElement):
         return self.val == 0
 
     def __eq__(self, other):
-        return (isinstance(other, PFElement) and self.val == other.val
-                and self.field.p == other.field.p)
+        return self is other or (
+            isinstance(other, PFElement) and self.val == other.val
+            and self.field.p == other.field.p)
 
     def __hash__(self):
         return hash((self.field.p, self.val))
 
     def __repr__(self):
         return str(self.val)
+
+
+class _PFCode(PFElement):
+    """An interned element of a prime field of order <= MAX_TABLE_ORDER."""
+
+    __slots__ = ("code", "_add", "_mul", "_neg", "_inv", "_log")
+
+    def __init__(self, field, code: int):
+        super().__init__(field, code)
+        self.code = code
 
 
 class ExtElement(FieldElement):
@@ -151,27 +203,45 @@ class ExtElement(FieldElement):
         self.field = field
         self.val = val
 
+    @property
+    def code(self):
+        """The base-p integer with digits c0 (lowest), ..., c_{k-1}."""
+        return _vec_code(self.val, self.field.p)
+
     def __add__(self, other):
+        row = self._add
+        if row is not None:
+            return row[other.code]
         p = self.field.p
         return ExtElement(self.field,
                           tuple((a + b) % p for a, b in zip(self.val, other.val)))
 
     def __neg__(self):
+        n = self._neg
+        if n is not None:
+            return n
         p = self.field.p
         return ExtElement(self.field, tuple(-a % p for a in self.val))
 
     def __mul__(self, other):
+        row = self._mul
+        if row is not None:
+            return row[other.code]
         return ExtElement(self.field, self.field._mulvec(self.val, other.val))
 
     def inv(self):
+        r = self._inv
+        if r is not None:
+            return r
         return ExtElement(self.field, self.field._invvec(self.val))
 
     def is_zero(self):
         return not any(self.val)
 
     def __eq__(self, other):
-        return (isinstance(other, ExtElement) and self.val == other.val
-                and self.field is other.field)
+        return self is other or (
+            isinstance(other, ExtElement) and self.val == other.val
+            and self.field is other.field)
 
     def __hash__(self):
         return hash((self.field.p, self.field.k, self.val))
@@ -180,11 +250,99 @@ class ExtElement(FieldElement):
         return ",".join(str(c) for c in self.val)
 
 
+class _ExtCode(ExtElement):
+    """An interned element of an extension field of order <= MAX_TABLE_ORDER."""
+
+    __slots__ = ("code", "_add", "_mul", "_neg", "_inv", "_log")
+
+    def __init__(self, field, code: int):
+        super().__init__(field, field._digits(code))
+        self.code = code
+
+    def is_zero(self):
+        return self.code == 0
+
+
+def _vec_code(vec, p: int) -> int:
+    v = 0
+    for c in reversed(vec):
+        v = v * p + c
+    return v
+
+
+def _intern_elements(field, cls, mul_codes):
+    """Intern the q = field.order elements of a finite field and build the
+    code tables of its arithmetic, q <= MAX_TABLE_ORDER.
+
+    cls(field, code) builds the element of a code; mul_codes(a, b) is the
+    code of a product by the field's own route (residues or _mulvec), used
+    only to walk the powers of candidates until one is primitive.  Products
+    and inverses come from the log/antilog tables of that walk, sums and
+    negatives digit by digit in base p (XOR of bit vectors in characteristic
+    2).  Sets field._els (the elements by code), field._exp (g^i for
+    i < q - 1) and field._tables (int16 arrays add (q, q), mul (q, q),
+    neg (q,), inv (q,) with inv[0] = 0), and gives each element its rows of
+    sums and products."""
+    q, p = field.order, field.p
+    for g in range(1, q):
+        exp = [1]
+        while len(exp) < q:
+            x = mul_codes(exp[-1], g)
+            if x == 1:
+                break
+            exp.append(x)
+        if len(exp) == q - 1:
+            break
+    log = np.zeros(q, dtype=np.int64)
+    log[exp] = np.arange(q - 1)
+    codes = np.arange(q)
+    expv = np.array(exp, dtype=np.int64)
+    mul = expv[(log[:, None] + log[None, :]) % (q - 1)]
+    mul[0, :] = 0
+    mul[:, 0] = 0
+    inv = expv[-log % (q - 1)]
+    inv[0] = 0
+    if p == 2:
+        add = codes[:, None] ^ codes[None, :]
+        neg = codes.copy()
+    else:
+        add = np.zeros((q, q), dtype=np.int64)
+        neg = np.zeros(q, dtype=np.int64)
+        weight = 1
+        while weight < q:
+            digit = codes // weight % p
+            add += (digit[:, None] + digit[None, :]) % p * weight
+            neg += -digit % p * weight
+            weight *= p
+    field._tables = tuple(a.astype(np.int16) for a in (add, mul, neg, inv))
+    els = tuple(cls(field, c) for c in range(q))
+    neg, inv, log = neg.tolist(), inv.tolist(), log.tolist()
+    for c, (el, add_row, mul_row) in enumerate(zip(els, add.tolist(),
+                                                   mul.tolist())):
+        el._add = operator.itemgetter(*add_row)(els)
+        el._mul = operator.itemgetter(*mul_row)(els)
+        el._neg = els[neg[c]]
+        el._inv = els[inv[c]] if c else None
+        el._log = log[c] if c else -1
+    field._els = els
+    field._exp = tuple(els[c] for c in exp)
+
+
 class Field:
     """Common interface: zero/one, coercion, serialization, iteration."""
 
+    _els = None          # the interned elements by code (see _intern_elements)
+
     def __call__(self, x):
         return self.el(x)
+
+    def code_tables(self):
+        """(add, mul, neg, inv): the int16 code tables of a finite field of
+        order <= MAX_TABLE_ORDER, add and mul of shape (q, q)."""
+        if self._els is None:
+            raise ValueError("no code tables for %r (order limit %d)"
+                             % (self, MAX_TABLE_ORDER))
+        return self._tables
 
     def nonzero_elements(self):
         return (a for a in self.elements() if not a.is_zero())
@@ -241,33 +399,38 @@ class PrimeField(Field):
         self.k = 1
         self.char = p
         self.order = p
-        self.zero = PFElement(self, 0)
-        self.one = PFElement(self, 1)
+        if p <= MAX_TABLE_ORDER:
+            _intern_elements(self, _PFCode, lambda a, b: a * b % p)
+        self.zero = self.from_int(0)
+        self.one = self.from_int(1)
 
     def el(self, x):
         if isinstance(x, PFElement) and x.field.p == self.p:
             return x
         if isinstance(x, int):
-            return PFElement(self, x % self.p)
+            return self.from_int(x)
         raise TypeError("cannot coerce %r into GF(%d)" % (x, self.p))
 
     def elements(self):
+        if self._els is not None:
+            return iter(self._els)
         return (PFElement(self, v) for v in range(self.p))
 
     def random(self, rng):
-        return PFElement(self, rng.randrange(self.p))
+        return self.from_int(rng.randrange(self.p))
 
     def to_int(self, a) -> int:
         return a.val
 
     def from_int(self, v: int):
-        return PFElement(self, v % self.p)
+        v %= self.p
+        return PFElement(self, v) if self._els is None else self._els[v]
 
     def to_str(self, a) -> str:
         return str(a.val)
 
     def from_str(self, s: str):
-        return PFElement(self, int(s) % self.p)
+        return self.from_int(int(s))
 
     def spec_str(self):
         return "GF(%d)" % self.p
@@ -398,9 +561,28 @@ class ExtensionField(Field):
         if not _is_irreducible_p(list(modulus), p):
             raise ValueError("modulus %r is reducible over GF(%d)" % (modulus, p))
         self.modulus = modulus
-        self.zero = ExtElement(self, (0,) * k)
-        self.one = ExtElement(self, (1,) + (0,) * (k - 1))
-        self.gen = ExtElement(self, (0, 1) + (0,) * (k - 2))
+        if self.order <= MAX_TABLE_ORDER:
+            _intern_elements(self, _ExtCode, self._mul_codes)
+        self.zero = self.from_int(0)
+        self.one = self.from_int(1)
+        self.gen = self.from_int(p)
+
+    def _digits(self, v: int) -> tuple:
+        digits = []
+        for _ in range(self.k):
+            digits.append(v % self.p)
+            v //= self.p
+        return tuple(digits)
+
+    def _mul_codes(self, a: int, b: int) -> int:
+        return _vec_code(self._mulvec(self._digits(a), self._digits(b)),
+                         self.p)
+
+    def _from_vec(self, vec: tuple):
+        """The element with coefficient tuple vec (entries in [0, p))."""
+        if self._els is None:
+            return ExtElement(self, vec)
+        return self._els[_vec_code(vec, self.p)]
 
     def _mulvec(self, a, b):
         prod = [0] * (2 * self.k - 1)
@@ -444,32 +626,31 @@ class ExtensionField(Field):
         if isinstance(x, ExtElement) and x.field is self:
             return x
         if isinstance(x, int):
-            return ExtElement(self, (x % self.p,) + (0,) * (self.k - 1))
+            return self._from_vec((x % self.p,) + (0,) * (self.k - 1))
         if isinstance(x, PFElement) and x.field.p == self.p:
-            return ExtElement(self, (x.val,) + (0,) * (self.k - 1))
+            return self._from_vec((x.val,) + (0,) * (self.k - 1))
         if isinstance(x, (tuple, list)) and len(x) == self.k:
-            return ExtElement(self, tuple(int(c) % self.p for c in x))
+            return self._from_vec(tuple(int(c) % self.p for c in x))
         raise TypeError("cannot coerce %r into %r" % (x, self))
 
     def elements(self):
+        if self._els is not None:
+            yield from self._els
+            return
         for vec in itertools.product(range(self.p), repeat=self.k):
             yield ExtElement(self, vec[::-1])
 
     def random(self, rng):
-        return ExtElement(self, tuple(rng.randrange(self.p) for _ in range(self.k)))
+        return self._from_vec(tuple(rng.randrange(self.p)
+                                    for _ in range(self.k)))
 
     def to_int(self, a) -> int:
-        v = 0
-        for c in reversed(a.val):
-            v = v * self.p + c
-        return v
+        return a.code
 
     def from_int(self, v: int):
-        digits = []
-        for _ in range(self.k):
-            digits.append(v % self.p)
-            v //= self.p
-        return ExtElement(self, tuple(digits))
+        if self._els is not None:
+            return self._els[v % self.order]
+        return ExtElement(self, self._digits(v))
 
     def to_str(self, a) -> str:
         return ",".join(str(c) for c in a.val)
@@ -520,19 +701,29 @@ def GF(p: int, k: int = 1, modulus=None) -> Field:
 _FIELD_RE = re.compile(r"^GF\(\s*(\d+)\s*(?:\^\s*(\d+)\s*)?(?:;\s*mod=([\d,\s]+))?\)$")
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def _prime_power(n: int):
-    """(p, k) with n = p^k, or None."""
+    """(p, k) with n = p^k, or None.  Primality first, then integer l-th
+    roots for primes l, so no trial division runs up to sqrt(n)."""
     if n < 2:
         return None
-    for p in range(2, n + 1):
-        if p * p > n:
-            return (n, 1) if is_prime(n) else None
-        if n % p == 0:
-            k, m = 0, n
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
+    if is_prime(n):
+        return (n, 1)
+    for l in range(2, n.bit_length() + 1):
+        if is_prime(l):
+            r = _iroot(n, l)
+            if r ** l == n:
+                pk = _prime_power(r)
+                return None if pk is None else (pk[0], pk[1] * l)
     return None
 
 

@@ -1,13 +1,16 @@
 """Vectorized exact kernels for the point scans over small finite fields.
 
 Field elements are encoded as integers (the field's canonical integer
-encoding); prime fields compute with modular arithmetic, extension fields of
-order <= 256 go through precomputed addition/multiplication tables (in
-characteristic 2 the codes are coefficient bit vectors and addition is XOR).
+encoding, ``field.to_int``); prime fields compute with modular arithmetic,
+extension fields of order <= 256 look sums and products up in the code
+tables the field keeps for its interned elements (``field.code_tables()``;
+in characteristic 2 the codes are coefficient bit vectors and addition is
+XOR, so no addition table is read).
 The q x q tables are kept raveled, and a product or sum of codes a, b is one
-1-D lookup at a * q + b; numpy's 2-D fancy index table[a, b] takes 1.6-1.7
-times as long on 8,192 codes.  The index is formed in int16 while
-q * q <= 2^15 and in int32 above (GF(243), GF(256)).
+1-D lookup at a * q + b by np.take; numpy's 2-D fancy index table[a, b]
+takes 1.6-1.7 times as long on 8,192 codes, and the 1-D fancy index
+table[a * q + b] about twice as long on 8,000 GF(4) codes.  The index is
+formed in int16 while q * q <= 2^15 and in int32 above (GF(243), GF(256)).
 These kernels only ever see encoded data, so no floating point is involved.
 
 Each kernel owns the dtype of its codes (``FieldKernel.dtype``: int16 while
@@ -23,7 +26,7 @@ import itertools
 
 import numpy as np
 
-from .fields import ExtensionField, Field, PrimeField
+from .fields import MAX_TABLE_ORDER, ExtensionField, Field, PrimeField
 
 __all__ = ["FieldKernel", "projective_runs", "projective_run",
            "projective_count", "code_dtype"]
@@ -31,7 +34,6 @@ __all__ = ["FieldKernel", "projective_runs", "projective_run",
 _kernel_cache: dict = {}
 
 MAX_KERNEL_PRIME = 1 << 16     # the inverse table holds one entry per code
-MAX_TABLE_ORDER = 256          # extension fields: q x q addition/product tables
 
 
 def projective_count(q: int, dim: int = 9) -> int:
@@ -68,24 +70,14 @@ class FieldKernel:
                                  % MAX_TABLE_ORDER)
             self.prime = None
             q = field.order
-            els = [field.from_int(v) for v in range(q)]
-            add = np.zeros((q, q), dtype=np.int16)
-            mul = np.zeros((q, q), dtype=np.int16)
-            for a in range(q):
-                for b in range(q):
-                    add[a, b] = field.to_int(els[a] + els[b])
-                    mul[a, b] = field.to_int(els[a] * els[b])
-            neg = np.array([field.to_int(-els[a]) for a in range(q)],
-                           dtype=np.int16)
-            inv = np.zeros(q, dtype=np.int16)
-            for a in range(1, q):
-                inv[a] = field.to_int(els[a].inv())
-            # add and mul raveled: entry (a, b) sits at a * q + b
-            self.table = (add.ravel(), mul.ravel(), neg, inv)
-            if q * q > np.iinfo(np.int16).max + 1:
-                self.wide = np.int32      # a * q + b no longer fits in int16
+            add, mul, neg, inv = field.code_tables()
             # characteristic 2: codes are coefficient bit vectors, + is XOR
             self.xor = field.p == 2
+            # add and mul raveled: entry (a, b) sits at a * q + b
+            self.table = (None if self.xor else add.ravel(), mul.ravel(),
+                          neg, inv)
+            if q * q > np.iinfo(np.int16).max + 1:
+                self.wide = np.int32      # a * q + b no longer fits in int16
         else:
             raise ValueError("scan kernels need a finite field")
         self.dtype = code_dtype(self.q)
@@ -104,7 +96,7 @@ class FieldKernel:
             return (a + b) % self.prime
         if self.xor:
             return a ^ b
-        return self.table[0][self._flat_index(a, b)]
+        return np.take(self.table[0], self._flat_index(a, b))
 
     def sub(self, a, b):
         if self.prime:
@@ -113,14 +105,14 @@ class FieldKernel:
             return (a - b) % self.prime
         if self.xor:
             return a ^ b
-        return self.table[0][self._flat_index(a, self.table[2][b])]
+        return np.take(self.table[0], self._flat_index(a, self.table[2][b]))
 
     def mul(self, a, b):
         if self.prime:
             if self.wide:
                 a = np.asarray(a, self.wide)
             return (a * b) % self.prime
-        return self.table[1][self._flat_index(a, b)]
+        return np.take(self.table[1], self._flat_index(a, b))
 
     def inv(self, a):
         if self.prime:

@@ -106,19 +106,22 @@ def destabilizes(t: Trivector, w: Matrix) -> bool:
 
 def witness_verify(t: Trivector, u: Matrix) -> bool:
     """Independent re-check of a destabilizing 6-plane: change basis so U is
-    the span of the first six vectors and inspect coefficients directly."""
+    the span of the first six vectors and inspect coefficients directly.
+
+    The rows of u followed by the unit vectors at the non-pivot columns of
+    its reduced echelon form are a basis of the whole space; a u of lower
+    rank spans no 6-plane and is rejected."""
     field = t.field
+    pivots = u.rref()[1]
+    if len(pivots) < u.nrows:
+        return False
     vectors = [list(r) for r in u.rows]
-    basis = Matrix(field, vectors)
     for i in range(9):
-        cand = [field.zero] * 9
-        cand[i] = field.one
-        trial = Matrix(field, basis.rows + [cand])
-        if trial.rank() > basis.nrows:
-            basis = trial
-        if basis.nrows == 9:
-            break
-    g = basis.transpose()  # columns are the adapted basis vectors
+        if i not in pivots:
+            cand = [field.zero] * 9
+            cand[i] = field.one
+            vectors.append(cand)
+    g = Matrix(field, vectors).transpose()  # columns: the adapted basis
     adapted = gl_act(g.inverse(), t)
     for (i, j, k) in adapted.coeffs:
         if sum(1 for m in (i, j, k) if m >= 7) >= 2:

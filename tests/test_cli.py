@@ -255,3 +255,29 @@ def test_malformed_input_is_one_line_exit_1(fixture, tmp_path, capsys):
     assert out == ""
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("p", [2 ** 61 - 1, 2 ** 61 + 15])
+def test_large_prime_field_spec(p, tmp_path, capsys):
+    # GF(2^61 - 1) is the largest prime field; the next prime is refused
+    # with one line, through --field and through a JSON "field" alike
+    spec = "GF(%d)" % p
+    g = tmp_path / "g.json"
+    code = main(["gamma", "build", "--field", spec, "--set", "c30=1",
+                 "-o", str(g)])
+    out, err = capsys.readouterr()
+    src = tmp_path / "src.json"
+    src.write_text(json.dumps({"field": spec, "terms": [
+        {"ijk": [1, 2, 3], "c": "1"}]}))
+    argv = ["gamma", "act", "--gamma", str(src), "--perm", "974852631"]
+    if p < 2 ** 61:
+        assert code == 0 and json.loads(out)["verdict"]["field"] == spec
+        code, rep = run_cli(capsys, *argv)
+        assert code == 0 and rep["verdict"]["gamma"]["field"] == spec
+        return
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "too large" in err
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "too large" in err

@@ -67,6 +67,33 @@ def test_coded_ops_equal_object_ops(field, data):
     assert kern.mul(a, b).tolist() == [field.to_int(x * y) for x, y in zip(ea, eb)]
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(251), GF(2, 2), GF(3, 2),
+                                   GF(2, 5), GF(5, 2), GF(13, 2), GF(3, 5),
+                                   GF(2, 8)], ids=repr)
+def test_coded_ops_equal_object_ops_on_all_pairs(field):
+    # table kernels read the field's own code tables: one encoding, codes
+    # equal to the interned elements' to_int, no addition table in char 2
+    kern = field_kernel(field)
+    q = field.order
+    els = list(field.elements())
+    assert [kern.encode(x) for x in els] == list(range(q))
+    assert all(kern.decode(c) is x for c, x in enumerate(els))
+    if kern.table is not None:
+        add, mul, neg, inv = field.code_tables()
+        assert np.shares_memory(kern.table[1], mul)
+        assert (kern.table[0] is None) == (field.p == 2)
+    a = np.repeat(np.arange(q), q).astype(kern.dtype)
+    b = np.tile(np.arange(q), q).astype(kern.dtype)
+    pairs = [(x, y) for x in els for y in els]
+    assert kern.add(a, b).tolist() == [field.to_int(x + y) for x, y in pairs]
+    assert kern.sub(a, b).tolist() == [field.to_int(x - y) for x, y in pairs]
+    assert kern.mul(a, b).tolist() == [field.to_int(x * y) for x, y in pairs]
+    codes = np.arange(q).astype(kern.dtype)
+    assert kern.neg(codes).tolist() == [field.to_int(-x) for x in els]
+    assert kern.inv(codes[1:]).tolist() == [field.to_int(x.inv())
+                                            for x in els[1:]]
+
+
 @pytest.mark.parametrize("field", [GF(3), GF(7), GF(2, 2), GF(3, 2),
                                    GF(257)], ids=repr)
 @settings(max_examples=25, deadline=None)

@@ -163,6 +163,37 @@ def test_destabilizer_criterion_gl_equivariant():
         assert destabilizes(tg, w)
 
 
+def test_witness_verify_agrees_with_contractions_and_rejects_low_rank():
+    # the verdict does not depend on how the rows of u are completed to a
+    # basis: it equals the double-contraction criterion on random 6 x 9 u
+    rng = random.Random(16)
+    for field in (GF(2), GF(3), GF(2, 2)):
+        t = gamma0(field)
+        witness = Matrix(field, [[1 if j == i + 3 else 0 for j in range(9)]
+                                 for i in range(6)])
+        seen = set()
+        for trial in range(40):
+            g = Matrix(field, [[field.random(rng) for _ in range(9)]
+                               for _ in range(9)])
+            if not g.is_invertible():
+                continue
+            # half the draws are moved witnesses, half random 6-planes
+            if trial % 2:
+                u = Matrix(field, [g.apply(list(row)) for row in witness.rows])
+                tt = gl_act(g, t)
+            else:
+                u, tt = Matrix(field, g.rows[:6]), t
+            verdict = witness_verify(tt, u)
+            assert verdict == destabilizes(tt, kernel_matrix(u))
+            seen.add(verdict)
+            # a repeated row leaves rank 5: no 6-plane, rejected
+            low = Matrix(field, u.rows[:5] + [u.rows[0]])
+            assert not witness_verify(tt, low)
+            zero_row = Matrix(field, u.rows[:5] + [[field.zero] * 9])
+            assert not witness_verify(tt, zero_row)
+        assert seen == {True, False}
+
+
 def test_witness_monotone_under_extension():
     f2 = GF(2)
     t = gamma0(f2)
