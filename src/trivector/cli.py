@@ -284,7 +284,7 @@ def build_parser():
 
     st = sub.add_parser("stability", help="destabilizing-subspace search")
     st.add_argument("--gamma", required=True)
-    st.add_argument("--max-ext", type=int, default=1)
+    st.add_argument("--max-ext", type=_positive_int, default=1)
     st.set_defaults(fn=cmd_stability)
 
     lo = sub.add_parser("loci", help="rank strata and their certificates")
@@ -328,7 +328,7 @@ def build_parser():
     fs = fsub.add_parser("search")
     fs.add_argument("--gamma", required=True)
     fs.add_argument("--q", type=int)
-    fs.add_argument("--max-ext", type=int, default=1)
+    fs.add_argument("--max-ext", type=_positive_int, default=1)
     fs.set_defaults(fn=cmd_flags_search)
     fch = fsub.add_parser("chern")
     fch.set_defaults(fn=cmd_flags_chern)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -395,6 +396,8 @@ def flag_search(t: Trivector, max_ext_degree: int = 1,
     when a rank <= 2 point shows up in a scan, or up front with
     verify_stable (which runs the degree-1 destabilizer search).
     """
+    if max_ext_degree < 1:
+        raise ValueError("max_ext_degree must be >= 1")
     base = t.field
     if verify_stable:
         from .stability import destabilizer_search
@@ -437,7 +440,10 @@ def flag_search(t: Trivector, max_ext_degree: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# the Chow-ring certificate: product of the 31 condition classes
+# the Chow-ring certificate: product of the 31 condition classes.  Two
+# routes: reduce_mod_symmetric divides monomials by the lex Groebner basis
+# (the test route); chern_top_class multiplies Schubert classes by Monk's
+# rule and expands what is left (the production route)
 
 def _h_tail(i: int):
     """Monomials of h_i(x_i, ..., x_9) other than the leading x_i^i."""
@@ -459,13 +465,22 @@ def _h_tail(i: int):
 _EXP_BITS = 6
 _EXP_MASK = (1 << _EXP_BITS) - 1
 _KEY_SHIFTS = np.arange(9, dtype=np.int64) * _EXP_BITS
-_H_TAIL_KEYS = {i: np.array([sum(v << (_EXP_BITS * k) for k, v in enumerate(e))
-                             for e in _h_tail(i)], dtype=np.int64)
-                for i in range(1, 10)}
 # most new terms expanded between two merges; bounds the transient memory
 _EXPAND_CHUNK = 1 << 16
 # every partial sum of a merge is bounded by the L1 norm of what it merges
 _COEFF_L1_LIMIT = float(1 << 62)
+
+
+def _check_l1(l1):
+    if l1 >= _COEFF_L1_LIMIT:
+        raise OverflowError("coefficient L1 norm reaches 2**62")
+
+
+@functools.cache
+def _h_tail_keys(i: int):
+    """_h_tail(i) as packed keys, built on first use."""
+    return np.array([sum(v << (_EXP_BITS * k) for k, v in enumerate(e))
+                     for e in _h_tail(i)], dtype=np.int64)
 
 
 def _merge_terms(keys, coeffs):
@@ -494,10 +509,18 @@ def reduce_mod_symmetric(poly: dict) -> dict:
 
     Domain: keys are length-9 tuples of non-negative exponents with total
     degree below 64, and the coefficients are integers whose running L1
-    norm stays below 2**62 throughout the reduction.  A key outside the
-    domain raises ValueError; coefficients that could leave it raise
-    OverflowError.  Results are exact; nothing wraps silently.
+    norm stays below 2**62 throughout the reduction.  An exponent or a
+    coefficient that is not a numbers.Integral (numpy integers are) raises
+    TypeError before any work; a key outside the domain raises ValueError;
+    coefficients that could leave it raise OverflowError.  Results are
+    exact; nothing is truncated or wraps silently.
     """
+    if not all(isinstance(c, numbers.Integral) for c in poly.values()):
+        raise TypeError("coefficients must be integers")
+    exps = np.array(list(poly))
+    if exps.dtype.kind not in "biu" and not all(
+            isinstance(v, numbers.Integral) for v in exps.flat):
+        raise TypeError("exponents must be integers")
     poly = {e: c for e, c in poly.items() if c}
     if not poly:
         return {}
@@ -508,13 +531,12 @@ def reduce_mod_symmetric(poly: dict) -> dict:
         raise ValueError("negative exponent in a term")
     if (exps.sum(axis=1) >= 1 << _EXP_BITS).any():
         raise ValueError("total degree must be below %d" % (1 << _EXP_BITS))
-    if sum(abs(c) for c in poly.values()) >= 1 << 62:
-        raise OverflowError("coefficient L1 norm reaches 2**62")
+    _check_l1(sum(abs(c) for c in poly.values()))
     keys = (exps << _KEY_SHIFTS).sum(axis=1)
     coeffs = np.array(list(poly.values()), dtype=np.int64)
     for i in range(1, 10):
         shift = _EXP_BITS * (i - 1)
-        tails = _H_TAIL_KEYS[i]
+        tails = _h_tail_keys(i)
         rows = _EXPAND_CHUNK // max(len(tails), 1)
         while len(keys):
             level = (keys >> shift) & _EXP_MASK
@@ -527,10 +549,8 @@ def reduce_mod_symmetric(poly: dict) -> dict:
             keys, coeffs = keys[~hit], coeffs[~hit]
             for s in range(0, len(lead_keys), rows):
                 chunk = lead_coeffs[s:s + rows]
-                l1 = (np.abs(coeffs).sum(dtype=np.float64)
-                      + len(tails) * np.abs(chunk).sum(dtype=np.float64))
-                if l1 >= _COEFF_L1_LIMIT:
-                    raise OverflowError("coefficient L1 norm reaches 2**62")
+                _check_l1(np.abs(coeffs).sum(dtype=np.float64)
+                          + len(tails) * np.abs(chunk).sum(dtype=np.float64))
                 new_keys = (lead_keys[s:s + rows, None] + tails).ravel()
                 keys, coeffs = _merge_terms(
                     np.concatenate((keys, new_keys)),
@@ -539,20 +559,165 @@ def reduce_mod_symmetric(poly: dict) -> dict:
     return dict(zip(map(tuple, exps.tolist()), coeffs.tolist()))
 
 
+# Schubert classes of Fl(9).  Write y_r = x_{10-r}, so that the standard
+# monomials of the lex basis above (x_k-exponent at most k-1) are the
+# staircase monomials y^a with a_r <= 9 - r.  A permutation w of S_9 is
+# kept in one-line notation w(1..9) -> 0..8, packed _PERM_BITS bits per
+# position (position 1 in the low bits); Schubert polynomials are kept as
+# packed y-exponents, _PERM_BITS bits per variable (y_1 in the low bits).
+_PERM_BITS = 4
+_PERM_MASK = (1 << _PERM_BITS) - 1
+_PERM_SHIFTS = np.arange(9, dtype=np.int64) * _PERM_BITS
+
+
+def _pack(rows):
+    return (rows.astype(np.int64) << _PERM_SHIFTS).sum(axis=1)
+
+
+def _unpack(keys):
+    return ((keys[:, None] >> _PERM_SHIFTS) & _PERM_MASK).astype(np.int8)
+
+
+def _times_linear_form(perms, coeffs, form):
+    """Multiply sum_w c_w S_w by the linear form sum of x_v, v in form
+    (repeats count), in H*(Fl_9) = Z[x_1..x_9] / (symmetric ideal).
+
+    perms is an (N, 9) int8 array of permutations, coeffs their int64
+    coefficients; returns the product in the same shape.
+
+    Monk's rule (Monk 1959; Lascoux-Schuetzenberger's transition formula):
+    in Z[y_1, y_2, ...]
+        y_r S_w = sum_{b > r} S_{w t_rb} - sum_{a < r} S_{w t_ar},
+    both sums over covers only: w(a) < w(b) with no a < c < b and
+    w(a) < w(c) < w(b), i.e. l(w t_ab) = l(w) + 1.  Proof: the
+    Chevalley-Monk formula S_{s_r} S_w = sum_{a <= r < b} S_{w t_ab} (over
+    covers) holds with S_{s_r} = y_1 + ... + y_r; subtract it at r - 1
+    (S_{s_0} = 0) and the pairs with a < r < b cancel.  Summed over a form
+    sum_r m_r y_r, the cover w t_ab gets m_a - m_b.
+
+    Covers that leave S_9 are dropped.  For w in S_9 the only one is
+    u = w t_{r,10} (past 10 the value w(10) = 10 lies in between), and
+    S_u(y_1..y_9, 0) lies in the symmetric ideal I_9.  Proof: Z[y_1..y_9]
+    is free over the symmetric polynomials on the S_v, v in S_9, so f is
+    congruent modulo I_9 to sum_v S_v times the constant term of d_v f
+    (d_i S_v = S_{v s_i} on a descent of v and 0 otherwise;
+    S_v(0) = [v = id]).  The d_i with i <= 8 commute with y_10 = 0, so
+    for f = S_u(y_1..y_9, 0) that constant term is S_{u v^-1}(0) or 0,
+    and S_{u v^-1}(0) = [u = v] = 0 because u is not in S_9.
+    """
+    m = [0] * 9
+    for v in form:
+        m[9 - v] += 1                   # x_v = y_{10-v}
+    pairs = [(a, b, m[a] - m[b]) for a in range(9) for b in range(a + 1, 9)
+             if m[a] != m[b]]
+    if not pairs:                       # a symmetric form: zero
+        return perms[:0], coeffs[:0]
+    _check_l1(np.abs(coeffs).sum(dtype=np.float64)
+              * sum(abs(f) for _, _, f in pairs))
+    new_perms, new_coeffs = [], []
+    for a, b, f in pairs:
+        lo, hi = perms[:, a], perms[:, b]
+        mid = perms[:, a + 1:b]
+        cover = (lo < hi) & ~((mid > lo[:, None])
+                              & (mid < hi[:, None])).any(axis=1)
+        moved = perms[cover]
+        moved[:, [a, b]] = moved[:, [b, a]]
+        new_perms.append(moved)
+        new_coeffs.append(coeffs[cover] * f)
+    keys, coeffs = _merge_terms(_pack(np.concatenate(new_perms)),
+                                np.concatenate(new_coeffs))
+    return _unpack(keys), coeffs
+
+
+def _schubert_product(forms):
+    """The product of the linear forms (tuples of x-indices, each the sum
+    of its x_v) in the Schubert basis of H*(Fl_9): (perms, coeffs) as
+    _times_linear_form returns them, starting from S_id = 1."""
+    perms = np.arange(9, dtype=np.int8)[None, :]
+    coeffs = np.ones(1, dtype=np.int64)
+    for form in forms:
+        perms, coeffs = _times_linear_form(perms, coeffs, form)
+    return perms, coeffs
+
+
+def _divided_difference(keys, coeffs, i):
+    """d = (f - s f) / (u - v) on packed y-exponents, where u, v are the
+    variables at the 0-based positions i, i + 1 and s swaps them:
+    u^a v^b maps to sign(a - b) (u v)^min(a, b) times the |a - b|
+    monomials of degree |a - b| - 1 in u, v."""
+    s0, s1 = _PERM_BITS * i, _PERM_BITS * (i + 1)
+    a = (keys >> s0) & _PERM_MASK
+    b = (keys >> s1) & _PERM_MASK
+    keep = a != b
+    keys, coeffs, a, b = keys[keep], coeffs[keep], a[keep], b[keep]
+    n = np.abs(a - b)
+    _check_l1(np.abs(coeffs).astype(np.float64) @ n)
+    rest = np.repeat(keys - (a << s0) - (b << s1), n)
+    low = np.repeat(np.minimum(a, b), n)
+    k = np.arange(len(rest)) - np.repeat(np.cumsum(n) - n, n)
+    top = np.repeat(n, n) - 1 - k
+    signed = np.repeat(np.where(a > b, coeffs, -coeffs), n)
+    return _merge_terms(rest + ((low + top) << s0) + ((low + k) << s1),
+                        signed)
+
+
+def _schubert_polynomial(perm, cache):
+    """S_perm as (packed y-exponents, coefficients): d_i of S_{perm s_i}
+    at the first ascent i of perm, down from S_w0 = y_1^8 y_2^7 ... y_8
+    (memoized in cache, which holds w0)."""
+    if perm not in cache:
+        i = next(j for j in range(8) if perm[j] < perm[j + 1])
+        up = list(perm)
+        up[i], up[i + 1] = up[i + 1], up[i]
+        cache[perm] = _divided_difference(
+            *_schubert_polynomial(tuple(up), cache), i)
+    return cache[perm]
+
+
+def _schubert_expand(perms, coeffs) -> dict:
+    """sum_w c_w S_w as {x-exponent tuple: int}: the normal form modulo
+    the symmetric ideal, equal to what reduce_mod_symmetric returns.
+
+    The classes are already normal forms.  S_w0 = y^delta with
+    delta = (8, 7, ..., 0) is a staircase monomial (a_r <= 9 - r), and
+    d_i keeps the staircase: it takes y_i^a y_{i+1}^b to monomials whose
+    y_i- and y_{i+1}-exponents are at most max(a, b) - 1 <= 8 - i, the
+    bound of y_{i+1}, and touches no other variable.  Since S_w =
+    d_i S_{w s_i} whenever l(w s_i) = l(w) + 1, every S_w of S_9 is a
+    combination of staircase monomials, which are the standard monomials
+    of the lex basis of reduce_mod_symmetric.  A combination of standard
+    monomials is its own normal form, so sum c_w S_w is the normal form of
+    anything congruent to it.
+    """
+    if not len(coeffs):
+        return {}
+    w0 = tuple(range(8, -1, -1))
+    # y^delta has the exponent vector (8, 7, ..., 0), the one-line w0
+    cache = {w0: (_pack(np.array([w0])), np.ones(1, dtype=np.int64))}
+    parts = [_schubert_polynomial(tuple(w), cache)
+             for w in perms.tolist()]
+    _check_l1(sum(abs(c) * np.abs(p[1]).sum(dtype=np.float64)
+                  for c, p in zip(coeffs.tolist(), parts)))
+    keys, coeffs = _merge_terms(
+        np.concatenate([p[0] for p in parts]),
+        np.concatenate([p[1] * c for c, p in zip(coeffs.tolist(), parts)]))
+    exps = _unpack(keys)[:, ::-1]       # y_r -> x_{10-r}
+    return dict(zip(map(tuple, exps.tolist()), coeffs.tolist()))
+
+
 def chern_top_class():
     """The product of the 31 linear forms x_i + x_j + x_k over the condition
     monomials, reduced modulo the symmetric ideal; returns
-    (coefficient, exponent_vector) of the single surviving monomial."""
-    poly = {(0,) * 9: 1}
-    for (i, j, k) in FLAG_MONOMIALS:
-        out = {}
-        for e, c in poly.items():
-            for var in (i, j, k):
-                ne = list(e)
-                ne[var - 1] += 1
-                ne = tuple(ne)
-                out[ne] = out.get(ne, 0) + c
-        poly = reduce_mod_symmetric(out)
+    (coefficient, exponent_vector) of the single surviving monomial.
+
+    The product is taken in the Schubert basis by Monk's rule
+    (_times_linear_form, at most 548 classes a step) and the classes left
+    at degree 31 are expanded by five divided differences each
+    (_schubert_expand): no monomial reduction.  The product comes out as
+    81 S_w for the dominant w with code (8, 6, 6, 3, 3, 3, 1, 1, 0), whose
+    Schubert polynomial is the one monomial y^code.  reduce_mod_symmetric
+    stays the independent route."""
+    poly = _schubert_expand(*_schubert_product(FLAG_MONOMIALS))
     if len(poly) != 1:
         raise Disagreement("top-class reduction left %d monomials" % len(poly))
     (exps, coeff), = poly.items()

@@ -275,6 +275,8 @@ def destabilizer_search(t: Trivector, max_ext_degree: int = 1,
     "stable" only certifies absence of a witness up to the searched bound;
     for the normal-form family the smoothness test upgrades it.
     """
+    if max_ext_degree < 1:
+        raise ValueError("max_ext_degree must be >= 1")
     base = t.field
     if base.order is None:
         raise UnsupportedField("use rational_stability_report over Q")

@@ -228,6 +228,23 @@ def test_budget_below_one_rejected_at_parse_time(budget, capsys):
     assert "argument --budget" in err and "absent.json" not in err
 
 
+@pytest.mark.parametrize("command", [["stability"], ["flags", "search"]])
+@pytest.mark.parametrize("max_ext", ["0", "-2", "one"])
+def test_max_ext_below_one_rejected_at_parse_time(command, max_ext, tmp_path,
+                                                   capsys):
+    # GF(2) with c30 = 1 is non_stable at degree 1; a search of no degree
+    # must not report it stable, so --max-ext < 1 is a usage error
+    g = tmp_path / "g.json"
+    run_cli(capsys, "gamma", "build", "--field", "GF(2)", "--set", "c30=1",
+            "-o", str(g))
+    for gamma in (str(g), "absent.json"):
+        code = main(command + ["--gamma", gamma, "--max-ext", max_ext])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "argument --max-ext" in err and gamma not in err
+
+
 BAD_INPUTS = Path(__file__).parent / "fixtures" / "bad_inputs"
 # each fixture folder holds malformed files of one kind, read by this command
 # (the placeholder FILE is the fixture, GAMMA a valid trivector file)

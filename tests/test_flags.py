@@ -12,9 +12,10 @@ from trivector.e8 import EPS, wedge33
 from trivector.errors import Disagreement, NonStableInput
 from trivector.fields import GF
 from trivector.flags import (FLAG_MONOMIALS, Flag1368, _dual_flag_basis,
-                             _h_tail, chern_top_class, flag_compatible,
-                             flag_search, flags_at_point, reduce_mod_symmetric,
-                             standard_flag)
+                             _h_tail, _schubert_expand, _schubert_product,
+                             _times_linear_form, chern_top_class,
+                             flag_compatible, flag_search, flags_at_point,
+                             reduce_mod_symmetric, standard_flag)
 from trivector.linalg import Matrix, kernel_matrix
 from trivector.loci import rank_locus_codes
 from trivector.polys import embed_map
@@ -276,6 +277,14 @@ def test_flag_search_rejects_non_stable():
         flag_search(gamma0(f2), max_ext_degree=1, verify_stable=True)
 
 
+def test_flag_search_needs_a_degree():
+    # an empty report would read as "no compatible flag found"
+    c = CurveCoeffs(GF(3), {30: 1, 24: 1, 0: 1})
+    for d in (0, -2):
+        with pytest.raises(ValueError):
+            flag_search(build_gamma_c(c), max_ext_degree=d)
+
+
 def _smooth_f3_curves(count, seed):
     f3 = GF(3)
     rng = random.Random(seed)
@@ -500,6 +509,81 @@ def test_reduce_mod_symmetric_domain():
                               (2, -1, 0, 0, 0, 0, 0, 0, 0): 1})
     top = (0, 0, 0, 0, 0, 0, 0, 0, 63)
     assert reduce_mod_symmetric({top: 1, (0,) * 9: 3}) == {(0,) * 9: 3}
+
+
+def test_reduce_mod_symmetric_rejects_non_integers():
+    x1 = (1, 0, 0, 0, 0, 0, 0, 0, 0)
+    for poly in ({(1.5, 0, 0, 0, 0, 0, 0, 0, 0): 1},     # was read as x1
+                 {x1: 2.7},                             # was truncated to 2
+                 {x1: Fraction(1, 2)},                  # was a 0 term
+                 {x1: 1, (0, 0, 0, 0, 0, 0, 0, 0, 0): Fraction(0)},
+                 {(Fraction(1), 0, 0, 0, 0, 0, 0, 0, 0): 1}):
+        with pytest.raises(TypeError):
+            reduce_mod_symmetric(poly)
+    # numpy integers are integers
+    np_x1 = tuple(np.int64(v) for v in x1)
+    assert (reduce_mod_symmetric({np_x1: np.int32(3)})
+            == {k: 3 * v for k, v in reduce_mod_symmetric({x1: 1}).items()})
+
+
+def _product_by_reduction(forms):
+    """The product of the linear forms (tuples of x-indices), reduced
+    factor by factor with reduce_mod_symmetric: the monomial route."""
+    poly = {(0,) * 9: 1}
+    for form in forms:
+        out = {}
+        for e, c in poly.items():
+            for v in form:
+                ne = list(e)
+                ne[v - 1] += 1
+                ne = tuple(ne)
+                out[ne] = out.get(ne, 0) + c
+        poly = reduce_mod_symmetric(out)
+    return poly
+
+
+_linear_forms = st.lists(st.integers(1, 9), min_size=1, max_size=3).map(tuple)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_linear_forms, max_size=8))
+def test_schubert_product_matches_monomial_reduction(forms):
+    assert (_schubert_expand(*_schubert_product(forms))
+            == _product_by_reduction(forms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.permutations(range(9)))
+def test_schubert_polynomials_are_normal_forms(w):
+    poly = _schubert_expand(np.array([w], dtype=np.int8),
+                            np.ones(1, dtype=np.int64))
+    assert poly and all(c > 0 for c in poly.values())
+    assert all(e[k] <= k for e in poly for k in range(9))
+    assert reduce_mod_symmetric(dict(poly)) == poly
+
+
+def test_chern_top_class_matches_monomial_reduction():
+    # a second route to the exponent vector; localization is the second
+    # route to the 81
+    (exps, coeff), = _product_by_reduction(FLAG_MONOMIALS).items()
+    assert chern_top_class() == (coeff, exps)
+
+
+def test_schubert_route_overflow_guard():
+    ident = np.arange(9, dtype=np.int8)[None, :]
+    # x_1 + x_2 + x_3 splits into 18 pairs of weight 1: 18 * 2**58 > 2**62
+    with pytest.raises(OverflowError):
+        _times_linear_form(ident, np.array([2**58]), (1, 2, 3))
+    # x_9 = y_1 has 8 pairs of weight 1, and S_id times it is S_{s_1}
+    with pytest.raises(OverflowError):
+        _times_linear_form(ident, np.array([2**59]), (9,))
+    perms, coeffs = _times_linear_form(ident, np.array([2**57]), (9,))
+    assert coeffs.tolist() == [2**57]
+    assert _schubert_expand(perms, coeffs) == {(0,) * 8 + (1,): 2**57}
+    # S_{s_2} = y_1 + y_2 has two terms, so 2**61 of it reaches 2**62
+    s2 = np.array([[0, 2, 1, 3, 4, 5, 6, 7, 8]], dtype=np.int8)
+    with pytest.raises(OverflowError):
+        _schubert_expand(s2, np.array([2**61]))
 
 
 def _block_orderings(sizes, rest):

@@ -59,6 +59,18 @@ def test_zero_trivector_non_stable():
     assert verdict.witness is not None
 
 
+def test_destabilizer_search_needs_a_degree():
+    # c30 = 1 over GF(2) is non_stable at degree 1; searching no degree must
+    # raise, not return "stable" with 0 subspaces checked
+    t = build_gamma_c(CurveCoeffs(GF(2), {30: 1}))
+    assert destabilizer_search(t, 1).status == "non_stable"
+    for d in (0, -2):
+        with pytest.raises(ValueError):
+            destabilizer_search(t, d)
+        with pytest.raises(ValueError):
+            destabilizer_search(Trivector(GF(3)), d)
+
+
 def test_c15_stable_at_bound_with_point_search_oracle():
     f2 = GF(2)
     c = CurveCoeffs(f2, {15: 1})
