@@ -117,13 +117,15 @@ def cmd_stability(args):
 
 def cmd_loci_count(args):
     from .loci import DEFAULT_POINT_BUDGET, enumerate_rank_locus
+    if args.points is not None and args.max_rank is None:
+        raise SystemExit2("trivec loci count: --points needs --max-rank")
     t = _embed_to_q(ser.trivector_from_json(_load(args.gamma)), args.q)
     budget = DEFAULT_POINT_BUDGET if args.budget is None else args.budget
     report, points = enumerate_rank_locus(
         t, max_rank=args.max_rank, with_points=args.points is not None,
         budget=budget)
     out = report.to_json()
-    if args.points is not None and args.max_rank is not None:
+    if args.points is not None:
         f = t.field
         ser.dump_json({"field": f.spec_str(),
                        "points": [{"coords": [f.to_str(x) for x in p],
@@ -241,8 +243,10 @@ def _global_options(p):
     p.add_argument("--seed", type=int, default=0,
                    help="seed for any randomized sampling (default 0)")
     p.add_argument("--budget", type=_positive_int, default=None,
-                   help="global cap on enumeration sizes (unused by "
-                        "'loci cubic', which does not scan)")
+                   help="cap on enumeration sizes: P^8 points per scan; for "
+                        "'stability', candidates walked per degree (default "
+                        "2,000,000); unused by 'loci cubic', which does not "
+                        "scan")
     return p
 
 
@@ -282,7 +286,9 @@ def build_parser():
     ga.add_argument("-o", "--output")
     ga.set_defaults(fn=cmd_gamma_act)
 
-    st = sub.add_parser("stability", help="destabilizing-subspace search")
+    st = sub.add_parser("stability", help="destabilizing-subspace search (the "
+                        "Gray-code scan over F_2, else the singular points "
+                        "of the Pfaffian cubic)")
     st.add_argument("--gamma", required=True)
     st.add_argument("--max-ext", type=_positive_int, default=1)
     st.set_defaults(fn=cmd_stability)
@@ -292,7 +298,7 @@ def build_parser():
     lc = lsub.add_parser("count")
     lc.add_argument("--gamma", required=True)
     lc.add_argument("--q", type=int)
-    lc.add_argument("--max-rank", type=int)
+    lc.add_argument("--max-rank", type=int, choices=range(9))
     lc.add_argument("--points", metavar="OUT.json")
     lc.set_defaults(fn=cmd_loci_count)
     lq = lsub.add_parser("cubic")

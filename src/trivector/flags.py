@@ -524,13 +524,14 @@ def reduce_mod_symmetric(poly: dict) -> dict:
     poly = {e: c for e, c in poly.items() if c}
     if not poly:
         return {}
-    exps = np.array(list(poly), dtype=np.int64)
-    if exps.ndim != 2 or exps.shape[1] != 9:
+    # checked as Python ints, so an exponent past int64 is a ValueError too
+    if any(len(e) != 9 for e in poly):
         raise ValueError("exponent vectors must have 9 entries")
-    if (exps < 0).any():
+    if any(v < 0 for e in poly for v in e):
         raise ValueError("negative exponent in a term")
-    if (exps.sum(axis=1) >= 1 << _EXP_BITS).any():
+    if any(sum(e) >= 1 << _EXP_BITS for e in poly):
         raise ValueError("total degree must be below %d" % (1 << _EXP_BITS))
+    exps = np.array(list(poly), dtype=np.int64)
     _check_l1(sum(abs(c) for c in poly.values()))
     keys = (exps << _KEY_SHIFTS).sum(axis=1)
     coeffs = np.array(list(poly.values()), dtype=np.int64)

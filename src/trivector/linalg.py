@@ -41,10 +41,6 @@ class Matrix:
         i, j = ij
         return self.rows[i][j]
 
-    def __setitem__(self, ij, v):
-        i, j = ij
-        self.rows[i][j] = v
-
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.rows == other.rows
 

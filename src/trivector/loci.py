@@ -118,12 +118,14 @@ class _RunScanner:
     identically zero) go through build_skew + batched_rank; each partial is
     evaluated (batch_eval) only on the zeros no earlier partial has marked.
     Over F_4 that is about 10 of the 22,405 zeros of C of a smooth curve.
+    This elimination set, the singular points of C, is where the witness
+    engine of stability.py reads its candidates.
     Called on a run (head, lo, hi), it returns (codes, ranks, hist): the
-    run's points of rank <= max_rank (none when max_rank is None) with
-    their ranks, in lexicographic order, and the rank histogram (length 9)
-    of the whole run."""
+    run's points of rank <= max_rank (none when max_rank is None; the
+    elimination set when `singular`) with their ranks, in lexicographic
+    order, and the rank histogram (length 9) of the whole run."""
 
-    def __init__(self, kern, tensor, cubic_codes, max_rank):
+    def __init__(self, kern, tensor, cubic_codes, max_rank, singular=False):
         self.kern = kern
         self.tensor = tensor
         self.cubic_codes = cubic_codes
@@ -133,6 +135,7 @@ class _RunScanner:
                          if not d.is_zero()]
         self.powers = _power_table(self.kern, 3)
         self.max_rank = max_rank
+        self.singular = singular
 
     def __call__(self, run):
         kern = self.kern
@@ -152,6 +155,8 @@ class _RunScanner:
                 raise Disagreement("rank 8 at a zero of the Pfaffian cubic")
             ranks[low] = low_ranks
         hist = np.bincount(ranks, minlength=9)
+        if self.singular:
+            return pts[low], ranks[low], hist
         if self.max_rank is None:
             return pts[:0], ranks[:0], hist
         keep = ranks <= self.max_rank
@@ -160,13 +165,14 @@ class _RunScanner:
 
 def iter_rank_locus(t: Trivector, max_rank: int | None = None,
                     chunk: int = DEFAULT_SCAN_CHUNK,
-                    budget: int = DEFAULT_POINT_BUDGET):
+                    budget: int = DEFAULT_POINT_BUDGET, *, _singular=False):
     """Streaming scan of P^8 over t's finite field: yields (codes, ranks,
     hist) for contiguous runs of at most `chunk` canonical points, in
     lexicographic order, each run one product box (scan.projective_runs).
     codes/ranks hold the run's points of rank <= max_rank (none when
     max_rank is None) and hist the rank histogram (length 9) of all its
-    points.
+    points.  The private `_singular` yields the elimination set of
+    _RunScanner instead, for the witness engine of stability.py.
 
     The chunk, field and budget checks run before any point is scanned;
     the runs are scanned in this process as the consumer asks for them."""
@@ -185,7 +191,7 @@ def iter_rank_locus(t: Trivector, max_rank: int | None = None,
     scanner = _RunScanner(
         kern, _structure_tensor_codes(t, kern),
         [(e, kern.encode(c)) for e, c in pfaffian_cubic(t).terms.items()],
-        max_rank)
+        max_rank, _singular)
     return map(scanner, projective_runs(q, chunk))
 
 
@@ -330,16 +336,6 @@ class CubicForm:
 
     def as_multipoly(self) -> MultiPoly:
         return MultiPoly(self.field, 9, self.coeffs)
-
-    def evaluate(self, coords):
-        acc = self.field.zero
-        for e, c in self.coeffs.items():
-            term = c
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    term = term * coords[i]
-            acc = acc + term
-        return acc
 
     def partials(self):
         mp = self.as_multipoly()

@@ -1,13 +1,22 @@
-"""Stability of trivectors: destabilizing-subspace search over the
-Grassmannian of 6-planes, exact curve smoothness, and the cross-validated
-verdict for the normal-form family.
+"""Stability of trivectors: destabilizing-subspace search, exact curve
+smoothness, and the cross-validated verdict for the normal-form family.
 
 A 6-dimensional subspace U destabilizes t exactly when t lies in
 wedge^2(U) ^ V, i.e. every double contraction of t by two covectors
-annihilating U vanishes.  The search therefore enumerates the 3-dimensional
-annihilators W = U-perp in reduced echelon form and tests the three basis
-pair contractions; a found witness is converted back to a 6x9 row-reduced
-basis of U and re-verified through the independent change-of-basis route.
+annihilating U vanishes.  Two engines find such a U through its
+3-dimensional annihilator W = U-perp:
+
+- over F_2 at degree 1, the Gray-code kernel walks all 788,035 annihilators
+  in reduced echelon form (one pair-table gather per block; also the
+  256-curve family scan);
+- over every other field and degree, the witness engine reads W off the
+  singular points of the Pfaffian cubic C, the points the sieved P^8 scan
+  of loci._RunScanner already sends to elimination: a rank-6 singular
+  point x gives W = ker phi(x), and when there is none, W is a 2-plane over
+  a rank <= 4 point (see _singular_point_witness for both proofs).
+
+A found witness is returned as a 6x9 row-reduced basis of U and re-verified
+through the independent change-of-basis route (witness_verify).
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import BudgetExceeded, Disagreement, UnsupportedField
-from .fields import GF, Field, RationalField
+from .fields import GF, RationalField
 from .linalg import Matrix, kernel_matrix
 from .polys import embed_map, extension_of, element_degree
 from .scan import field_kernel
@@ -32,7 +41,7 @@ __all__ = [
     "StabilityVerdict", "destabilizer_search", "witness_verify",
     "curve_is_smooth", "singular_points_of_curve", "stability_verdict_gamma_c",
     "gamma_family_scan_f2", "gaussian_binomial", "pivot_patterns",
-    "echelon_matrices", "double_contract", "destabilizes",
+    "double_contract", "destabilizes",
     "rational_stability_report", "DEFAULT_SUBSPACE_BUDGET",
 ]
 
@@ -51,33 +60,14 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 def pivot_patterns(k: int, n: int):
     """The pivot columns of the reduced-echelon k x n matrices in
     colexicographic order, each with the free columns of its k rows: the
-    one pattern order of every subspace enumeration in this module."""
+    pattern order of the F_2 annihilator scan (k = 3, n = 9) and of the
+    witness engine's 2-planes (k = 2)."""
     return tuple(
         (pivots, tuple(tuple(c for c in range(n)
                              if c > pivots[r] and c not in pivots)
                        for r in range(k)))
         for pivots in sorted(itertools.combinations(range(n), k),
                              key=lambda t: t[::-1]))
-
-
-def echelon_matrices(field: Field, k: int, n: int):
-    """All reduced-echelon k x n matrices over a finite field.
-
-    Pivot-column patterns run in the order of pivot_patterns and free entries
-    run in the field's element order, so the enumeration is deterministic and
-    partitionable by pattern.
-    """
-    elements = list(field.elements())
-    zero, one = field.zero, field.one
-    for pivots, free in pivot_patterns(k, n):
-        positions = [(r, c) for r in range(k) for c in free[r]]
-        for values in itertools.product(elements, repeat=len(positions)):
-            rows = [[zero] * n for _ in range(k)]
-            for r in range(k):
-                rows[r][pivots[r]] = one
-            for (r, c), v in zip(positions, values):
-                rows[r][c] = v
-            yield Matrix(field, rows)
 
 
 def double_contract(t: Trivector, alpha, beta):
@@ -134,6 +124,8 @@ class StabilityVerdict:
     status: str                      # "stable" | "non_stable" | "inconclusive"
     witness: Matrix | None = None    # 6x9 row-reduced basis when non_stable
     searched_ext_degree: int = 0
+    # candidates walked: annihilators on the F_2 Gray route, P^8 points and
+    # 2-planes on the witness engine's route
     subspaces_checked: int = 0
     note: str = ""
 
@@ -272,8 +264,13 @@ def destabilizer_search(t: Trivector, max_ext_degree: int = 1,
                         ) -> StabilityVerdict:
     """Search extensions of the base field for a destabilizing 6-plane.
 
-    "stable" only certifies absence of a witness up to the searched bound;
-    for the normal-form family the smoothness test upgrades it.
+    Degree 1 over F_2 runs the Gray-code scan of all 788,035 annihilators;
+    every other degree runs the witness engine on P^8 of the extension.
+    `budget` bounds the candidates walked at each degree: the annihilators
+    on the Gray route, the P^8 points plus the enumerated 2-planes on the
+    engine's route; a degree past it raises BudgetExceeded.  "stable" only
+    certifies absence of a witness up to the searched bound; for the
+    normal-form family the smoothness test upgrades it.
     """
     if max_ext_degree < 1:
         raise ValueError("max_ext_degree must be >= 1")
@@ -288,29 +285,21 @@ def destabilizer_search(t: Trivector, max_ext_degree: int = 1,
     checked = 0
     for d in range(1, max_ext_degree + 1):
         ext = extension_of(base, d)
-        count = gaussian_binomial(9, 3, ext.order)
-        if count > budget:
-            raise BudgetExceeded(
-                "degree %d needs %d subspaces (budget %d)" % (d, count, budget),
-                count=count)
-        emb = embed_map(base, ext)
-        t_ext = t.map_coeffs(ext, emb) if d > 1 else t
+        t_ext = t.map_coeffs(ext, embed_map(base, ext)) if d > 1 else t
         if ext.order == 2:
+            count = gaussian_binomial(9, 3, 2)
+            if count > budget:
+                raise BudgetExceeded("degree 1 needs %d subspaces (budget %d)"
+                                     % (count, budget), count=count)
             witness, n = _scan_f2([tuple(t_ext.coeffs)])
-            checked += n
-            if witness:
-                u = _witness_rows_to_u(ext, witness[0])
-                if not witness_verify(t_ext, u):
-                    raise Disagreement("witness failed independent verification")
-                return StabilityVerdict("non_stable", u, d, checked)
-            continue
-        for w in echelon_matrices(ext, 3, 9):
-            checked += 1
-            if destabilizes(t_ext, w):
-                u = kernel_matrix(w)
-                if not witness_verify(t_ext, u):
-                    raise Disagreement("witness failed independent verification")
-                return StabilityVerdict("non_stable", u, d, checked)
+            u = _witness_rows_to_u(ext, witness[0]) if witness else None
+            if u is not None and not witness_verify(t_ext, u):
+                raise Disagreement("witness failed independent verification")
+        else:
+            u, n = _singular_point_witness(t_ext, budget)
+        checked += n
+        if u is not None:
+            return StabilityVerdict("non_stable", u, d, checked)
     return StabilityVerdict("stable", None, max_ext_degree, checked,
                             note="no witness up to extension degree %d"
                                  % max_ext_degree)
@@ -409,6 +398,10 @@ def _witness_rows_to_u(field, rows_bits):
     return kernel_matrix(Matrix(field, rows))
 
 
+# ---------------------------------------------------------------------------
+# the witness engine: destabilizing annihilators from the singular points of
+# the Pfaffian cubic
+
 _ANCHOR_CHUNK = 1 << 12
 
 
@@ -425,48 +418,146 @@ def _anchored_hits(kern, points, tensor):
     return hits
 
 
+def _echelon_planes(kern, n, size):
+    """The reduced-echelon 2 x n code matrices, whose row spaces are the
+    2-planes of F_q^n: pivot patterns in the order of pivot_patterns, free
+    entries as base-q digits (the last free cell fastest), in batches of at
+    most `size`."""
+    for pivots, free in pivot_patterns(2, n):
+        cells = [(r, c) for r in range(2) for c in free[r]]
+        count = kern.q ** len(cells)
+        for lo in range(0, count, size):
+            digits = np.arange(lo, min(count, lo + size))
+            planes = np.zeros((digits.size, 2, n), dtype=kern.dtype)
+            planes[:, (0, 1), pivots] = 1
+            for r, c in reversed(cells):
+                digits, planes[:, r, c] = np.divmod(digits, kern.q)
+            yield planes
+
+
+def _plane_witness(kern, tensor, points, ranks, budget):
+    """The first destabilizing <a, x, y> over the coded rank <= 4 points a,
+    rank 4 first and in scan order within a rank, with <x, y> running
+    through the 2-planes of a complement of <a> in ker phi(a) in the order
+    of _echelon_planes.
+
+    The reduced kernel basis has one row per free column, ending there, and
+    a's coordinate at that column is its coefficient on the row; dropping
+    the first row with a nonzero coefficient leaves a complement of <a>.
+    x and y lie in ker phi(a), so t(a, x, .) and t(a, y, .) vanish and only
+    t(x, y, .) is tested.  Returns (rows, tried): the three annihilator rows
+    as codes, or None, and the number of planes tested; BudgetExceeded
+    before a point whose planes would take that number past `budget`."""
+    order = np.argsort(-ranks, kind="stable")
+    points, ranks = points[order], ranks[order]
+    _, kernels = kern.batched_kernel_basis(kern.build_skew(points, tensor))
+    tried = 0
+    for a, r, basis in zip(points, ranks, kernels):
+        tried_next = tried + gaussian_binomial(8 - int(r), 2, kern.q)
+        if tried_next > budget:
+            raise BudgetExceeded("the witness planes over P^8(F_%d) pass the "
+                                 "budget %d" % (kern.q, budget), count=tried_next)
+        rows = basis[:9 - r]
+        ends = 8 - np.argmax(rows[:, ::-1] != 0, axis=1)
+        rest = np.delete(rows, np.flatnonzero(a[ends])[0], axis=0)
+        for planes in _echelon_planes(kern, 8 - r, _ANCHOR_CHUNK):
+            xy = kern.matmul(planes, rest)
+            hit = ~kern.double_contract(xy[:, 0], xy[:, 1], tensor).any(1)
+            if hit.any():
+                first = int(hit.argmax())
+                return np.concatenate([a[None], xy[first]]), tried + first + 1
+            tried += planes.shape[0]
+    return None, tried
+
+
+def _singular_point_witness(te: Trivector, budget: int):
+    """The witness engine over te's finite field: (u, walked), u a verified
+    6x9 witness or None, walked the P^8 points scanned plus the 2-planes
+    tested.  BudgetExceeded when the points, or the points plus the planes
+    tested up to the next point's, exceed the budget; Disagreement when the
+    first fact below fails, or the object routes reject the witness.
+
+    A 3-space W of covectors destabilizes exactly when phi(x) y =
+    t(x, y, .) = 0 for all x, y in W, that is, when W lies in ker phi(x)
+    for every x in W.  So every point of P(W) has rank <= 6, and:
+
+    - Rank-6 anchors.  If some x in P(W) has rank 6, W = ker phi(x) (both
+      have dimension 3).  Such an x is a singular point of the Pfaffian
+      cubic C, and a rank-6 singular point of C is always such an x.  Let
+      k_1, k_2, k_3 span K = ker phi(x).  The principal 6x6 Pfaffians of
+      phi(x) are lambda != 0 times the Pluecker coordinates of K, up to
+      signs fixed by the deleted indices: in a basis adapted to K only the
+      block on the complement survives, and both sides move by the same
+      minors under a change of basis.  By the derivative lemma of
+      loci._RunScanner (dPf/dm_ab = +-Pf of the block without rows and
+      columns a, b, with m_ab = sum_j t_abj x_j), expanding the Pluecker
+      coordinate det(k_c)_{iab} along row i gives, for all i and j,
+          d_j(C x_i)(x) = mu * sum_c (k_c)_i t(k_c', k_c'', e_j),
+      with one mu != 0 (lambda up to sign) and (c, c', c'') running through
+      the cyclic orders of 1, 2, 3.  At a zero
+      of C, d_j(C x_i) = x_i d_j C, and x != 0, so the gradient of C
+      vanishes at x exactly when sum_c k_c (x) t(k_c', k_c'', .) = 0, and,
+      the k_c being independent, exactly when the three double contractions
+      of K vanish.  (When C is identically zero, every point is singular
+      and every rank-6 point is an anchor.)
+    - Plane reduction.  If P(W) has no rank-6 point, all its points have
+      rank <= 4, where the gradient of C vanishes (loci._RunScanner), so
+      they are all in the elimination set.  For any one of them, a, W/<a>
+      is a 2-plane in ker phi(a)/<a>, and a 2-plane <x, y> of a complement
+      of <a> in ker phi(a) gives a destabilizing <a, x, y> exactly when
+      t(x, y, .) = 0.
+
+    The engine streams the elimination set of the sieved scan
+    (iter_rank_locus with _singular) in runs of at most 4096 points in
+    lexicographic order.  The rank-6 points of a run are tested with
+    _anchored_hits, and any that fails the first fact raises Disagreement;
+    the first one is the witness, so it is the first rank-6 point whose
+    kernel destabilizes, and the scan stops there.  With no anchor in the
+    whole scan, the 2-planes at the collected rank <= 4 points are tested
+    in coded batches, rank-4 points first ((q^2+1)(q^2+q+1) planes each,
+    against the Gaussian binomial [6 choose 2]_q at a rank-2 point), until
+    the first hit.  The hit is rebuilt and checked through the object route
+    (kernel_matrix, destabilizes) and then witness_verify.
+    """
+    from . import loci
+    kern = field_kernel(te.field)
+    tensor = loci._structure_tensor_codes(te, kern)
+    walked, low_codes, low_ranks = 0, [], []
+    for codes, ranks, hist in loci.iter_rank_locus(
+            te, chunk=_ANCHOR_CHUNK, budget=budget, _singular=True):
+        walked += int(hist.sum())
+        anchors = codes[ranks == 6]
+        if anchors.size:
+            if not _anchored_hits(kern, anchors, tensor).all():
+                raise Disagreement("a rank-6 singular point of the Pfaffian "
+                                   "cubic has a non-destabilizing kernel")
+            w = kernel_matrix(phi_at(te, [kern.decode(c) for c in anchors[0]]))
+            break
+        low_codes.append(codes)
+        low_ranks.append(ranks)
+    else:
+        rows, tried = _plane_witness(kern, tensor, np.concatenate(low_codes),
+                                     np.concatenate(low_ranks), budget - walked)
+        walked += tried
+        if rows is None:
+            return None, walked
+        w = Matrix(te.field, [[kern.decode(c) for c in row] for row in rows])
+    u = kernel_matrix(w)
+    if u.nrows != 6 or not destabilizes(te, w) or not witness_verify(te, u):
+        raise Disagreement("object routes reject the engine's witness")
+    return u, walked
+
+
 def anchored_witness_search(t: Trivector, ext_degree: int,
                             point_budget: int = 30_000_000):
-    """Witness search over an extension too large to enumerate subspace by
-    subspace: every rank-6 point of the pencil whose image is the candidate
-    6-plane is tried (for a witness plane W containing a rank-6 covector,
-    the destabilizing subspace is exactly that image).
-
-    The P^8 scan streams runs of at most 4096 points in lexicographic
-    order (run boundaries do not change which point passes first); the
-    rank-6 points of each run are tested in one batch in coded arithmetic,
-    and the scan stops at the first run with a hit.  That hit is rebuilt
-    and checked through the object route (phi_at, rref, kernel_matrix,
-    destabilizes) and then witness_verify, so the result is the image of
-    the first rank-6 point that passes.
-
-    Returns a verified 6x9 witness over the extension, or None.
-    """
-    from .loci import _structure_tensor_codes, iter_rank_locus
-    base = t.field
-    ext = extension_of(base, ext_degree)
-    emb = embed_map(base, ext)
-    te = t.map_coeffs(ext, emb) if ext_degree > 1 else t
-    runs = iter_rank_locus(te, max_rank=6, chunk=_ANCHOR_CHUNK,
-                           budget=point_budget)
-    kern = field_kernel(ext)
-    tensor = _structure_tensor_codes(te, kern)
-    for codes, ranks, _ in runs:
-        candidates = codes[ranks == 6]
-        hits = np.nonzero(_anchored_hits(kern, candidates, tensor))[0]
-        if hits.size:
-            break
-    else:
-        return None
-    point = [kern.decode(c) for c in candidates[hits[0]]]
-    red, piv = phi_at(te, point).rref()
-    u = Matrix(ext, red.rows[:6])
-    w = kernel_matrix(u)
-    if len(piv) != 6 or w.nrows != 3 or not destabilizes(te, w):
-        raise Disagreement("object route rejects the batched anchored witness")
-    if not witness_verify(te, u):
-        raise Disagreement("anchored witness failed verification")
-    return u
+    """The witness engine at one extension degree (see
+    _singular_point_witness): a verified 6x9 witness over the degree
+    `ext_degree` extension, or None.  When some rank-6 point has a
+    destabilizing kernel, the witness is the image of the first such point
+    in lexicographic order."""
+    ext = extension_of(t.field, ext_degree)
+    te = t.map_coeffs(ext, embed_map(t.field, ext)) if ext_degree > 1 else t
+    return _singular_point_witness(te, point_budget)[0]
 
 
 @dataclass
@@ -488,24 +579,22 @@ def stability_verdict_gamma_c(c: CurveCoeffs, max_ext_degree: int = 1,
                               budget: int = DEFAULT_SUBSPACE_BUDGET
                               ) -> GammaCConsistency:
     """Runs both the smoothness test and the destabilizer search and certifies
-    their agreement; any disagreement is an implementation bug."""
+    their agreement; any disagreement is an implementation bug.  A singular
+    curve is guaranteed a witness over some extension, so without one at
+    degree 1 the witness engine goes on, degree by degree, up to degree
+    max(2, max_ext_degree) + 2; a curve still without one fails the
+    agreement check."""
     smooth = curve_is_smooth(c)
     t = build_gamma_c(c)
     verdict = destabilizer_search(t, max_ext_degree=1, budget=budget)
-    if not smooth:
-        d = 1
-        while verdict.status != "non_stable":
-            # a singular curve is guaranteed a witness over some extension;
-            # search rank-6-anchored candidates where full enumeration is out
-            d += 1
-            if d > max(2, max_ext_degree) + 2:
-                raise Disagreement(
-                    "singular curve but no witness within reach for %r" % c)
-            u = anchored_witness_search(t, d)
-            if u is not None:
-                verdict = StabilityVerdict("non_stable", u, d,
-                                           verdict.subspaces_checked,
-                                           note="rank-6-anchored witness")
+    d = 1
+    while (not smooth and verdict.status == "stable"
+           and d < max(2, max_ext_degree) + 2):
+        d += 1
+        u = anchored_witness_search(t, d, budget)
+        if u is not None:
+            verdict = StabilityVerdict("non_stable", u, d,
+                                       verdict.subspaces_checked)
     return GammaCConsistency(c, smooth, verdict)
 
 
@@ -519,22 +608,17 @@ def stability_family_report_f2():
     for cmask in range(256):
         cc = CurveCoeffs(f2, {d: (cmask >> i) & 1
                               for i, d in enumerate(CURVE_DEGREES)})
-        smooth = curve_is_smooth(cc)
+        smooth, t = curve_is_smooth(cc), build_gamma_c(cc)
         if found[cmask]:
-            u = _witness_rows_to_u(f2, witness[cmask])
-            t = build_gamma_c(cc)
+            u, d = _witness_rows_to_u(f2, witness[cmask]), 1
             if not witness_verify(t, u):
                 raise Disagreement("scan witness failed verification for %r" % cc)
-            verdict = StabilityVerdict("non_stable", u, 1, checked)
-        elif not smooth:
-            # the singular point lives over an extension; so does the witness
-            u = anchored_witness_search(build_gamma_c(cc), 2)
-            if u is None:
-                raise Disagreement("no degree-2 anchored witness for %r" % cc)
-            verdict = StabilityVerdict("non_stable", u, 2, checked,
-                                       note="rank-6-anchored witness")
         else:
-            verdict = StabilityVerdict("stable", None, 1, checked)
+            # a singular point off F_2 has its witness over an extension; a
+            # singular curve left "stable" fails GammaCConsistency
+            u, d = (None, 1) if smooth else (anchored_witness_search(t, 2), 2)
+        verdict = StabilityVerdict("stable" if u is None else "non_stable",
+                                   u, d, checked)
         reports.append(GammaCConsistency(cc, smooth, verdict))
     return reports, checked
 
@@ -546,8 +630,11 @@ def rational_stability_report(t: Trivector, primes=(2, 7, 11, 13),
     characteristic-free and non-stability specializes; otherwise the report
     is inconclusive.
 
-    Only the mod-2 Grassmannian is enumerable subspace by subspace, so larger
-    primes contribute only when the budget allows.
+    Each reduction runs the degree-1 destabilizer_search: the Gray scan mod
+    2 and the witness engine, one P^8(F_p) scan, at every other prime.  A
+    prime whose P^8 exceeds the budget is skipped as "over budget": at the
+    default budget p = 2, 3 and 5 are decided and p >= 7 is not (P^8(F_7)
+    has 6,725,601 points).
     """
     if not isinstance(t.field, RationalField):
         raise UnsupportedField("rational_stability_report expects Q")
@@ -555,10 +642,8 @@ def rational_stability_report(t: Trivector, primes=(2, 7, 11, 13),
     for p in primes:
         if any(c.val.denominator % p == 0 for c in t.coeffs.values()):
             continue
-        fp = GF(p)
-        tp = Trivector(fp, {tr: fp.el(int(c.val.numerator)
-                                      * pow(c.val.denominator, -1, p))
-                            for tr, c in t.coeffs.items()})
+        tp = t.map_coeffs(GF(p), lambda c: c.val.numerator
+                          * pow(c.val.denominator, -1, p))
         try:
             verdict = destabilizer_search(tp, max_ext_degree=1, budget=budget)
         except BudgetExceeded:

@@ -131,17 +131,10 @@ class Trivector:
         c = self.field.el(c) if isinstance(c, int) else c
         return Trivector(self.field, {t: x * c for t, x in self.coeffs.items()})
 
-    def add_term(self, t, c):
-        return self + Trivector(self.field, {tuple(t): c})
-
     def to_vector(self):
         """Coefficient vector over the 84 sorted triples."""
         z = self.field.zero
         return [self.coeffs.get(t, z) for t in TRIPLES]
-
-    @classmethod
-    def from_vector(cls, field, vec):
-        return cls(field, {t: c for t, c in zip(TRIPLES, vec)})
 
     def proportional_to(self, other) -> bool:
         """True if self = lam * other for some nonzero scalar lam."""

@@ -65,6 +65,33 @@ def test_stability_cli(tmp_path, capsys):
     assert len(rep["verdict"]["witness"]) == 6
 
 
+def test_stability_cli_past_f2(tmp_path, capsys):
+    # GF(3): c30 = 1 is smooth, c24 = c30 = 1 has a rational singular point
+    for sets, status in ((["c30=1"], "stable"),
+                         (["c24=1", "c30=1"], "non_stable")):
+        g = tmp_path / "g3.json"
+        args = ["gamma", "build", "--field", "GF(3)", "-o", str(g)]
+        for item in sets:
+            args += ["--set", item]
+        run_cli(capsys, *args)
+        code, rep = run_cli(capsys, "stability", "--gamma", str(g))
+        assert code == 0
+        assert rep["verdict"]["status"] == status
+        assert rep["verdict"]["searched_ext_degree"] == 1
+    # GF(7): P^8 has 6,725,601 points, past the default budget of 2,000,000
+    g = tmp_path / "g7.json"
+    run_cli(capsys, "gamma", "build", "--field", "GF(7)", "--set", "c30=1",
+            "-o", str(g))
+    code = main(["stability", "--gamma", str(g)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "BudgetExceeded" in err
+    code, rep = run_cli(capsys, "--budget", "10000000", "stability",
+                        "--gamma", str(g))
+    assert code == 0
+    assert rep["verdict"]["status"] == "stable"     # x^2 + z^5 + 1 is smooth
+
+
 def test_heisenberg_cli(capsys):
     code, rep = run_cli(capsys, "heisenberg", "invariants", "--field", "GF(7)")
     assert code == 0
@@ -215,6 +242,13 @@ def test_usage_errors_exit_1(capsys):
     assert "--threads" in err and "absent.json" not in err
     assert main(["flags"]) == 1
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    # a rank outside 0..8, and a point file with no rank to select by
+    for argv in (["--max-rank", "-1", "--points", "p.json"],
+                 ["--max-rank", "9"], ["--points", "p.json"]):
+        assert main(["loci", "count", "--gamma", "absent.json"] + argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "--max-rank" in err and "absent.json" not in err
 
 
 @pytest.mark.parametrize("budget", ["0", "-3", "two"])

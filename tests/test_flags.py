@@ -509,6 +509,11 @@ def test_reduce_mod_symmetric_domain():
                               (2, -1, 0, 0, 0, 0, 0, 0, 0): 1})
     top = (0, 0, 0, 0, 0, 0, 0, 0, 63)
     assert reduce_mod_symmetric({top: 1, (0,) * 9: 3}) == {(0,) * 9: 3}
+    # exponents past int64 are outside the domain, not a numpy overflow
+    for key in ((2**70, 0, 0, 0, 0, 0, 0, 0, 0),
+                (0, 0, 0, 0, 0, 0, 0, -2**70, 1), (1,) * 8):
+        with pytest.raises(ValueError):
+            reduce_mod_symmetric({key: 1})
 
 
 def test_reduce_mod_symmetric_rejects_non_integers():

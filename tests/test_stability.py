@@ -13,12 +13,13 @@ from trivector.linalg import Matrix, kernel_matrix
 from trivector.loci import rank_locus_codes
 from trivector.polys import embed_map, extension_of
 from trivector import loci
-from trivector.scan import projective_count
-from trivector.stability import (_anchored_hits, _gray_scan_f2, _scan_f2,
-                                 _witness_rows_to_u,
+from trivector.scan import field_kernel, projective_count
+from trivector.stability import (_anchored_hits, _echelon_planes,
+                                 _gray_scan_f2, _scan_f2,
+                                 _singular_point_witness, _witness_rows_to_u,
                                  anchored_witness_search, curve_is_smooth,
                                  destabilizer_search, destabilizes,
-                                 echelon_matrices, gamma_family_scan_f2,
+                                 gamma_family_scan_f2,
                                  gaussian_binomial, pivot_patterns,
                                  rational_stability_report,
                                  singular_points_of_curve,
@@ -35,13 +36,16 @@ def test_gaussian_binomial():
     assert gaussian_binomial(4, 2, 3) == 130
 
 
-def test_echelon_enumeration_count():
-    f2 = GF(2)
-    count = sum(1 for _ in echelon_matrices(f2, 2, 4))
-    assert count == gaussian_binomial(4, 2, 2)
-    f3 = GF(3)
-    count = sum(1 for _ in echelon_matrices(f3, 2, 4))
-    assert count == gaussian_binomial(4, 2, 3)
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2)], ids=repr)
+def test_echelon_planes_are_the_2_planes(field):
+    # every 2-plane of F_q^n once, as its reduced echelon form
+    kern = field_kernel(field)
+    for n, size in ((4, 7), (6, 1 << 12)):
+        planes = np.concatenate(list(_echelon_planes(kern, n, size)))
+        assert planes.shape == (gaussian_binomial(n, 2, field.order), 2, n)
+        ranks, _, red = kern.batched_rref(planes)
+        assert (ranks == 2).all() and np.array_equal(red, planes)
+        assert len(set(map(bytes, planes))) == planes.shape[0]
 
 
 def test_gamma0_witness_is_e4_to_e9():
@@ -158,8 +162,8 @@ def test_destabilizer_criterion_gl_equivariant():
     rng = random.Random(1)
     f3 = GF(3)
     t = gamma0(f3)
-    # the known witness from the construction; search over F_3 is out of
-    # budget, but equivariance of the criterion needs no search
+    # the known witness from the construction; equivariance of the
+    # criterion needs no search
     u = Matrix(f3, [[1 if j == i + 3 else 0 for j in range(9)]
                     for i in range(6)])
     assert witness_verify(t, u)
@@ -533,3 +537,131 @@ def test_single_scan_witness_and_count():
     m = destabilizer_search(tm, 1)
     assert m.status == "non_stable"
     assert m.subspaces_checked == 262145
+
+
+def _anchors_and_singular_rank6(t):
+    """The rank-6 points whose kernel destabilizes, by _anchored_hits on
+    every rank-6 point of the scan, and the rank-6 points of the
+    elimination set of the sieved scan, as coded arrays in scan order."""
+    kern = field_kernel(t.field)
+    tensor = loci._structure_tensor_codes(t, kern)
+    anchors = [np.zeros((0, 9), dtype=kern.dtype)]
+    for codes, ranks, _ in loci.iter_rank_locus(t, max_rank=6):
+        six = codes[ranks == 6]
+        if six.size:
+            anchors.append(six[_anchored_hits(kern, six, tensor)])
+    singular = [codes[ranks == 6] for codes, ranks, _ in
+                loci.iter_rank_locus(t, _singular=True)]
+    return np.concatenate(anchors), np.concatenate(singular)
+
+
+def _draw_trivector(data, field, sparse):
+    """A normal form with random coefficients, or, when `sparse`, possibly
+    a random sparse trivector with up to 12 terms."""
+    code = st.integers(0, field.order - 1)
+    if not sparse or data.draw(st.booleans()):
+        return build_gamma_c(CurveCoeffs(field, {
+            d: field.from_int(data.draw(code)) for d in CURVE_DEGREES}))
+    terms = data.draw(st.lists(
+        st.tuples(st.sampled_from(TRIPLES), st.integers(1, field.order - 1)),
+        min_size=1, max_size=12, unique_by=lambda term: term[0]))
+    return Trivector(field, {trip: field.from_int(v) for trip, v in terms})
+
+
+@pytest.mark.parametrize("p, k, examples", [(2, 1, 30), (3, 1, 12),
+                                            (2, 2, 4), (5, 1, 2)],
+                         ids=["GF(2)", "GF(3)", "GF(4)", "GF(5)"])
+def test_singular_rank6_points_are_the_anchors(p, k, examples):
+    # the first fact of the witness engine: a rank-6 point is a singular
+    # point of the Pfaffian cubic exactly when its kernel destabilizes.
+    # Sparse trivectors are drawn up to F_4: many have C = 0, which sends
+    # all of P^8 through elimination (about 5 s over F_5)
+    field = GF(p, k)
+    anchors, singular = _anchors_and_singular_rank6(
+        build_gamma_c(CurveCoeffs(field, {})))
+    assert anchors.shape[0] > 0             # the cusp curve has anchors
+    assert np.array_equal(anchors, singular)
+
+    @settings(max_examples=examples, deadline=None)
+    @given(st.data())
+    def check(data):
+        anchors, singular = _anchors_and_singular_rank6(
+            _draw_trivector(data, field, field.order <= 4))
+        assert np.array_equal(anchors, singular)
+    check()
+
+
+def _engine_finds_witness(t):
+    return _singular_point_witness(t, 10 ** 7)[0] is not None
+
+
+def test_engine_matches_gray_scan_on_the_f2_family(family_scan):
+    found = family_scan[0]
+    assert [_engine_finds_witness(build_gamma_c(_family_curve(cmask)))
+            for cmask in range(256)] == found
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(TRIPLES), min_size=1, max_size=12,
+                unique=True))
+@example([(1, 2, 3)])       # all points of rank <= 2: only planes witness
+def test_engine_matches_gray_scan_on_sparse_f2(triples):
+    t = Trivector(GF(2), {trip: GF(2).one for trip in triples})
+    assert _engine_finds_witness(t) == bool(_scan_f2([tuple(t.coeffs)])[0])
+
+
+@pytest.mark.parametrize("p, k, count", [(3, 1, 40), (2, 2, 20), (5, 1, 8)],
+                         ids=["GF(3)", "GF(4)", "GF(5)"])
+def test_engine_verdict_is_a_rational_singular_point(p, k, count):
+    # stability at degree 1 over fields past F_2, against the enumeration
+    # of the curve's singular points; half the coefficients are zero, so
+    # both verdicts occur
+    field = GF(p, k)
+    rng = random.Random(18)
+    statuses = set()
+    for _ in range(count):
+        c = CurveCoeffs(field, {d: field.random(rng) if rng.random() < 0.5
+                                else field.zero for d in CURVE_DEGREES})
+        verdict = destabilizer_search(build_gamma_c(c), 1)
+        assert (verdict.status == "non_stable") == \
+            bool(singular_points_of_curve(c, 1))
+        statuses.add(verdict.status)
+    assert statuses == {"stable", "non_stable"}
+
+
+def test_plane_stage_finds_witnesses_without_anchors():
+    # every point of e123 + e456 has rank <= 4, so no kernel is an anchor
+    # and the witness comes from a 2-plane at a rank-4 point
+    for field in (GF(3), GF(2, 2)):
+        t = Trivector(field, {(1, 2, 3): field.one, (4, 5, 6): field.one})
+        _, singular = _anchors_and_singular_rank6(t)
+        assert singular.shape[0] == 0
+        verdict = destabilizer_search(t, 1)
+        assert verdict.status == "non_stable"
+        assert witness_verify(t, verdict.witness)
+        assert verdict.subspaces_checked > projective_count(field.order)
+
+
+def test_engine_budget_counts_points_and_planes():
+    # P^8(F_3) has 9,841 points; the smooth c30 = 1 curve adds 1,300
+    # planes at its 10 rank-4 points, so 11,141 candidates in all
+    t = build_gamma_c(CurveCoeffs(GF(3), {30: 1}))
+    verdict = destabilizer_search(t, 1)
+    assert verdict.status == "stable"
+    assert verdict.subspaces_checked == 11141
+    with pytest.raises(BudgetExceeded) as info:
+        destabilizer_search(t, 1, budget=9840)
+    assert info.value.count == 9841
+    with pytest.raises(BudgetExceeded):
+        destabilizer_search(t, 1, budget=11140)
+    # F_2 curves reach degree 2 in one P^8(F_4) scan
+    c = CurveCoeffs(GF(2), {3: 1, 9: 1, 15: 1})
+    verdict = destabilizer_search(build_gamma_c(c), 2)
+    assert (verdict.status, verdict.searched_ext_degree) == ("non_stable", 2)
+
+
+def test_rational_stability_through_mod_3():
+    t = build_gamma_c(CurveCoeffs(Q, {30: 1}))
+    report = rational_stability_report(t, primes=(2, 3))
+    assert report.status == "stable"
+    assert "mod 3" in report.note
