@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -389,8 +390,16 @@ def main(argv=None):
         "elapsed_ms": int((time.perf_counter() - t0) * 1000),
         "seed": args.seed,
     }
-    json.dump(report, sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    try:
+        json.dump(report, sys.stdout, indent=1, sort_keys=True)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`trivec ... | head`): send what is
+        # left to /dev/null, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("trivec: error: standard output closed", file=sys.stderr)
+        return 1
     return code
 
 

@@ -170,11 +170,12 @@ def flag_compatible(t: Trivector, flag: Flag1368) -> CompatibilityReport:
 # ---------------------------------------------------------------------------
 # flag search through the rank-4 locus, in coded arithmetic
 #
-# Every line u of the image of phi(x) at every rank-4 point x is one
-# candidate; the candidates go through numpy in batches.  The object route
+# At every rank-4 point x the lines u of the image of phi(x) whose
+# six-vector u ^ phi(x) ^ t is pure are solved for (_pure_lines: one small
+# linear system per point, or a Pfaffian test on each line where t mod
+# im phi(x) vanishes).  Those candidates, about one per point, go through
+# the coded tests of the object route in one batch, and the object route
 # only rebuilds and checks the candidates that pass every coded test.
-
-_FLAG_CHUNK = 1 << 13      # candidates per batch; bounds the (N, 36, 9) stacks
 
 
 @functools.cache
@@ -209,15 +210,164 @@ def _flag_index_tables():
                                           dual[..., 2])
 
 
-@functools.lru_cache(maxsize=16)
-def _line_codes(field: Field):
-    """Coefficients, in the rows of the reduced image basis, of the lines
-    of a 4-space over the field: leading 1 at position lead = 0..3, then
-    itertools.product of field.elements() on the tail, as (L, 4) codes."""
-    els = [field.to_int(e) for e in field.elements()]
-    rows = [[0] * lead + [1] + list(tail) for lead in range(4)
-            for tail in itertools.product(els, repeat=3 - lead)]
-    return np.array(rows, dtype=code_dtype(field.order))
+def _dual_matrix(t: Trivector, kern):
+    """The (84, 84) codes D with v @ D the dual three-form of v ^ t for a
+    trivector v: the splittings of _flag_index_tables as one matrix, entry
+    (T1, T) holding sign * t_T2."""
+    _, _, (d1, d2, dsign) = _flag_index_tables()
+    coeff = np.array([kern.encode(t.coeffs.get(trip, t.field.zero))
+                      for trip in TRIPLES], dtype=kern.dtype)[d2]
+    out = np.zeros((len(TRIPLES), len(TRIPLES)), dtype=kern.dtype)
+    out[d1, np.arange(len(TRIPLES))[:, None]] = np.where(
+        dsign > 0, coeff, kern.neg(coeff))
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _projective_codes(q: int, n: int):
+    """One representative of each point of P^(n-1)(F_q) as (L, n) codes:
+    code 1 at a leading position, any codes after it."""
+    rows = [(0,) * lead + (1,) + tail for lead in range(n)
+            for tail in itertools.product(range(q), repeat=n - 1 - lead)]
+    out = np.array(rows, dtype=code_dtype(q))
+    out.flags.writeable = False     # shared by every caller of the cache
+    return out
+
+
+def _line_keys(kern, coeffs):
+    """Sort keys of lines of a 4-space given by (N, 4) coded coefficients
+    with leading entry 1: by leading position, then by the tail in
+    itertools.product order of field.elements(), which lists the elements
+    in code order (the order in which the brute-force search enumerates
+    the lines)."""
+    q = kern.q
+    coeffs = coeffs.astype(np.int64)
+    lead = np.argmax(coeffs != 0, axis=1)
+    keys = lead * q ** 3
+    for j in range(1, 4):
+        keys = keys + np.where(j > lead, coeffs[:, j] * q ** (3 - j), 0)
+    return keys
+
+
+def _rank_two(kern, s):
+    """Whether each (N, 25) flattened alternating 5 x 5 matrix has rank
+    exactly 2: it is nonzero and its five principal 4 x 4 Pfaffians
+    s_ab s_cd - s_ac s_bd + s_ad s_bc vanish."""
+    e = lambda i, j: s[:, 5 * i + j]
+    ok = s.any(axis=1)
+    for a, b, c, d in itertools.combinations(range(5), 4):
+        pf = kern.sub(kern.mul(e(a, b), e(c, d)), kern.mul(e(a, c), e(b, d)))
+        ok &= kern.add(pf, kern.mul(e(a, d), e(b, c))) == 0
+    return ok
+
+
+def _lines_in_kernel(kern, beta, sigma, where):
+    """The tau-pure case of _pure_lines at the points where `where` holds:
+    yields (point indices, c) codes of every lambda in P(W*) with
+    iota_beta sigma_lambda = 0 for the first two rows beta of ann T~
+    (10 linear equations in the 4 coordinates c of lambda)."""
+    pts = np.nonzero(where)[0]
+    if not pts.size:
+        return
+    eqs = kern.matmul(beta[pts, None, :2], sigma[pts])
+    rank, sol = kern.batched_kernel_basis(
+        eqs.reshape(-1, 4, 10).transpose(0, 2, 1))
+    for dim in range(1, 5):
+        at = np.nonzero(rank == 4 - dim)[0]
+        if at.size:
+            c = kern.matmul(_projective_codes(kern.q, dim), sol[at, :dim])
+            yield np.repeat(pts[at], c.shape[1]), c.reshape(-1, 4)
+
+
+def _lines_of_rank_two(kern, sigma, where):
+    """The tau = 0 case of _pure_lines at the points where `where` holds:
+    yields (point indices, c) codes of every lambda in P(W*) whose
+    sigma_lambda has rank exactly 2, one point at a time
+    (q^3 + q^2 + q + 1 lambdas each)."""
+    lams = _projective_codes(kern.q, 4)
+    for p in np.nonzero(where)[0]:
+        keep = _rank_two(kern, kern.matmul(lams, sigma[p].reshape(4, 25)))
+        yield np.full(int(keep.sum()), p), lams[keep]
+
+
+def _pure_lines(kern, tensor, m, red, piv):
+    """The lines u of W = im phi(x) whose six-vector v2 = u ^ phi(x) ^ t is
+    pure, at n rank-4 points at once: m holds the (n, 9, 9) codes of phi(x),
+    red the reduced basis w_1, ..., w_4 of W and piv its pivot columns
+    p_1, ..., p_4.  Returns (point index, u) codes, u scaled so that its
+    coefficients over the w_i lead with 1, sorted by point and then in line
+    order (_line_keys).
+
+    Notation: k_1, ..., k_5 is the kernel basis of the w_i, a basis of
+    ann W = ker phi(x) = (V/W)*; tau = t mod W in Lambda^3(V/W), with
+    entries t(k_a, k_b, k_c) and support T~; a covector lambda on W is
+    lifted to V* as sum c_i e*_{p_i}, so that lambda(w_i) = c_i, and
+    sigma_lambda = (iota_lambda t) mod W in Lambda^2(V/W) has entries
+    t(lambda, k_a, k_b) (computed up to one sign for every lambda, which
+    no test below sees).
+
+    Claim: the pure lines are u = phi(x) lambda for
+      - tau pure and nonzero: lambda with sigma_lambda in Lambda^2 T~, the
+        kernel in c of the 10 x 4 system iota_beta sigma_lambda = 0 for the
+        two covectors beta of ann T~, the kernel of the 25 x 5 stack of
+        double contractions of tau (_lines_in_kernel);
+      - tau with 5-dimensional support: none;
+      - tau = 0: lambda in P(W*) with sigma_lambda of rank exactly 2
+        (_lines_of_rank_two).
+
+    Proof.  phi(x) is a nondegenerate two-vector of W, so lambda ->
+    phi(x) lambda maps P(W*) onto P(W).  For u = phi(x) lambda:
+    (1) v1 = u ^ phi(x) is nonzero and, as a three-vector of the 4-space
+    W, pure; iota_lambda v1 = lambda(u) phi(x) - u ^ u = 0, because
+    lambda(u) = phi(x)(lambda, lambda) = 0, so its support is
+    F3 = W cap ker lambda.
+    (2) v2 = v1 ^ t depends only on zeta = t mod F3 in Lambda^3(V/F3), and
+    v2 is pure iff zeta is: v1 ^ (.) is injective on Lambda^3(V/F3), takes
+    a pure zeta with support S to the pure six-vector with support
+    F3 + S, and a pure image has a support F6 containing F3, so zeta lies
+    in the line Lambda^3(F6/F3).
+    (3) With lambda(w) = 1 for some w in W, V/F3 = <w> + ker lambda / F3,
+    and projection maps ker lambda / F3 onto V/W.  Contracting zeta by
+    lambda gives zeta = w ^ sigma_lambda + tau in this splitting.  So:
+      - tau pure, nonzero: if sigma_lambda lies in Lambda^2 T~, zeta is a
+        nonzero three-vector of the 4-space <w> + T~, hence pure.
+        Conversely tau is the image of zeta along <w>, so a pure zeta has a
+        support S mapping onto T~; S lies in <w> + T~, and sigma_lambda =
+        iota_lambda zeta in Lambda^2 T~.  ann T~ is the set of beta with
+        iota_beta tau = 0.
+      - support of tau 5-dimensional: the image tau of a pure zeta would be
+        pure or zero, so no line is pure.  The case never arises: x lies in
+        ann W and iota_x tau = phi(x) mod W = 0, so tau is a three-vector of
+        the 4-space ker x / W, pure or zero.
+      - tau = 0: zeta = w ^ sigma_lambda is pure iff sigma_lambda is a
+        nonzero decomposable two-vector, i.e. of rank 2; the rank of an
+        alternating matrix is twice the size of its largest nonzero
+        principal Pfaffian.
+    Sparse non-stable trivectors reach the tau = 0 case; on the smooth
+    gamma_c tried, tau is pure at every rank-4 point."""
+    n = m.shape[0]
+    ks = kern.batched_kernel_basis(red)[1][:, :5]
+    # h[a, j, c] = t(k_a, e*_j, k_c) and tau[a, b, c] = t(k_a, k_b, k_c)
+    h = kern.matmul(kern.build_skew(ks.reshape(-1, 9), tensor)
+                    .reshape(n, 5, 9, 9), ks.transpose(0, 2, 1)[:, None])
+    tau = kern.matmul(ks[:, None], h)
+    sigma = h.transpose(0, 2, 1, 3)[np.arange(n)[:, None], piv]
+    support, beta = kern.batched_kernel_basis(tau.reshape(n, 25, 5))
+    found = [*_lines_in_kernel(kern, beta, sigma, support == 3),
+             *_lines_of_rank_two(kern, sigma, support == 0)]
+    if not found:
+        return np.zeros(0, dtype=np.int64), m[:0, 0]
+    pidx = np.concatenate([p for p, _ in found])
+    c = np.concatenate([c for _, c in found])
+    # u = phi(x) lambda = sum_i c_i (column p_i of phi(x))
+    cols = np.take_along_axis(m, piv[:, None, :], axis=2)[pidx]
+    u = kern.matmul(cols, c[:, :, None])[:, :, 0]
+    coeffs = np.take_along_axis(u, piv[pidx], axis=1)
+    lead = np.argmax(coeffs != 0, axis=1)
+    inv = kern.inv(coeffs[np.arange(len(pidx)), lead])[:, None]
+    u = kern.mul(u, inv).astype(kern.dtype)
+    order = np.lexsort((_line_keys(kern, kern.mul(coeffs, inv)), pidx))
+    return pidx[order], u[order]
 
 
 def _vanishes(kern, a, b):
@@ -235,9 +385,9 @@ def _span_stack(kern, v, span):
 
 
 def _coded_flag_candidates(t: Trivector, kern, points):
-    """Every line u of the image of phi(x), for each coded point x of
-    rank 4, tested in coded arithmetic by the conditions of the object
-    route:
+    """The pure lines u of the image of phi(x) at each coded point x of
+    rank 4 (_pure_lines), tested in coded arithmetic by the conditions of
+    the object route:
       - F3 = support of v1 = u ^ phi(x) has dimension 3;
       - the dual three-form of v2 = v1 ^ t spans a 3-space A_6 (v2 is a
         pure six-vector), and F6 = ker A_6;
@@ -245,62 +395,55 @@ def _coded_flag_candidates(t: Trivector, kern, points):
       - t(A_8, A_1, A_3), t(A_6, A_6, A_1) and t(A_6, A_3, A_3) vanish,
         with A_8 = <x>, A_3 = ann F3 and A_1 = ann u (flag_compatible).
 
-    The containments and t(A_8, A_1, A_3) = 0 already follow from the
-    construction (v1 = u ^ phi(x) with 3-dimensional support is u ^ f ^ f',
-    and the contraction of v2 by x vanishes); they are tested anyway, so the
-    filter applies exactly the conditions of the object route.
+    The first two tests, the containments and t(A_8, A_1, A_3) = 0 already
+    follow from the construction (v1 = u ^ phi(x) is pure with support in
+    W, v2 is pure by _pure_lines, and the contraction of v2 by x vanishes);
+    they are tested anyway, so the filter applies exactly the conditions of
+    the object route.
 
     Yields (point index, u, F3, F6) codes of the candidates passing every
-    test, points in order and lines in the enumeration order of _line_codes.
+    test, points in order and the lines of each point in the order of the
+    brute-force line enumeration (_line_keys).
     """
-    (upos, ment), span, (d1, d2, dsign) = _flag_index_tables()
-    coeff = [t.coeffs.get(trip, t.field.zero) for trip in TRIPLES]
-    dcoef = np.array([[kern.encode(coeff[n] if s > 0 else -coeff[n])
-                       for n, s in zip(row_n, row_s)]
-                      for row_n, row_s in zip(d2, dsign)], dtype=kern.dtype)
+    (upos, ment), span, _ = _flag_index_tables()
     tensor = _structure_tensor_codes(t, kern)
-    lines = _line_codes(t.field)
-    n_lines = lines.shape[0]
-    step = max(1, _FLAG_CHUNK // n_lines)
-    for start in range(0, points.shape[0], step):
-        x = points[start:start + step]
-        m = kern.build_skew(x, tensor)
-        ranks, _, red = kern.batched_rref(m)
-        pidx = np.repeat(np.nonzero(ranks == 4)[0], n_lines)
-        lidx = np.tile(np.arange(n_lines), len(pidx) // n_lines)
-        u = kern.matmul(lines[lidx, None, :], red[pidx, :4, :])[:, 0]
-        mflat = m.reshape(-1, 81)[pidx]
-        v1 = kern.sub(kern.mul(u[:, upos[:, 0]], mflat[:, ment[:, 0]]),
-                      kern.mul(u[:, upos[:, 1]], mflat[:, ment[:, 1]]))
-        v1 = kern.add(v1, kern.mul(u[:, upos[:, 2]], mflat[:, ment[:, 2]]))
-        r3, _, red3 = kern.batched_rref(_span_stack(kern, v1, span))
-        keep = r3 == 3
-        pidx, u, v1, f3 = pidx[keep], u[keep], v1[keep], red3[keep, :3]
-        dual = np.zeros_like(v1)
-        for s in range(d1.shape[1]):
-            dual = kern.add(dual, kern.mul(dcoef[:, s], v1[:, d1[:, s]]))
-        r6, _, red6 = kern.batched_rref(_span_stack(kern, dual, span))
-        keep = r6 == 3
-        pidx, u, f3, a6 = pidx[keep], u[keep], f3[keep], red6[keep, :3]
-        f6 = kern.batched_kernel_basis(a6)[1][:, :6]
-        a3 = kern.batched_kernel_basis(f3)[1][:, :6]
-        a1 = kern.batched_kernel_basis(u[:, None, :])[1][:, :8]
-        a3t = a3.transpose(0, 2, 1)
-        # containment u in F3 < F6 < F8
-        ok = _vanishes(kern, a3, u[:, :, None])
-        ok &= _vanishes(kern, a6, f3.transpose(0, 2, 1))
-        ok &= _vanishes(kern, x[pidx][:, None, :], f6.transpose(0, 2, 1))
-        # t(A_8, A_1, A_3) = A_1 phi(x) A_3^T
-        ok &= _vanishes(kern, a1, kern.matmul(m[pidx], a3t))
-        # t(A_6, A_6, A_1) and t(A_6, A_3, A_3)
-        for a, b in ((0, 1), (0, 2), (1, 2)):
-            w = kern.double_contract(a6[:, a], a6[:, b], tensor)
-            ok &= _vanishes(kern, a1, w[:, :, None])
-        for a in range(3):
-            ma = kern.build_skew(a6[:, a], tensor)
-            ok &= _vanishes(kern, a3, kern.matmul(ma, a3t))
-        for n in np.nonzero(ok)[0]:
-            yield start + pidx[n], u[n], f3[n], f6[n]
+    m = kern.build_skew(points, tensor)
+    ranks, piv, red = kern.batched_rref(m)
+    at = np.nonzero(ranks == 4)[0]
+    pidx, u = _pure_lines(kern, tensor, m[at], red[at, :4], piv[at, :4])
+    pidx = at[pidx]
+    if not pidx.size:
+        return
+    mflat = m.reshape(-1, 81)[pidx]
+    v1 = kern.sub(kern.mul(u[:, upos[:, 0]], mflat[:, ment[:, 0]]),
+                  kern.mul(u[:, upos[:, 1]], mflat[:, ment[:, 1]]))
+    v1 = kern.add(v1, kern.mul(u[:, upos[:, 2]], mflat[:, ment[:, 2]]))
+    r3, _, red3 = kern.batched_rref(_span_stack(kern, v1, span))
+    keep = r3 == 3
+    pidx, u, v1, f3 = pidx[keep], u[keep], v1[keep], red3[keep, :3]
+    dual = kern.matmul(v1, _dual_matrix(t, kern))
+    r6, _, red6 = kern.batched_rref(_span_stack(kern, dual, span))
+    keep = r6 == 3
+    pidx, u, f3, a6 = pidx[keep], u[keep], f3[keep], red6[keep, :3]
+    f6 = kern.batched_kernel_basis(a6)[1][:, :6]
+    a3 = kern.batched_kernel_basis(f3)[1][:, :6]
+    a1 = kern.batched_kernel_basis(u[:, None, :])[1][:, :8]
+    a3t = a3.transpose(0, 2, 1)
+    # containment u in F3 < F6 < F8
+    ok = _vanishes(kern, a3, u[:, :, None])
+    ok &= _vanishes(kern, a6, f3.transpose(0, 2, 1))
+    ok &= _vanishes(kern, points[pidx][:, None, :], f6.transpose(0, 2, 1))
+    # t(A_8, A_1, A_3) = A_1 phi(x) A_3^T
+    ok &= _vanishes(kern, a1, kern.matmul(m[pidx], a3t))
+    # t(A_6, A_6, A_1) and t(A_6, A_3, A_3)
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        w = kern.double_contract(a6[:, a], a6[:, b], tensor)
+        ok &= _vanishes(kern, a1, w[:, :, None])
+    for a in range(3):
+        ma = kern.build_skew(a6[:, a], tensor)
+        ok &= _vanishes(kern, a3, kern.matmul(ma, a3t))
+    for n in np.nonzero(ok)[0]:
+        yield pidx[n], u[n], f3[n], f6[n]
 
 
 def _flags_from_codes(t: Trivector, kern, points, early_exit: bool) -> list:
@@ -334,10 +477,16 @@ def _flags_from_codes(t: Trivector, kern, points, early_exit: bool) -> list:
 def flags_at_point(t: Trivector, x_coords, early_exit: bool = False) -> list:
     """All compatible flags whose top space is the annihilator of x.
 
-    Candidates for the line F1 run over the image of the pencil at x; the
-    chain F3, F6 is then forced and compatibility is the final filter (see
-    _coded_flag_candidates).  With early_exit only the first flag is kept
-    (a stable trivector has at most one compatible flag per rank-4 point).
+    The line F1 = <u> lies in the image W of the pencil at x, and the
+    chain F3, F6 is forced by u.  Only the lines u whose six-vector
+    u ^ phi(x) ^ t is pure can carry a flag; they are solved for from
+    tau = t mod W (_pure_lines): a linear system when tau is pure, none
+    when its support is 5-dimensional, and a Pfaffian test on each line
+    when tau = 0.  Compatibility is the final filter
+    (_coded_flag_candidates).  Flags come in the order of the lines
+    (leading coefficient over the reduced basis of W, then the tail in
+    field.elements() order); with early_exit only the first is kept (a
+    stable trivector has at most one compatible flag per rank-4 point).
     """
     kern = field_kernel(t.field)
     point = np.array([[kern.encode(c) for c in x_coords]], dtype=kern.dtype)

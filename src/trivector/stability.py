@@ -623,7 +623,7 @@ def stability_family_report_f2():
     return reports, checked
 
 
-def rational_stability_report(t: Trivector, primes=(2, 7, 11, 13),
+def rational_stability_report(t: Trivector, primes=(2, 3, 5, 7),
                               budget: int = DEFAULT_SUBSPACE_BUDGET):
     """Stability of a rational trivector via reduction at good primes: one
     stable reduction certifies stability, since the destabilizer criterion is
@@ -633,8 +633,9 @@ def rational_stability_report(t: Trivector, primes=(2, 7, 11, 13),
     Each reduction runs the degree-1 destabilizer_search: the Gray scan mod
     2 and the witness engine, one P^8(F_p) scan, at every other prime.  A
     prime whose P^8 exceeds the budget is skipped as "over budget": at the
-    default budget p = 2, 3 and 5 are decided and p >= 7 is not (P^8(F_7)
-    has 6,725,601 points).
+    default budget the default primes 2, 3 and 5 are decided and 7 is not
+    (P^8(F_7) has 6,725,601 points); it is tried with a budget that
+    covers it.
     """
     if not isinstance(t.field, RationalField):
         raise UnsupportedField("rational_stability_report expects Q")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -332,3 +335,20 @@ def test_large_prime_field_spec(p, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert len(err.strip().splitlines()) == 1 and "too large" in err
+
+
+def test_closed_output_pipe_is_one_line_exit_1():
+    # `trivec ... | head` closes the pipe before the report is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "trivector.cli", "gamma", "build",
+             "--field", "GF(7)", "--set", "c30=1"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        "trivec: error: standard output closed"]

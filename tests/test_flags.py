@@ -8,17 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import trivector.flags as fl
 from trivector.e8 import EPS, wedge33
 from trivector.errors import Disagreement, NonStableInput
 from trivector.fields import GF
-from trivector.flags import (FLAG_MONOMIALS, Flag1368, _dual_flag_basis,
-                             _h_tail, _schubert_expand, _schubert_product,
-                             _times_linear_form, chern_top_class,
+from trivector.flags import (FLAG_MONOMIALS, Flag1368, _coded_flag_candidates,
+                             _dual_flag_basis, _flag_index_tables, _h_tail,
+                             _schubert_expand, _schubert_product, _span_stack,
+                             _times_linear_form, _vanishes, chern_top_class,
                              flag_compatible, flag_search, flags_at_point,
                              reduce_mod_symmetric, standard_flag)
 from trivector.linalg import Matrix, kernel_matrix
-from trivector.loci import rank_locus_codes
+from trivector.loci import _structure_tensor_codes, rank_locus_codes
 from trivector.polys import embed_map
+from trivector.scan import field_kernel
 from trivector.stability import curve_is_smooth
 from trivector.trivector import (CURVE_DEGREES, TRIPLES, CurveCoeffs,
                                  Trivector, build_gamma_c, gamma0, gl_act,
@@ -345,7 +348,6 @@ def test_flags_at_point_many_flags_per_point(q, points):
 def test_flags_at_point_rejects_a_wrong_candidate(monkeypatch):
     # the object route re-checks each coded hit: a coded filter that lets
     # an incompatible line through is caught, not returned
-    import trivector.flags as fl
     f5 = GF(5)
     t = gamma0(f5)
     x = [f5.zero] * 8 + [f5.one]
@@ -358,6 +360,183 @@ def test_flags_at_point_rejects_a_wrong_candidate(monkeypatch):
     monkeypatch.setattr(fl, "_coded_flag_candidates", fake)
     with pytest.raises(Disagreement):
         fl.flags_at_point(t, x)
+
+
+# ---------------------------------------------------------------------------
+# the brute-force oracle of the coded candidates: every line of the image of
+# phi(x) at every rank-4 point, through the same coded tests
+
+def _line_codes(field):
+    """Coefficients, in the rows of the reduced image basis, of the lines
+    of a 4-space over the field: leading 1 at position lead = 0..3, then
+    itertools.product of field.elements() on the tail, as (L, 4) codes."""
+    els = [field.to_int(e) for e in field.elements()]
+    rows = [[0] * lead + [1] + list(tail) for lead in range(4)
+            for tail in itertools.product(els, repeat=3 - lead)]
+    return np.array(rows, dtype=np.int64)
+
+
+def _enumerated_flag_candidates(t, kern, points, pure_only=False):
+    """Oracle for _coded_flag_candidates: all q^3+q^2+q+1 lines u of the
+    image of phi(x) at each rank-4 point, in batches of about 8192, through
+    the rank tests on v1 = u ^ phi(x) and on the dual three-form of
+    v2 = v1 ^ t (its 20-term splitting sum, coefficient by coefficient)
+    and the contraction tests.  With pure_only, yields (point, u) of the
+    lines that pass the two rank tests, the lines _pure_lines solves for."""
+    (upos, ment), span, (d1, d2, dsign) = _flag_index_tables()
+    coeff = [t.coeffs.get(trip, t.field.zero) for trip in TRIPLES]
+    dcoef = np.array([[kern.encode(coeff[n] if s > 0 else -coeff[n])
+                       for n, s in zip(row_n, row_s)]
+                      for row_n, row_s in zip(d2, dsign)], dtype=kern.dtype)
+    tensor = _structure_tensor_codes(t, kern)
+    lines = _line_codes(t.field).astype(kern.dtype)
+    n_lines = lines.shape[0]
+    step = max(1, 8192 // n_lines)
+    for start in range(0, points.shape[0], step):
+        x = points[start:start + step]
+        m = kern.build_skew(x, tensor)
+        ranks, _, red = kern.batched_rref(m)
+        pidx = np.repeat(np.nonzero(ranks == 4)[0], n_lines)
+        lidx = np.tile(np.arange(n_lines), len(pidx) // n_lines)
+        u = kern.matmul(lines[lidx, None, :], red[pidx, :4, :])[:, 0]
+        mflat = m.reshape(-1, 81)[pidx]
+        v1 = kern.sub(kern.mul(u[:, upos[:, 0]], mflat[:, ment[:, 0]]),
+                      kern.mul(u[:, upos[:, 1]], mflat[:, ment[:, 1]]))
+        v1 = kern.add(v1, kern.mul(u[:, upos[:, 2]], mflat[:, ment[:, 2]]))
+        r3, _, red3 = kern.batched_rref(_span_stack(kern, v1, span))
+        keep = r3 == 3
+        pidx, u, v1, f3 = pidx[keep], u[keep], v1[keep], red3[keep, :3]
+        dual = np.zeros_like(v1)
+        for s in range(d1.shape[1]):
+            dual = kern.add(dual, kern.mul(dcoef[:, s], v1[:, d1[:, s]]))
+        r6, _, red6 = kern.batched_rref(_span_stack(kern, dual, span))
+        keep = r6 == 3
+        pidx, u, f3, a6 = pidx[keep], u[keep], f3[keep], red6[keep, :3]
+        if pure_only:
+            for n in range(len(pidx)):
+                yield start + pidx[n], u[n]
+            continue
+        f6 = kern.batched_kernel_basis(a6)[1][:, :6]
+        a3 = kern.batched_kernel_basis(f3)[1][:, :6]
+        a1 = kern.batched_kernel_basis(u[:, None, :])[1][:, :8]
+        a3t = a3.transpose(0, 2, 1)
+        ok = _vanishes(kern, a3, u[:, :, None])
+        ok &= _vanishes(kern, a6, f3.transpose(0, 2, 1))
+        ok &= _vanishes(kern, x[pidx][:, None, :], f6.transpose(0, 2, 1))
+        ok &= _vanishes(kern, a1, kern.matmul(m[pidx], a3t))
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            w = kern.double_contract(a6[:, a], a6[:, b], tensor)
+            ok &= _vanishes(kern, a1, w[:, :, None])
+        for a in range(3):
+            ma = kern.build_skew(a6[:, a], tensor)
+            ok &= _vanishes(kern, a3, kern.matmul(ma, a3t))
+        for n in np.nonzero(ok)[0]:
+            yield start + pidx[n], u[n], f3[n], f6[n]
+
+
+def _as_lists(items):
+    return [[np.asarray(a).tolist() for a in item] for item in items]
+
+
+def _pure_line_list(t, kern, points):
+    """(point, u) of the lines _pure_lines solves for at the rank-4 points
+    among the coded points."""
+    tensor = _structure_tensor_codes(t, kern)
+    m = kern.build_skew(points, tensor)
+    ranks, piv, red = kern.batched_rref(m)
+    at = np.nonzero(ranks == 4)[0]
+    if not at.size:
+        return []
+    pidx, u = fl._pure_lines(kern, tensor, m[at], red[at, :4], piv[at, :4])
+    return _as_lists(zip(at[pidx], u))
+
+
+def _assert_candidates_match_enumeration(t, points):
+    kern = field_kernel(t.field)
+    points = np.asarray(points, dtype=kern.dtype)
+    assert (_pure_line_list(t, kern, points) == _as_lists(
+        _enumerated_flag_candidates(t, kern, points, pure_only=True)))
+    assert (_as_lists(_coded_flag_candidates(t, kern, points))
+            == _as_lists(_enumerated_flag_candidates(t, kern, points)))
+
+
+def _random_invertible(field, rng):
+    g = None
+    while g is None or not g.is_invertible():
+        g = Matrix(field, [[field.random(rng) for _ in range(9)]
+                           for _ in range(9)])
+    return g
+
+
+def _random_rank4_points(t, rng, count, tries=3000):
+    """Up to `count` random coded points of rank 4 (for trivectors whose
+    Pfaffian cubic vanishes, where a P^8 scan ranks every point)."""
+    kern = field_kernel(t.field)
+    pts = np.array([[rng.randrange(kern.q) for _ in range(9)]
+                    for _ in range(tries)], dtype=kern.dtype)
+    pts = pts[pts.any(axis=1)]
+    ranks = kern.batched_rank(kern.build_skew(pts, _structure_tensor_codes(
+        t, kern)))
+    return pts[ranks == 4][:count]
+
+
+_ORACLE_FIELDS = (GF(2), GF(3), GF(2, 2), GF(5))
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from(_ORACLE_FIELDS),
+       st.sampled_from(("gamma_c", "e123", "sparse")),
+       st.integers(0, 2**32 - 1))
+def test_coded_candidates_match_line_enumeration(field, kind, seed):
+    # the solved pure lines and the coded candidates equal the brute-force
+    # enumeration, codes and order, off the coordinate flag (g random)
+    rng = random.Random(seed)
+    if kind == "sparse":
+        trips = rng.sample(TRIPLES, rng.randint(2, 6))
+        t = Trivector(field, {trip: field.random(rng) for trip in trips})
+        points = _random_rank4_points(t, rng, 40)
+    else:
+        if kind == "gamma_c":
+            t = build_gamma_c(CurveCoeffs(
+                field, {d: field.random(rng) for d in CURVE_DEGREES}))
+        else:
+            t = Trivector(field, {(1, 2, 3): field.one, (4, 5, 6): field.one,
+                                  (7, 8, 9): field.one})
+        t = gl_act(_random_invertible(field, rng), t)
+        if kind == "gamma_c":
+            points = rank_locus_codes(t, max_rank=4)[2]
+        else:
+            points = _random_rank4_points(t, rng, 12)
+    _assert_candidates_match_enumeration(t, points)
+
+
+def test_pure_line_cases_are_reached(monkeypatch):
+    # a moved smooth gamma_c has tau pure at its rank-4 points; a sparse
+    # trivector has tau = 0; both cases agree with the enumeration
+    seen = {}
+
+    def spy(name):
+        inner = getattr(fl, name)
+
+        def wrapped(*args):
+            for pidx, c in inner(*args):
+                seen[name] = seen.get(name, 0) + len(pidx)
+                yield pidx, c
+        monkeypatch.setattr(fl, name, wrapped)
+
+    spy("_lines_in_kernel")
+    spy("_lines_of_rank_two")
+    f3 = GF(3)
+    rng = random.Random(11)
+    t = gl_act(_random_invertible(f3, rng), _smooth_f3_curves(1, seed=3)[0])
+    _assert_candidates_match_enumeration(t, rank_locus_codes(t, 4)[2])
+    assert seen.get("_lines_in_kernel", 0) > 0
+    assert "_lines_of_rank_two" not in seen
+    sparse = Trivector(f3, {(1, 2, 3): f3.one, (1, 4, 5): f3.one,
+                            (2, 6, 7): -f3.one})
+    _assert_candidates_match_enumeration(
+        sparse, _random_rank4_points(sparse, rng, 40))
+    assert seen.get("_lines_of_rank_two", 0) > 0
 
 
 _FIELDS = (GF(3), GF(2, 2), GF(5))

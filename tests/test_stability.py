@@ -665,3 +665,12 @@ def test_rational_stability_through_mod_3():
     report = rational_stability_report(t, primes=(2, 3))
     assert report.status == "stable"
     assert "mod 3" in report.note
+
+
+def test_rational_stability_default_primes_reach_mod_3():
+    # the default primes are ones the default budget decides: this curve
+    # is not certified mod 2, and the default report goes on to p = 3
+    t = build_gamma_c(CurveCoeffs(Q, {30: 1}))
+    report = rational_stability_report(t)
+    assert report.status == "stable"
+    assert "mod 3" in report.note
