@@ -9,6 +9,12 @@ characteristic 3 the class action is the traceless-representative action,
 which the uniform trace-correction constants below encode.  All remaining
 normalization constants are pinned by the Jacobi identity (the test suite
 re-derives them); they were fitted once by exact computation and frozen.
+
+Restricted powers never build the 248 x 248 ad t: the deg1 block of
+(ad t)^3 runs deg1 -> deg2 -> deg0 -> deg1, and each of those three blocks
+is read off the 84 coefficients of t (_ad_blocks): the cached action table
+applied to t, the same product transposed in the 80 canonical coordinates
+and scaled by a EPS, and a field-independent gather of t for the wedge.
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ from .stability import curve_is_smooth
 from .trivector import TRIPLES, TRIPLE_INDEX, CurveCoeffs, Trivector, build_gamma_c
 
 __all__ = [
-    "Wedge6", "GradedE8Element", "bracket", "e8_constants", "ad_matrix",
-    "restricted_power", "three_rank", "act3", "act6", "wedge33", "dual_wedge",
-    "pairing_gl", "canonical_deg0", "deg0_basis_coords", "ThreeRankReport",
+    "Wedge6", "GradedE8Element", "bracket", "e8_constants", "restricted_power",
+    "three_rank", "act3", "act6", "wedge33", "dual_wedge", "pairing_gl",
+    "canonical_deg0", "deg0_basis_coords", "ThreeRankReport",
 ]
 
 SIXES = tuple(itertools.combinations(range(1, 10), 6))
@@ -293,28 +299,22 @@ _FITTED_RATIONAL = {"a": Fraction(1), "b": Fraction(-1),
                     "s1": Fraction(-1, 3), "s2": Fraction(-2, 3), "tau": Fraction(0)}
 _FITTED_CHAR3 = {"a": 1, "b": 2, "s1": 1, "s2": 2, "tau": 2}
 
-_constants_cache: dict = {}
 
-
+@functools.cache
 def e8_constants(field: Field) -> E8Constants:
-    if field in _constants_cache:
-        return _constants_cache[field]
     if field.char == 3:
         vals = {k: field.el(v) for k, v in _FITTED_CHAR3.items()}
-        consts = E8Constants(h_model=True, **vals)
-    else:
-        vals = {}
-        for k, fr in _FITTED_RATIONAL.items():
-            fr = Fraction(fr)
-            if field.order is None:
-                vals[k] = field.el(fr)
-            else:
-                num = field.el(fr.numerator)
-                den = field.el(fr.denominator)
-                vals[k] = num * den.inv()
-        consts = E8Constants(h_model=False, **vals)
-    _constants_cache[field] = consts
-    return consts
+        return E8Constants(h_model=True, **vals)
+    vals = {}
+    for k, fr in _FITTED_RATIONAL.items():
+        fr = Fraction(fr)
+        if field.order is None:
+            vals[k] = field.el(fr)
+        else:
+            num = field.el(fr.numerator)
+            den = field.el(fr.denominator)
+            vals[k] = num * den.inv()
+    return E8Constants(h_model=False, **vals)
 
 
 class GradedE8Element:
@@ -434,7 +434,7 @@ def cube_class(a: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# coordinates and the 248 x 248 adjoint matrix
+# the 80 canonical deg0 coordinates
 
 def deg0_basis_coords(a: Matrix):
     """80 coordinates of a canonical deg0 representative: row-major entries
@@ -462,56 +462,26 @@ def deg0_from_coords(field, coords):
     return Matrix(field, rows)
 
 
-def basis_element(field, idx: int) -> GradedE8Element:
-    """Basis element idx of the 248 coordinates: 80 deg0 entries (row-major,
-    the (9,9) slot is the last and skipped), then 84 + 84 triples."""
-    if idx < 80:
-        a = Matrix.zero(field, 9, 9)
-        a.rows[idx // 9][idx % 9] = field.one
-        return GradedE8Element(field, deg0=a)
-    if idx < 164:
-        return GradedE8Element(field, deg1=Trivector(
-            field, {TRIPLES[idx - 80]: field.one}))
-    return GradedE8Element(field, deg2=Wedge6(
-        field, {TRIPLES[idx - 164]: field.one}))
-
-
-def _ad_columns(x: GradedE8Element):
-    """The bracket of x with each basis element in turn, as the list of its
-    nonzero (coordinate, value) pairs."""
-    field = x.field
-    for idx in range(248):
-        img = bracket(x, basis_element(field, idx))
-        col = [(i * 9 + j, c) for i, row in enumerate(img.deg0.rows)
-               for j, c in enumerate(row) if not c.is_zero()]
-        col += [(80 + TRIPLE_INDEX[t], c) for t, c in img.deg1.coeffs.items()]
-        col += [(164 + TRIPLE_INDEX[t], c) for t, c in img.deg2.coeffs.items()]
-        yield col
-
-
-def ad_matrix(x: GradedE8Element):
-    """The 248 x 248 matrix of bracketing with x (columns are images of the
-    basis elements)."""
-    field = x.field
-    rows = [[field.zero] * 248 for _ in range(248)]
-    for idx, col in enumerate(_ad_columns(x)):
-        for r, c in col:
-            rows[r][idx] = c
-    return Matrix(field, rows)
-
-
 # ---------------------------------------------------------------------------
 # restricted powers in characteristic 3
 
-def _act3_structure_codes(field, kern):
+# canonical coordinate of the transposed entry, (i, j) <-> (j, i); the
+# (9,9) slot is skipped and last, so coordinate i * 9 + j is entry (i, j)
+_TRANSPOSE = np.array([(c % 9) * 9 + c // 9 for c in range(80)])
+_EPS_SIGNS = np.array([EPS[trip] for trip in TRIPLES])
+
+
+@functools.cache
+def _act3_structure_codes(field):
     """Coded matrix of the linear map gl9-canonical -> End(wedge^3):
     rows indexed by (out_triple, in_triple) pairs, columns by the 80
-    canonical coordinates; cached per field.
+    canonical coordinates; cached per field, read-only.
 
     The class action of E_ji on e_T moves slot i of T to j, with the signs
     of _moves (stripped of their EPS factor); on the diagonal it is the
     trace weight s1 plus, in the h-model, [i in T] - [9 in T] (the trace
     moved onto E99), and [i in T] otherwise."""
+    kern = field_kernel(field)
     consts = e8_constants(field)
     mat = np.zeros((84 * 84, 80), dtype=np.int16)
     one, minus = kern.encode(field.one), kern.encode(-field.one)
@@ -526,22 +496,73 @@ def _act3_structure_codes(field, kern):
             if consts.h_model:
                 val = val - field.el(int(9 in trip))
             mat[t_idx * 84 + t_idx, d * 9 + d] = kern.encode(val)
+    mat.flags.writeable = False
     return mat
 
 
-_act3_structure_cache: dict = {}
+@functools.cache
+def _wedge_gather():
+    """wedge33 with t as one gather: entry (S, U) indexes t's 84 codes
+    followed by their negatives and a zero (at 168), picking the
+    coefficient sgn(T, U) t[T] of e_comp(S) in t ^ e_U, T = comp(S) - U."""
+    out = np.full((84, 84), 168, dtype=np.int16)
+    for s_idx, trip in enumerate(TRIPLES):
+        six = COMP[trip]
+        for u in itertools.combinations(six, 3):
+            rest = tuple(v for v in six if v not in u)
+            out[s_idx, TRIPLE_INDEX[u]] = (TRIPLE_INDEX[rest]
+                                           + 84 * (_shuffle_sign(rest, u) < 0))
+    out.flags.writeable = False
+    return out
+
+
+def _wedge_codes(t: Trivector, kern):
+    """wedge33 with t, coded (84 x 84): entry (S, U) is the coefficient
+    sgn(T, U) t[T] of e_comp(S) in t ^ e_U, one gather through
+    _wedge_gather."""
+    codes = np.array([kern.encode(t.coeffs.get(trip, t.field.zero))
+                      for trip in TRIPLES], dtype=kern.dtype)
+    signed = np.concatenate([codes, kern.neg(codes), np.zeros(1, kern.dtype)])
+    return signed[_wedge_gather()]
+
+
+def _ad_blocks(t: Trivector, kern):
+    """The blocks deg0 -> deg1, deg2 -> deg0 and deg1 -> deg2 of ad t, coded
+    (84 x 80, 80 x 84, 84 x 84), read off the 84 coefficients of t in
+    characteristic 3.
+
+    With A[T, c] the coefficient at T of the canonical matrix c acting on
+    t (the action table's slices at t's triples, weighted by t):
+    - deg0 -> deg1 is -A, since [t, a] = -act1(a, t);
+    - deg2 -> deg0 maps e_comp(S) to the class of a pairing_gl(t, e_comp(S))
+      plus a tau vol(t, e_comp(S)) at (9,9), which is a EPS[S] A[S, (j, i)]
+      at coordinate (i, j).  Off the diagonal, entry (i, j) of pairing_gl
+      and the action of E_ji on t read the same _moves entries, the first
+      with the extra factor EPS[S].  On the diagonal the canonical class
+      subtracts the (9,9) entry, leaving a EPS[S] t[S] ([d in S] - [9 in S]
+      - tau) at (d, d), while A[S, (d, d)] = ([d in S] + s1 - [9 in S]) t[S];
+      the two agree because -tau = s1 among the characteristic-3 constants;
+    - deg1 -> deg2 is wedge33 with t (_wedge_codes)."""
+    field = t.field
+    table = _act3_structure_codes(field).reshape(84, 84, 80)
+    act = np.zeros((84, 80), dtype=kern.dtype)
+    for trip, c in t.coeffs.items():
+        act = kern.add(act, kern.mul(table[:, TRIPLE_INDEX[trip]],
+                                     kern.encode(c)))
+    act = act.astype(kern.dtype, copy=False)
+    a = e8_constants(field).a
+    scale = np.where(_EPS_SIGNS > 0, kern.encode(a),
+                     kern.encode(-a)).astype(kern.dtype)
+    to0_from2 = kern.mul(act[:, _TRANSPOSE].T, scale)
+    return kern.neg(act), to0_from2, _wedge_codes(t, kern)
 
 
 def _solve_deg0_from_action(field, action_codes):
     """Find the canonical deg0 class whose deg1 action matches the given
     84 x 84 coded matrix; NoSolution if the linear system is inconsistent."""
     kern = field_kernel(field)
-    key = field
-    if key not in _act3_structure_cache:
-        _act3_structure_cache[key] = _act3_structure_codes(field, kern)
-    struct = _act3_structure_cache[key]
     rhs = action_codes.reshape(84 * 84, 1)
-    aug = np.concatenate([struct, rhs], axis=1)
+    aug = np.concatenate([_act3_structure_codes(field), rhs], axis=1)
     rank_aug, pivots, red = kern.rref(aug)
     if 80 in pivots:
         raise NoSolution("no deg0 class acts as the requested operator")
@@ -550,24 +571,6 @@ def _solve_deg0_from_action(field, action_codes):
         coords[pc] = kern.decode(int(red[r, 80]))
     # the solution is unique: the action is faithful on classes
     return deg0_from_coords(field, coords)
-
-
-def _ad_codes(x: GradedE8Element, kern):
-    out = np.zeros((248, 248), dtype=np.int16)
-    for idx, col in enumerate(_ad_columns(x)):
-        for r, c in col:
-            out[r, idx] = kern.encode(c)
-    return out
-
-
-def _ad_cube_deg1_block(kern, ad):
-    """The deg1 -> deg1 block of (ad x)^3 for x of pure degree 1, from the
-    coded ad x: it runs deg1 -> deg2 -> deg0 -> deg1, so it is the product
-    of three blocks of ad x (84 x 80, 80 x 84, 84 x 84)."""
-    to1_from0 = ad[80:164, :80]
-    to0_from2 = ad[:80, 164:]
-    to2_from1 = ad[164:, 80:164]
-    return kern.matmul(kern.matmul(to1_from0, to0_from2), to2_from1)
 
 
 def _check_char3_field(field, what):
@@ -582,14 +585,22 @@ def _check_char3_field(field, what):
 def restricted_power(t: Trivector, e: int = 3) -> Matrix:
     """The canonical deg0 class with ad-cube action (ad t)^3 on the
     trivector block; e = 9 and 27 are matrix powers of the e = 3 result
-    (well-defined modulo scalars in characteristic 3)."""
+    (well-defined modulo scalars in characteristic 3).
+
+    The cube's deg1 block runs deg1 -> deg2 -> deg0 -> deg1, so it is the
+    product of three blocks of ad t, which _ad_blocks reads off t's
+    coefficients: -A for deg0 -> deg1, with A the action table applied to
+    t; A transposed in the canonical coordinates and scaled by a EPS for
+    deg2 -> deg0 (pairing_gl and the action read the same moves, and on
+    the diagonal -tau = s1 in characteristic 3); a signed gather of t for
+    deg1 -> deg2 (the wedge with t)."""
     field = t.field
     _check_char3_field(field, "restricted powers")
     if e not in (3, 9, 27):
         raise ValueError("supported exponents: 3, 9, 27")
     kern = field_kernel(field)
-    ad = _ad_codes(GradedE8Element(field, deg1=t), kern)
-    block = _ad_cube_deg1_block(kern, ad)
+    to1_from0, to0_from2, to2_from1 = _ad_blocks(t, kern)
+    block = kern.matmul(kern.matmul(to1_from0, to0_from2), to2_from1)
     a3 = _solve_deg0_from_action(field, block)
     if e == 3:
         return a3
@@ -597,11 +608,6 @@ def restricted_power(t: Trivector, e: int = 3) -> Matrix:
     if e == 9:
         return a9
     return cube_class(a9)
-
-
-def class_is_semisimple(a: Matrix) -> bool:
-    """Semisimplicity of a deg0 class (invariant under adding scalars)."""
-    return is_semisimple(a)
 
 
 @dataclass
@@ -631,9 +637,9 @@ def three_rank(c: CurveCoeffs) -> ThreeRankReport:
     a3 = restricted_power(t, 3)
     a9 = cube_class(a3)
     a27 = cube_class(a9)
-    if class_is_semisimple(a3):
+    if is_semisimple(a3):
         lie = 2
-    elif class_is_semisimple(a9):
+    elif is_semisimple(a9):
         lie = 1
     else:
         lie = 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .e8 import COMP, EPS, _shuffle_sign
+from .e8 import _EPS_SIGNS, _wedge_codes
 from .errors import Disagreement, NonStableInput
 from .fields import Field
 from .linalg import Matrix, kernel_matrix
@@ -186,10 +186,7 @@ def _flag_index_tables():
       (84, 3) positions into u and into the flattened skew matrix m.
     span: the 36 x 9 double-contraction stack of a trivector v, row (a, b)
       and column k holding +-v at sorted(a, b, k); (36, 9) positions into v
-      padded by a zero at 84, and the mask of negated entries (a < k < b).
-    dual: coefficient T of the dual three-form of the six-vector v ^ t,
-      EPS[T] * sum of sign * v_T1 * t_T2 over the 20 splittings of comp(T)
-      into T1 + T2; (84, 20) positions of T1 and T2 and the signs."""
+      padded by a zero at 84, and the mask of negated entries (a < k < b)."""
     upos = np.array([[i - 1, j - 1, k - 1] for i, j, k in TRIPLES])
     ment = np.array([[(j - 1) * 9 + k - 1, (i - 1) * 9 + k - 1,
                       (i - 1) * 9 + j - 1] for i, j, k in TRIPLES])
@@ -200,27 +197,18 @@ def _flag_index_tables():
             if k not in (a, b):
                 gather[r, k - 1] = TRIPLE_INDEX[tuple(sorted((a, b, k)))]
                 neg[r, k - 1] = a < k < b
-    dual = [[(TRIPLE_INDEX[t1], TRIPLE_INDEX[t2],
-              EPS[trip] * _shuffle_sign(t1, t2))
-             for t1 in itertools.combinations(COMP[trip], 3)
-             for t2 in [tuple(v for v in COMP[trip] if v not in t1)]]
-            for trip in TRIPLES]
-    dual = np.array(dual, dtype=np.int64)
-    return (upos, ment), (gather, neg), (dual[..., 0], dual[..., 1],
-                                          dual[..., 2])
+    return (upos, ment), (gather, neg)
 
 
 def _dual_matrix(t: Trivector, kern):
     """The (84, 84) codes D with v @ D the dual three-form of v ^ t for a
-    trivector v: the splittings of _flag_index_tables as one matrix, entry
-    (T1, T) holding sign * t_T2."""
-    _, _, (d1, d2, dsign) = _flag_index_tables()
-    coeff = np.array([kern.encode(t.coeffs.get(trip, t.field.zero))
-                      for trip in TRIPLES], dtype=kern.dtype)[d2]
-    out = np.zeros((len(TRIPLES), len(TRIPLES)), dtype=kern.dtype)
-    out[d1, np.arange(len(TRIPLES))[:, None]] = np.where(
-        dsign > 0, coeff, kern.neg(coeff))
-    return out
+    trivector v.  Coefficient T of that form sums EPS[T] sgn(U, T2) v[U]
+    t[T2] over the 20 splittings U + T2 of comp(T), so entry (U, T) is
+    EPS[T] sgn(U, T2) t[T2]; swapping the two halves of a six costs a sign,
+    so that is -EPS[T] times entry (T, U) of the wedge with t
+    (e8._wedge_codes)."""
+    wedge = _wedge_codes(t, kern)
+    return np.where(_EPS_SIGNS[:, None] > 0, kern.neg(wedge), wedge).T
 
 
 @functools.lru_cache(maxsize=32)
@@ -405,7 +393,7 @@ def _coded_flag_candidates(t: Trivector, kern, points):
     test, points in order and the lines of each point in the order of the
     brute-force line enumeration (_line_keys).
     """
-    (upos, ment), span, _ = _flag_index_tables()
+    (upos, ment), span = _flag_index_tables()
     tensor = _structure_tensor_codes(t, kern)
     m = kern.build_skew(points, tensor)
     ranks, piv, red = kern.batched_rref(m)

@@ -117,7 +117,7 @@ def curve_to_json(c: CurveCoeffs) -> dict:
 def curve_from_json(data: dict) -> CurveCoeffs:
     field = _field_at(data)
     cmap = {}
-    for key, val in _check(data.get("c", {}), dict, "$.c").items():
+    for key, val in _get(data, "c", dict, "$").items():
         path = "$.c.%s" % key
         try:
             d = int(key)

@@ -109,6 +109,20 @@ def test_char3_rank_cli(tmp_path, capsys):
     assert rep["verdict"]["lie"] == rep["verdict"]["coeff"] == 2
 
 
+def test_char3_rank_rejects_a_gamma_file_as_curve(tmp_path, capsys):
+    # a gamma file has "terms" but no "c": it is not the zero curve
+    g = tmp_path / "g.json"
+    code, _ = run_cli(capsys, "gamma", "build", "--field", "GF(3)",
+                      "--set", "c24=1", "-o", str(g))
+    assert code == 0
+    code = main(["char3", "rank", "--curve", str(g)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1, err
+    assert "'c'" in err and "Traceback" not in err
+
+
 def test_char3_past_table_limit_is_one_line_exit_1(tmp_path, capsys):
     # GF(3^6) is a well-formed field that the coded kernel cannot hold
     g = tmp_path / "g.json"

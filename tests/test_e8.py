@@ -8,17 +8,49 @@ from trivector.errors import FieldMismatch, NotCharThree, UnsupportedField
 from trivector.fields import GF, Q
 from trivector.linalg import Matrix, is_semisimple
 from trivector.e8 import (EPS, GradedE8Element, Wedge6, _act3_structure_codes,
-                          _ad_codes, _ad_cube_deg1_block,
-                          _commutator_deg0, _insert_sign, ad_matrix, bracket,
-                          canonical_deg0, cube_class, deg0_basis_coords,
-                          dual_wedge, e8_constants, pairing_gl,
-                          restricted_power, three_rank, wedge33)
+                          _ad_blocks, _commutator_deg0, _insert_sign,
+                          _solve_deg0_from_action, bracket, canonical_deg0,
+                          cube_class, deg0_basis_coords, dual_wedge,
+                          e8_constants, pairing_gl, restricted_power,
+                          three_rank, wedge33)
 from trivector.scan import field_kernel
 from trivector.stability import curve_is_smooth
-from trivector.trivector import (TRIPLE_INDEX, TRIPLES, CurveCoeffs,
-                                 Trivector, build_gamma_c, gamma0)
+from trivector.trivector import (CURVE_DEGREES, TRIPLE_INDEX, TRIPLES,
+                                 CurveCoeffs, Trivector, build_gamma_c, gamma0)
 
 rng = random.Random(0)
+
+
+def _basis_element(field, idx):
+    """Basis element idx of the 248 coordinates: the 80 canonical deg0
+    entries (row-major, the (9,9) slot skipped), then 84 + 84 triples."""
+    if idx < 80:
+        a = Matrix.zero(field, 9, 9)
+        a.rows[idx // 9][idx % 9] = field.one
+        return GradedE8Element(field, deg0=a)
+    if idx < 164:
+        return GradedE8Element(field, deg1=Trivector(
+            field, {TRIPLES[idx - 80]: field.one}))
+    return GradedE8Element(field, deg2=Wedge6(
+        field, {TRIPLES[idx - 164]: field.one}))
+
+
+def ad_matrix(x):
+    """The object oracle for ad x: the 248 x 248 matrix whose column idx is
+    the bracket of x with basis element idx."""
+    field = x.field
+    cols = []
+    for idx in range(248):
+        img = bracket(x, _basis_element(field, idx))
+        cols.append(deg0_basis_coords(img.deg0)
+                    + [img.deg1.coeffs.get(t, field.zero) for t in TRIPLES]
+                    + [img.deg2.coeffs.get(t, field.zero) for t in TRIPLES])
+    return Matrix(field, [list(row) for row in zip(*cols)])
+
+
+def _ad_codes(x, kern):
+    return np.array([[kern.encode(c) for c in row] for row in ad_matrix(x).rows],
+                    dtype=kern.dtype)
 
 
 def rand_el(field, n=5):
@@ -102,13 +134,14 @@ def test_ad_faithfulness_on_deg1():
 
 
 def test_restricted_power_defining_property():
-    f3 = GF(3)
-    for t in (gamma0(f3),
-              build_gamma_c(CurveCoeffs(f3, {12: 1, 24: 1, 30: 1}))):
+    cases = [t for field in (GF(3), GF(3, 2))
+             for t in (gamma0(field),
+                       build_gamma_c(CurveCoeffs(field, {12: 1, 24: 1, 30: 1})))]
+    for t in cases:
         a3 = restricted_power(t, 3)
-        adg = ad_matrix(GradedE8Element(f3, deg1=t))
+        adg = ad_matrix(GradedE8Element(t.field, deg1=t))
         ad3 = adg * adg * adg
-        ada = ad_matrix(GradedE8Element(f3, deg0=a3))
+        ada = ad_matrix(GradedE8Element(t.field, deg0=a3))
         for i in range(80, 248):
             for j in range(80, 248):
                 if (80 <= i < 164) == (80 <= j < 164):
@@ -133,7 +166,6 @@ def test_gamma0_powers_span_two_dimensions():
 
 def test_power_routes_agree():
     # matrix-cube route equals the ad-solve route for the ninth power
-    from trivector.e8 import _solve_deg0_from_action
     f3 = GF(3)
     t = build_gamma_c(CurveCoeffs(f3, {18: 1, 30: 2}))
     a9 = restricted_power(t, 9)
@@ -317,15 +349,24 @@ def test_bracket_skips_only_zero_terms(xyz):
     assert j.is_zero()
 
 
-@pytest.mark.parametrize("field", [GF(3), GF(3, 2)], ids=str)
+@pytest.mark.parametrize("field", [GF(3), GF(3, 2), GF(3, 5)], ids=str)
 def test_three_block_route_equals_full_ad_cube(field):
+    # each block against the object oracle; a sparse t often has a3 = 0,
+    # which hides a wrong sign in a block, so the gamma of a curve with
+    # every coefficient drawn is checked as well
     kern = field_kernel(field)
     r = random.Random(field.order)
-    for n in (6, 20):
-        ad = _ad_codes(GradedE8Element(field, deg1=_rand_trivector(field, r, n)),
-                       kern)
+    dense = build_gamma_c(CurveCoeffs(field, {d: field.random(r)
+                                              for d in CURVE_DEGREES}))
+    for t in (_rand_trivector(field, r, 6), _rand_trivector(field, r, 20),
+              dense):
+        ad = _ad_codes(GradedE8Element(field, deg1=t), kern)
+        to1_from0, to0_from2, to2_from1 = _ad_blocks(t, kern)
+        assert np.array_equal(to1_from0, ad[80:164, :80])
+        assert np.array_equal(to0_from2, ad[:80, 164:])
+        assert np.array_equal(to2_from1, ad[164:, 80:164])
         full = kern.matmul(kern.matmul(ad, ad), ad)
-        block = _ad_cube_deg1_block(kern, ad)
+        block = kern.matmul(kern.matmul(to1_from0, to0_from2), to2_from1)
         assert np.array_equal(block, full[80:164, 80:164])
 
 
@@ -357,7 +398,7 @@ def _act3_structure_oracle(field, kern):
 def test_action_table_equals_act1_table(field):
     # GF(7) takes the trace-weight branch without the h-model
     kern = field_kernel(field)
-    table = _act3_structure_codes(field, kern)
+    table = _act3_structure_codes(field)
     oracle = _act3_structure_oracle(field, kern)
     assert table.dtype == oracle.dtype
     assert table.tobytes() == oracle.tobytes()

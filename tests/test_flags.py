@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import trivector.flags as fl
-from trivector.e8 import EPS, wedge33
+from trivector.e8 import COMP, EPS, _shuffle_sign, wedge33
 from trivector.errors import Disagreement, NonStableInput
 from trivector.fields import GF
 from trivector.flags import (FLAG_MONOMIALS, Flag1368, _coded_flag_candidates,
@@ -23,9 +23,9 @@ from trivector.loci import _structure_tensor_codes, rank_locus_codes
 from trivector.polys import embed_map
 from trivector.scan import field_kernel
 from trivector.stability import curve_is_smooth
-from trivector.trivector import (CURVE_DEGREES, TRIPLES, CurveCoeffs,
-                                 Trivector, build_gamma_c, gamma0, gl_act,
-                                 permuted_gamma_c, phi_at)
+from trivector.trivector import (CURVE_DEGREES, TRIPLE_INDEX, TRIPLES,
+                                 CurveCoeffs, Trivector, build_gamma_c,
+                                 gamma0, gl_act, permuted_gamma_c, phi_at)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +383,15 @@ def _enumerated_flag_candidates(t, kern, points, pure_only=False):
     v2 = v1 ^ t (its 20-term splitting sum, coefficient by coefficient)
     and the contraction tests.  With pure_only, yields (point, u) of the
     lines that pass the two rank tests, the lines _pure_lines solves for."""
-    (upos, ment), span, (d1, d2, dsign) = _flag_index_tables()
+    (upos, ment), span = _flag_index_tables()
+    # coefficient T of the dual three-form of v ^ t: EPS[T] times the sum
+    # of sign * v_T1 * t_T2 over the 20 splittings of comp(T) into T1 + T2
+    split = np.array([[(TRIPLE_INDEX[t1], TRIPLE_INDEX[t2],
+                        EPS[trip] * _shuffle_sign(t1, t2))
+                       for t1 in itertools.combinations(COMP[trip], 3)
+                       for t2 in [tuple(v for v in COMP[trip] if v not in t1)]]
+                      for trip in TRIPLES])
+    d1, d2, dsign = split[..., 0], split[..., 1], split[..., 2]
     coeff = [t.coeffs.get(trip, t.field.zero) for trip in TRIPLES]
     dcoef = np.array([[kern.encode(coeff[n] if s > 0 else -coeff[n])
                        for n, s in zip(row_n, row_s)]

@@ -85,6 +85,7 @@ def test_cubic_round_trip():
     (cubic_from_json, {"field": "GF(2)", "monomials": [
         {"exp": [3, 0, 0, 0, 0, 0, 0, 0, 0], "c": True}]},
      "$.monomials[0].c"),
+    (curve_from_json, {"field": "GF(7)"}, "$: missing key 'c'"),
 ])
 def test_loaders_name_the_json_path(load, data, where):
     with pytest.raises(ValueError) as exc:
