@@ -15,6 +15,9 @@ Restricted powers never build the 248 x 248 ad t: the deg1 block of
 is read off the 84 coefficients of t (_ad_blocks): the cached action table
 applied to t, the same product transposed in the 80 canonical coordinates
 and scaled by a EPS, and a field-independent gather of t for the wedge.
+The class is read back off the cube's deg1 block without eliminating the
+7056 x 80 action system: its off-diagonal coordinates are single +-1
+entries of the table, and only the 8 diagonal ones need a solve.
 """
 
 from __future__ import annotations
@@ -557,20 +560,52 @@ def _ad_blocks(t: Trivector, kern):
     return kern.neg(act), to0_from2, _wedge_codes(t, kern)
 
 
+_DIAGONAL = np.arange(0, 80, 10)          # canonical coordinates (d, d)
+_OFF_DIAGONAL = np.array([c for c in range(80) if c % 10])
+_CHECK_ROWS = 84 * 28
+
+
+@functools.cache
+def _deg0_solver(field):
+    """How _solve_deg0_from_action reads a class off an action: for each
+    off-diagonal coordinate a row of the action table whose one nonzero
+    entry, +-1, sits there (every off-diagonal row of the table has at most
+    one, and the diagonal rows touch only the 8 diagonal coordinates), and
+    8 diagonal rows of rank 8 with the inverse of their 8 x 8 system.
+    Returns (rows, signs, pivot rows, inverse), cached per field."""
+    kern = field_kernel(field)
+    table = _act3_structure_codes(field)
+    rows = np.argmax(table[:, _OFF_DIAGONAL] != 0, axis=0)
+    diagonal_rows = np.arange(84) * 85            # rows (T, T)
+    _, pivots, _ = kern.rref(table[diagonal_rows][:, _DIAGONAL].T)
+    pivot_rows = diagonal_rows[pivots]
+    system = np.concatenate([table[pivot_rows][:, _DIAGONAL],
+                             np.eye(8, dtype=kern.dtype)], axis=1)
+    return (rows, table[rows, _OFF_DIAGONAL], pivot_rows,
+            kern.rref(system)[2][:, 8:])
+
+
 def _solve_deg0_from_action(field, action_codes):
     """Find the canonical deg0 class whose deg1 action matches the given
-    84 x 84 coded matrix; NoSolution if the linear system is inconsistent."""
+    84 x 84 coded matrix; NoSolution if the linear system is inconsistent.
+
+    The off-diagonal coordinates are gathered from one row each and the
+    diagonal ones solved from 8 rows (_deg0_solver); the class is the only
+    candidate, and its product with the action table checks it."""
     kern = field_kernel(field)
-    rhs = action_codes.reshape(84 * 84, 1)
-    aug = np.concatenate([_act3_structure_codes(field), rhs], axis=1)
-    rank_aug, pivots, red = kern.rref(aug)
-    if 80 in pivots:
-        raise NoSolution("no deg0 class acts as the requested operator")
-    coords = [field.zero] * 80
-    for r, pc in enumerate(pivots):
-        coords[pc] = kern.decode(int(red[r, 80]))
+    rows, signs, pivot_rows, inverse = _deg0_solver(field)
+    rhs = action_codes.reshape(84 * 84)
+    coords = np.zeros(80, dtype=kern.dtype)
+    coords[_OFF_DIAGONAL] = kern.mul(rhs[rows], signs)
+    coords[_DIAGONAL] = kern.matmul(inverse, rhs[pivot_rows, None])[:, 0]
+    table = _act3_structure_codes(field)
+    # in row blocks, since a prime field's product is formed in int64
+    for lo in range(0, 84 * 84, _CHECK_ROWS):
+        image = kern.matmul(table[lo:lo + _CHECK_ROWS], coords[:, None])
+        if not np.array_equal(image[:, 0], rhs[lo:lo + _CHECK_ROWS]):
+            raise NoSolution("no deg0 class acts as the requested operator")
     # the solution is unique: the action is faithful on classes
-    return deg0_from_coords(field, coords)
+    return deg0_from_coords(field, [kern.decode(int(c)) for c in coords])
 
 
 def _check_char3_field(field, what):

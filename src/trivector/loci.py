@@ -101,12 +101,11 @@ class _RunScanner:
     """The run scanner of the P^8 scan: the ranks of one run of canonical
     points, a product box (head, lo, hi) of scan.projective_runs.
 
-    Built once per scan, so the nine partials of the Pfaffian cubic C are
-    decoded, and the power table of the field built, once.
+    Built once per scan, so the power table of the field is built, and the
+    nonzero partials of the Pfaffian cubic C compiled (_compile), once.
     The sieve has two stages:
 
-    - C(x) != 0: rank 8 (see pfaffian_cubic).  C is evaluated on the
-      run's box in one _box_eval call;
+    - C(x) != 0: rank 8 (see pfaffian_cubic);
     - C(x) = 0 and some partial d_j C(x) != 0: rank 6.  Each entry m_ab
       occurs at most once in each term of a Pfaffian, so formally, in every
       characteristic, dPf/dm_ab = +-Pf of the principal block without rows
@@ -114,16 +113,21 @@ class _RunScanner:
       Pfaffian vanishes, hence so does d_j(C x_i) = x_i d_j C + [i = j] C
       for all i, j; with C(x) = 0 and the lead coordinate 1, d_j C(x) = 0.
 
-    Only the zeros of C where all partials vanish (all points when C is
-    identically zero) go through build_skew + batched_rank; each partial is
-    evaluated (batch_eval) only on the zeros no earlier partial has marked.
-    Over F_4 that is about 10 of the 22,405 zeros of C of a smooth curve.
-    This elimination set, the singular points of C, is where the witness
+    One _box_eval pass gives C and its partial d_s C along the run's
+    ranged variable s = len(head) at every point of the run.  Only the
+    zeros of C where d_s C vanishes too get coordinates (projective_run
+    at their positions) and meet the other partials, each evaluated
+    (_compiled_eval) on the points no earlier partial has marked: over
+    F_4 about a quarter of the zeros of C of a smooth curve (5,893 of
+    23,365 on one).  What is left, the singular points of C (all points
+    when C is identically zero; 6-32 points on five smooth F_4 curves),
+    goes through build_skew + batched_rank, and it is where the witness
     engine of stability.py reads its candidates.
     Called on a run (head, lo, hi), it returns (codes, ranks, hist): the
     run's points of rank <= max_rank (none when max_rank is None; the
     elimination set when `singular`) with their ranks, in lexicographic
-    order, and the rank histogram (length 9) of the whole run."""
+    order, and the rank histogram (length 9) of the whole run.  The
+    coordinates of the other points are never built."""
 
     def __init__(self, kern, tensor, cubic_codes, max_rank, singular=False):
         self.kern = kern
@@ -131,7 +135,8 @@ class _RunScanner:
         self.cubic_codes = cubic_codes
         cubic = MultiPoly(self.kern.field, 9,
                           {e: self.kern.decode(c) for e, c in cubic_codes})
-        self.partials = [d for d in map(cubic.derivative, range(9))
+        self.partials = [(j, _compile(kern, d))
+                         for j, d in enumerate(map(cubic.derivative, range(9)))
                          if not d.is_zero()]
         self.powers = _power_table(self.kern, 3)
         self.max_rank = max_rank
@@ -139,28 +144,31 @@ class _RunScanner:
 
     def __call__(self, run):
         kern = self.kern
-        pts = projective_run(kern.q, *run)
-        ranks = np.full(pts.shape[0], 8, dtype=np.int64)
-        values = _box_eval(kern, self.cubic_codes, run, self.powers)
-        low = np.nonzero(values == 0)[0]
+        values, slope = _box_eval(kern, self.cubic_codes, run, self.powers)
+        ranks = np.full(values.size, 8, dtype=np.int64)
+        low = np.flatnonzero(values == 0)
         ranks[low] = 6
-        for partial in self.partials:
+        low = low[slope[low] == 0]
+        pts = projective_run(kern.q, *run, low)
+        ranged = len(run[0])
+        for j, partial in self.partials:
             if not low.size:
                 break
-            low = low[batch_eval(kern, partial, pts[low]) == 0]
+            if j != ranged:
+                keep = _compiled_eval(kern, partial, pts) == 0
+                low, pts = low[keep], pts[keep]
         if low.size:
-            low_ranks = kern.batched_rank(kern.build_skew(pts[low],
-                                                          self.tensor))
+            low_ranks = kern.batched_rank(kern.build_skew(pts, self.tensor))
             if np.any(low_ranks == 8):
                 raise Disagreement("rank 8 at a zero of the Pfaffian cubic")
             ranks[low] = low_ranks
         hist = np.bincount(ranks, minlength=9)
         if self.singular:
-            return pts[low], ranks[low], hist
+            return pts, ranks[low], hist
         if self.max_rank is None:
             return pts[:0], ranks[:0], hist
-        keep = ranks <= self.max_rank
-        return pts[keep], ranks[keep], hist
+        keep = np.flatnonzero(ranks <= self.max_rank)
+        return projective_run(kern.q, *run, keep), ranks[keep], hist
 
 
 def iter_rank_locus(t: Trivector, max_rank: int | None = None,
@@ -247,16 +255,67 @@ def enumerate_rank_locus(t: Trivector, max_rank: int | None = None,
 
 
 def batch_eval(kern, mp: MultiPoly, codes):
-    """Evaluate a sparse multivariate polynomial at coded points (N, nvars)."""
-    n = codes.shape[0]
-    acc = np.zeros(n, dtype=kern.dtype)
-    for e, c in mp.terms.items():
-        term = np.full(n, kern.encode(c), dtype=kern.dtype)
-        for i, k in enumerate(e):
-            for _ in range(k):
-                term = kern.mul(term, codes[:, i])
-        acc = kern.add(acc, term)
-    return acc
+    """Evaluate a sparse multivariate polynomial at coded points (N, nvars),
+    in the kernel's dtype."""
+    return _compiled_eval(kern, _compile(kern, mp), codes)
+
+
+_BLOCK_CODES = 1 << 15   # codes per (terms x points) temporary
+
+
+def _compile(kern, mp: MultiPoly):
+    """(index, coeffs) of a polynomial for _term_values: row j of the
+    (terms, degree) index lists the variables of term j, each as often as
+    its exponent, padded with -1 (the row of ones _term_values appends),
+    and coeffs holds the terms' codes.  The degree is at least 1, so a
+    constant term has a slot."""
+    index = np.full((len(mp.terms), max(1, mp.degree())), -1, dtype=np.intp)
+    for row, e in zip(index, mp.terms):
+        factors = [i for i, k in enumerate(e) for _ in range(k)]
+        row[:len(factors)] = factors
+    coeffs = np.array([kern.encode(c) for c in mp.terms.values()],
+                      dtype=kern.dtype)
+    return index, coeffs
+
+
+def _term_values(kern, compiled, codes):
+    """(terms, N) values of the terms of a _compile'd polynomial at coded
+    points (N, nvars): one gather and one kern.mul per degree slot."""
+    index, coeffs = compiled
+    cols = np.empty((codes.shape[1] + 1, codes.shape[0]), dtype=kern.dtype)
+    cols[:-1] = codes.T
+    cols[-1] = kern.encode(kern.field.one)
+    terms = coeffs[:, None]
+    for slot in index.T:
+        terms = kern.mul(terms, cols[slot])
+    return terms
+
+
+def _compiled_eval(kern, compiled, codes):
+    """Values of a _compile'd polynomial at coded points (N, nvars): per
+    block of points, the terms' values (_term_values) and one sum over the
+    terms (in int64, then mod p, over a prime field; XOR in characteristic
+    2; pairwise kern.add over the other table fields).  A block holds at
+    most _BLOCK_CODES term values."""
+    n, nterms = codes.shape[0], compiled[1].size
+    out = np.zeros(n, dtype=kern.dtype)
+    if not nterms:
+        return out
+    step = max(1, _BLOCK_CODES // nterms)
+    for lo in range(0, n, step):
+        terms = _term_values(kern, compiled, codes[lo:lo + step])
+        if kern.prime:
+            out[lo:lo + step] = (terms.sum(axis=0, dtype=np.int64)
+                                 % kern.prime)
+        elif kern.xor:
+            out[lo:lo + step] = np.bitwise_xor.reduce(terms, axis=0)
+        else:
+            while (half := terms.shape[0] // 2) > 0:
+                terms = np.concatenate([kern.add(terms[:half],
+                                                 terms[half:2 * half]),
+                                        terms[2 * half:]])
+            out[lo:lo + step] = terms[0]
+    return out
 
 
 def _power_table(kern, degree):
@@ -270,15 +329,18 @@ def _power_table(kern, degree):
 
 
 def _box_eval(kern, terms, box, powers):
-    """Evaluate a coded polynomial, terms (exponents, code) of degree at
-    most len(powers) - 1 in each variable, on every point of a box (head,
-    lo, hi), a run of scan.projective_runs, in the box's order.
+    """A coded polynomial f and its partial d_s f in the ranged variable
+    s = len(head) on every point of a box (head, lo, hi), a run of
+    scan.projective_runs, in the box's order: returns (f, d_s f), flat.
+    The terms (exponents, code) have degree at most len(powers) - 1 in
+    each variable.
 
     The head coordinates are plugged in with scalar ops.  The rest is
     evaluated one variable at a time: split by the exponent k of the first
     free variable, evaluate each part G_k on the remaining grid, and
     combine sum_k v^k G_k for all values v at once, so a point costs a few
-    element ops per variable rather than a few per term."""
+    element ops per variable rather than a few per term.  The same G_k
+    give d_s f = sum_k (k mod p) v^(k-1) G_k along the ranged variable."""
     head, lo, hi = box
     s = len(head)
     head_powers = [[int(p[x]) for p in powers] for x in head]
@@ -288,11 +350,24 @@ def _box_eval(kern, terms, box, powers):
             if k:
                 c = int(kern.mul(c, xk[k]))
         free[e[s:]] = int(kern.add(free.get(e[s:], 0), c))
-    free = {e: c for e, c in free.items() if c}
-    if not free:
-        return np.zeros((hi - lo) * kern.q ** (8 - s), dtype=kern.dtype)
-    return _grid_eval(kern, free, [(lo, hi)] + [(0, kern.q)] * (8 - s),
-                      powers)
+    parts = {}
+    for e, c in free.items():
+        if c:
+            parts.setdefault(e[0], {})[e[1:]] = c
+    shape = (hi - lo, kern.q ** (8 - s))
+    value = slope = None
+    for k, part in parts.items():
+        g = _grid_eval(kern, part, [(0, kern.q)] * (8 - s), powers)[None, :]
+        term = kern.mul(powers[k][lo:hi, None], g) if k else g
+        value = term if value is None else kern.add(value, term)
+        weight = kern.encode(kern.field.el(k))      # k mod p
+        if weight:
+            if k > 1:
+                g = kern.mul(kern.mul(powers[k - 1][lo:hi, None], weight), g)
+            slope = g if slope is None else kern.add(slope, g)
+    return tuple(np.zeros(shape[0] * shape[1], dtype=kern.dtype)
+                 if out is None else np.broadcast_to(out, shape).ravel()
+                 for out in (value, slope))
 
 
 def _grid_eval(kern, poly, axes, powers):
@@ -348,13 +423,10 @@ class CubicForm:
 
 def _monomial_matrix(kern, codes):
     """Evaluation matrix of the 165 degree-3 monomials at coded points."""
-    n = codes.shape[0]
-    cols = np.zeros((n, len(DEGREE3_EXPONENTS)), dtype=kern.dtype)
-    for idx, e in enumerate(DEGREE3_EXPONENTS):
-        vs = [i for i in range(9) for _ in range(e[i])]
-        col = kern.mul(codes[:, vs[0]], codes[:, vs[1]])
-        cols[:, idx] = kern.mul(col, codes[:, vs[2]])
-    return cols
+    monomials = MultiPoly(kern.field, 9, dict.fromkeys(DEGREE3_EXPONENTS,
+                                                       kern.field.one))
+    values = _term_values(kern, _compile(kern, monomials), codes)
+    return np.ascontiguousarray(values.T, dtype=kern.dtype)
 
 
 def _normalized(cubic: CubicForm) -> CubicForm:

@@ -257,9 +257,9 @@ class FieldKernel:
 
         Its own loop rather than batched_rref on a stack of one: it
         clears only the rows with a nonzero entry in the pivot column and
-        stops at full row rank, which makes it 1.7-46 times faster on the
-        400 x 165 samples of interpolate_cubic and the sparse 7056 x 81
-        system of e8 (one per three_rank call)."""
+        stops at full row rank, which made it 1.7-46 times faster on the
+        400 x 165 samples of interpolate_cubic and on a sparse 7056 x 81
+        system."""
         m = np.array(mat, dtype=self.dtype)
         nrows, ncols = m.shape
         pivots = []
@@ -326,12 +326,14 @@ def projective_runs(q: int, chunk: int):
     yield (0,) * 8, 1, 2
 
 
-def projective_run(q: int, head: tuple, lo: int, hi: int):
+def projective_run(q: int, head: tuple, lo: int, hi: int, idx=None):
     """The (n, 9) integer codes of run (head, lo, hi) of projective_runs,
-    in lexicographic order: n = (hi - lo) * q^(8 - len(head))."""
+    in lexicographic order: n = (hi - lo) * q^(8 - len(head)).  With idx,
+    only the rows at those positions of the run, in idx's order."""
     s = len(head)
     free = 8 - s
-    idx = np.arange((hi - lo) * q ** free, dtype=np.int64)
+    idx = (np.arange((hi - lo) * q ** free) if idx is None
+           else np.asarray(idx, dtype=np.int64))
     pts = np.empty((idx.size, 9), dtype=code_dtype(q))
     pts[:, :s] = head
     pts[:, s] = lo + idx // q ** free

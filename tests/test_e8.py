@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trivector.errors import FieldMismatch, NotCharThree, UnsupportedField
+from trivector.errors import (FieldMismatch, NoSolution, NotCharThree,
+                              UnsupportedField)
 from trivector.fields import GF, Q
 from trivector.linalg import Matrix, is_semisimple
 from trivector.e8 import (EPS, GradedE8Element, Wedge6, _act3_structure_codes,
                           _ad_blocks, _commutator_deg0, _insert_sign,
                           _solve_deg0_from_action, bracket, canonical_deg0,
-                          cube_class, deg0_basis_coords, dual_wedge,
-                          e8_constants, pairing_gl, restricted_power,
-                          three_rank, wedge33)
+                          cube_class, deg0_basis_coords, deg0_from_coords,
+                          dual_wedge, e8_constants, pairing_gl,
+                          restricted_power, three_rank, wedge33)
 from trivector.scan import field_kernel
 from trivector.stability import curve_is_smooth
 from trivector.trivector import (CURVE_DEGREES, TRIPLE_INDEX, TRIPLES,
@@ -402,3 +403,65 @@ def test_action_table_equals_act1_table(field):
     oracle = _act3_structure_oracle(field, kern)
     assert table.dtype == oracle.dtype
     assert table.tobytes() == oracle.tobytes()
+
+
+def _solve_by_rref(field, action_codes):
+    """The oracle of _solve_deg0_from_action: the full 7056 x 80 system of
+    the action table with the action as its right-hand side, in reduced
+    row echelon form."""
+    kern = field_kernel(field)
+    aug = np.concatenate([_act3_structure_codes(field),
+                          action_codes.reshape(84 * 84, 1)], axis=1)
+    _, pivots, red = kern.rref(aug)
+    if 80 in pivots:
+        raise NoSolution("inconsistent")
+    coords = [field.zero] * 80
+    for r, pc in enumerate(pivots):
+        coords[pc] = kern.decode(int(red[r, 80]))
+    return deg0_from_coords(field, coords)
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(3, 2), GF(3, 3), GF(3, 4),
+                                   GF(3, 5)], ids=str)
+def test_action_table_block_structure(field):
+    # what _deg0_solver reads the class off: every off-diagonal row holds
+    # at most one nonzero entry, +-1, in an off-diagonal coordinate; each
+    # of those coordinates is hit by 21 rows; the 84 diagonal rows touch
+    # only the 8 diagonal coordinates, with rank 8
+    kern = field_kernel(field)
+    table = _act3_structure_codes(field)
+    diagonal_rows = np.arange(84) * 85
+    diagonal_cols = np.arange(8) * 10
+    off_rows = np.setdiff1d(np.arange(84 * 84), diagonal_rows)
+    off = table[off_rows]
+    assert ((off != 0).sum(axis=1) <= 1).all()
+    assert not off[:, diagonal_cols].any()
+    ones = {kern.encode(field.one), kern.encode(-field.one)}
+    assert set(np.unique(off[off != 0]).tolist()) == ones
+    hits = (off != 0).sum(axis=0)
+    assert (np.delete(hits, diagonal_cols) == 21).all()
+    diag = table[diagonal_rows]
+    assert not np.delete(diag, diagonal_cols, axis=1).any()
+    assert kern.rref(diag[:, diagonal_cols])[0] == 8
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(3, 2), GF(3, 5)], ids=str)
+def test_deg0_solve_matches_rref_and_rejects_a_perturbed_block(field):
+    kern = field_kernel(field)
+    r = random.Random(field.order + 21)
+    dense = build_gamma_c(CurveCoeffs(field, {d: field.random(r)
+                                              for d in CURVE_DEGREES}))
+    for t in (_rand_trivector(field, r, 6), _rand_trivector(field, r, 30),
+              dense):
+        to1_from0, to0_from2, to2_from1 = _ad_blocks(t, kern)
+        block = kern.matmul(kern.matmul(to1_from0, to0_from2), to2_from1)
+        assert _solve_deg0_from_action(field, block) == \
+            _solve_by_rref(field, block)
+        # one entry moved off the image of the action: both routes refuse
+        bad = block.copy()
+        i, j = r.randrange(84), r.randrange(84)
+        bad[i, j] = kern.add(bad[i, j], r.randrange(1, field.order))
+        with pytest.raises(NoSolution):
+            _solve_by_rref(field, bad)
+        with pytest.raises(NoSolution):
+            _solve_deg0_from_action(field, bad)

@@ -14,7 +14,7 @@ from trivector.errors import (BudgetExceeded, DegenerateConfiguration,
 from trivector.fields import GF
 from trivector.linalg import Matrix, pfaffian
 from trivector.loci import (DEGREE3_EXPONENTS, DEFAULT_SCAN_CHUNK,
-                            _box_eval, _power_table,
+                            _BLOCK_CODES, _box_eval, _power_table,
                             _structure_tensor_codes, batch_eval,
                             cubic_of_Y, curve_affine_points,
                             curve_point_counts, embedding_point,
@@ -432,8 +432,10 @@ def test_box_eval_on_run_boxes_matches_batch_eval(field, data):
         assert cubic.is_zero()
     terms = [(e, kern.encode(c)) for e, c in cubic.terms.items()]
     powers = _power_table(kern, 3)
-    values = _box_eval(kern, terms, run, powers)
+    values, slope = _box_eval(kern, terms, run, powers)
     assert np.array_equal(values, batch_eval(kern, cubic, pts))
+    assert np.array_equal(slope, batch_eval(kern, cubic.derivative(len(run[0])),
+                                            pts))
 
 
 @pytest.mark.parametrize("field", [GF(191), GF(257)], ids=repr)
@@ -451,11 +453,75 @@ def test_box_eval_wide_primes(field, data):
     pts = _box_points(q, (head, lo, hi))
     cubic = _random_cubic(data, field, st.integers(q - 40, q - 1))
     terms = [(e, kern.encode(c)) for e, c in cubic.terms.items()]
-    values = _box_eval(kern, terms, (head, lo, hi), _power_table(kern, 3))
+    values, slope = _box_eval(kern, terms, (head, lo, hi),
+                              _power_table(kern, 3))
     assert np.array_equal(values, batch_eval(kern, cubic, pts))
+    assert np.array_equal(slope, batch_eval(kern, cubic.derivative(size), pts))
     for i in range(0, len(pts), max(1, len(pts) // 20)):
         x = [field.from_int(int(v)) for v in pts[i]]
         assert values[i] == kern.encode(cubic(x))
+
+
+def _term_by_term(kern, mp, codes):
+    """The oracle of batch_eval: each term multiplied out from its
+    coefficient at every point, and the terms added one by one."""
+    acc = np.zeros(codes.shape[0], dtype=kern.dtype)
+    for e, c in mp.terms.items():
+        term = np.full(codes.shape[0], kern.encode(c), dtype=kern.dtype)
+        for i, k in enumerate(e):
+            for _ in range(k):
+                term = kern.mul(term, codes[:, i])
+        acc = kern.add(acc, term)
+    return acc
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2), GF(5), GF(7),
+                                   GF(3, 2), GF(191), GF(257)], ids=repr)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batch_eval_matches_term_by_term(field, data):
+    q = field.order
+    kern = field_kernel(field)
+    kind = data.draw(st.sampled_from(["random", "zero", "constant",
+                                      "curve"]))
+    event(kind)
+    # the top codes of GF(191) and GF(257) overflow int16 products
+    coeff = st.integers(max(1, q - 40), q - 1)
+    if kind == "curve":
+        # degree 5, as singular_points_of_curve evaluates it
+        curve = CurveCoeffs(field, {d: field.from_int(data.draw(coeff))
+                                    for d in CURVE_DEGREES})
+        mp = data.draw(st.sampled_from([curve.curve_poly(),
+                                        curve.curve_poly().derivative(1)]))
+    else:
+        nvars = data.draw(st.integers(1, 9))
+        exps = st.tuples(*[st.integers(0, 3)] * nvars)
+        if kind == "constant":
+            exps = st.just((0,) * nvars)
+        terms = data.draw(st.dictionaries(exps, coeff,
+                                          max_size=0 if kind == "zero" else 30))
+        mp = MultiPoly(field, nvars,
+                       {e: field.from_int(c) for e, c in terms.items()})
+    # a few points, or more than one row block of the evaluator
+    block = _BLOCK_CODES // max(1, len(mp.terms))
+    n = data.draw(st.sampled_from([0, 1, 7, 2 * block + 3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    codes = rng.integers(0, q, size=(n, mp.nvars)).astype(kern.dtype)
+    assert np.array_equal(batch_eval(kern, mp, codes),
+                          _term_by_term(kern, mp, codes))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_projective_run_selected_rows(q, data):
+    run = _random_run(data, q)
+    pts = projective_run(q, *run)
+    idx = np.array(data.draw(st.lists(st.integers(0, len(pts) - 1),
+                                      max_size=50)), dtype=np.int64)
+    rows = projective_run(q, *run, idx)
+    assert rows.dtype == pts.dtype and rows.shape == (idx.size, 9)
+    assert np.array_equal(rows, pts[idx])
 
 
 def _aligned_run_count(q, chunk):
