@@ -121,31 +121,48 @@ class Wedge6:
                           for t, c in sorted(self.coeffs.items())) or "0"
 
 
+# one tuple per subset, shared by every move table
+_SUBSETS = {s: s for s in TRIPLES + SIXES}
+
+
+@functools.cache
+def _moves(sub):
+    """The moves of a sorted triple or six-subset of 1..9 under the
+    elementary matrices E_ji: {i - 1: {j - 1: (moved subset, sign)}} over
+    every slot i of sub and every j it can move to, the sign that of
+    e_sub -> e_moved.  Cached and shared by every caller: read-only."""
+    out = {}
+    for slot, i in enumerate(sub):
+        rest = sub[:slot] + sub[slot + 1:]
+        sign0 = -1 if slot % 2 else 1
+        targets = out[i - 1] = {}
+        for j in range(1, 10):
+            ins = _insert_sign(rest, j)
+            if ins is not None:
+                key, sgn = ins
+                targets[j - 1] = _SUBSETS[key], sign0 * sgn
+    return out
+
+
 def _act_subsets(a: Matrix, coeffs: dict) -> dict:
     """Derivation action of a matrix on a wedge power, with elements as
-    {sorted k-subset of 1..9: nonzero coefficient}."""
+    {sorted triple or six-subset of 1..9: coefficient}; a coefficient may
+    cancel to zero, which the element's constructor drops.  The nonzero
+    entries of a are read by column once, so each term costs the moves of
+    its slots onto those entries."""
+    cols = [[(j, row[i]) for j, row in enumerate(a.rows) if not row[i].is_zero()]
+            for i in range(9)]
     out = {}
     for sub, c in coeffs.items():
-        for slot, i in enumerate(sub):
-            rest = sub[:slot] + sub[slot + 1:]
-            sign0 = -1 if slot % 2 else 1
-            for row in range(1, 10):
-                aval = a.rows[row - 1][i - 1]
-                if aval.is_zero():
+        for i, targets in _moves(sub).items():
+            for j, aval in cols[i]:
+                move = targets.get(j)
+                if move is None:
                     continue
-                ins = _insert_sign(rest, row)
-                if ins is None:
-                    continue
-                key, sgn = ins
-                v = c * aval
-                if sign0 * sgn < 0:
-                    v = -v
+                key, sign = move
+                v = c * aval if sign > 0 else -(c * aval)
                 s = out.get(key)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                out[key] = v if s is None else s + v
     return out
 
 
@@ -224,37 +241,23 @@ def _vol_pairing(t: Trivector, w: Wedge6):
     return acc
 
 
-@functools.cache
-def _moves(trip):
-    """The moves of one triple under the elementary matrices E_ji: tuples
-    (i - 1, j - 1, moved triple, sign), the sign of the moved triple times
-    its EPS, over every slot i of trip and every j it can move to."""
-    out = []
-    for slot, i in enumerate(trip):
-        rest = trip[:slot] + trip[slot + 1:]
-        sign0 = -1 if slot % 2 else 1
-        for j in range(1, 10):
-            ins = _insert_sign(rest, j)
-            if ins is not None:
-                key, sgn = ins
-                out.append((i - 1, j - 1, key, sign0 * sgn * EPS[key]))
-    return tuple(out)
-
-
 def pairing_gl(t: Trivector, w: Wedge6) -> Matrix:
     """The gl9 element adjoint to the derivation action:
     entry (i, j) is the volume coefficient of (E_ji . t) ^ w, read in one
-    pass over the terms of t (slot i moved to j, looked up in w)."""
+    pass over the terms of t (slot i moved to j, looked up in w, the
+    volume sign EPS of the moved triple applied)."""
     field = t.field
     rows = [[field.zero] * 9 for _ in range(9)]
     wc = w.coeffs
     for trip, c in t.coeffs.items():
-        for i, j, key, sign in _moves(trip):
-            d = wc.get(key)
-            if d is not None:
-                v = c * d
-                rows[i][j] = rows[i][j] + v if sign > 0 else rows[i][j] - v
-    return Matrix(field, rows)
+        for i, targets in _moves(trip).items():
+            row = rows[i]
+            for j, (key, sign) in targets.items():
+                d = wc.get(key)
+                if d is not None:
+                    v = c * d
+                    row[j] = row[j] + v if sign * EPS[key] > 0 else row[j] - v
+    return Matrix._trusted(field, rows)
 
 
 def canonical_deg0(a: Matrix) -> Matrix:
@@ -262,9 +265,10 @@ def canonical_deg0(a: Matrix) -> Matrix:
     c = a.rows[8][8]
     if c.is_zero():
         return a
-    field = a.field
-    return Matrix(field, [[a.rows[i][j] - (c if i == j else field.zero)
-                           for j in range(9)] for i in range(9)])
+    rows = [list(r) for r in a.rows]
+    for d in range(9):
+        rows[d][d] = rows[d][d] - c
+    return Matrix._trusted(a.field, rows)
 
 
 def _is_zero_class(a: Matrix) -> bool:
@@ -360,7 +364,9 @@ class GradedE8Element:
 
 
 def _pair_deg0(k: E8Constants, t: Trivector, w: Wedge6) -> Matrix:
-    out = pairing_gl(t, w).scale(k.a)
+    out = pairing_gl(t, w)
+    if k.a != t.field.one:
+        out = out.scale(k.a)
     if not k.tau.is_zero():
         v = _vol_pairing(t, w)
         if not v.is_zero():
@@ -375,12 +381,12 @@ def _trace(a: Matrix):
 def _strip_trace(a: Matrix) -> Matrix:
     """Subtract tr(a) at the (9,9) slot: the trace lives on the central
     h-direction in the characteristic-3 model."""
-    field = a.field
     tr = _trace(a)
     if tr.is_zero():
         return a
-    return Matrix(field, [[a.rows[i][j] - (tr if i == j == 8 else field.zero)
-                           for j in range(9)] for i in range(9)])
+    rows = [list(r) for r in a.rows]
+    rows[8][8] = rows[8][8] - tr
+    return Matrix._trusted(a.field, rows)
 
 
 def _commutator_deg0(k: E8Constants, a: Matrix, b: Matrix) -> Matrix:
@@ -430,9 +436,8 @@ def cube_class(a: Matrix) -> Matrix:
     bar = _strip_trace(a)
     cube = bar * bar * bar
     t3 = tr * tr * tr
-    if not t3.is_zero():
-        cube = Matrix(field, [[cube.rows[i][j] + (t3 if i == j == 8 else field.zero)
-                               for j in range(9)] for i in range(9)])
+    if not t3.is_zero():       # cube is a new matrix: its (9,9) slot is ours
+        cube.rows[8][8] = cube.rows[8][8] + t3
     return canonical_deg0(cube)
 
 
@@ -481,19 +486,19 @@ def _act3_structure_codes(field):
     canonical coordinates; cached per field, read-only.
 
     The class action of E_ji on e_T moves slot i of T to j, with the signs
-    of _moves (stripped of their EPS factor); on the diagonal it is the
-    trace weight s1 plus, in the h-model, [i in T] - [9 in T] (the trace
-    moved onto E99), and [i in T] otherwise."""
+    of _moves; on the diagonal it is the trace weight s1 plus, in the
+    h-model, [i in T] - [9 in T] (the trace moved onto E99), and [i in T]
+    otherwise."""
     kern = field_kernel(field)
     consts = e8_constants(field)
     mat = np.zeros((84 * 84, 80), dtype=np.int16)
     one, minus = kern.encode(field.one), kern.encode(-field.one)
     for t_idx, trip in enumerate(TRIPLES):
-        for i, j, key, sign in _moves(trip):
-            if i != j:
-                o_idx = TRIPLE_INDEX[key]
-                mat[o_idx * 84 + t_idx, j * 9 + i] = \
-                    one if sign * EPS[key] > 0 else minus
+        for i, targets in _moves(trip).items():
+            for j, (key, sign) in targets.items():
+                if i != j:
+                    mat[TRIPLE_INDEX[key] * 84 + t_idx, j * 9 + i] = \
+                        one if sign > 0 else minus
         for d in range(8):
             val = field.el(int(d + 1 in trip)) + consts.s1
             if consts.h_model:

@@ -25,17 +25,29 @@ class Matrix:
                 raise ValueError("ragged matrix")
 
     @classmethod
+    def _trusted(cls, field, rows):
+        """A matrix on rows of equal length that already hold elements of
+        field: taken as they are, with no coercion and no ragged-row check
+        (the constructor of arithmetic results)."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = len(rows[0]) if rows else 0
+        return m
+
+    @classmethod
     def identity(cls, field, n):
-        return cls(field, [[field.one if i == j else field.zero
-                            for j in range(n)] for i in range(n)])
+        return cls._trusted(field, [[field.one if i == j else field.zero
+                                     for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, field, nrows, ncols):
         z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)])
+        return cls._trusted(field, [[z] * ncols for _ in range(nrows)])
 
     def copy(self):
-        return Matrix(self.field, [list(r) for r in self.rows])
+        return Matrix._trusted(self.field, [list(r) for r in self.rows])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -45,30 +57,39 @@ class Matrix:
         return isinstance(other, Matrix) and self.rows == other.rows
 
     def __add__(self, other):
-        return Matrix(self.field, [[a + b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.rows, other.rows)])
+        return Matrix._trusted(self.field, [[a + b for a, b in zip(r1, r2)]
+                                            for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
-        return Matrix(self.field, [[a - b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.rows, other.rows)])
+        return Matrix._trusted(self.field, [[a - b for a, b in zip(r1, r2)]
+                                            for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self):
-        return Matrix(self.field, [[-a for a in r] for r in self.rows])
+        return Matrix._trusted(self.field, [[-a for a in r] for r in self.rows])
 
     def scale(self, c):
-        return Matrix(self.field, [[a * c for a in r] for r in self.rows])
+        return Matrix._trusted(self.field, [[a * c for a in r] for r in self.rows])
 
     def __mul__(self, other):
+        """Row i of the product is the sum of a_ik times row k of other over
+        the nonzero a_ik only: a zero row costs no product, and the entries
+        of other are never tested."""
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
-            z = self.field.zero
-            bt = other.transpose().rows
+            zero_row = [self.field.zero] * other.ncols
             out = []
             for r in self.rows:
-                out.append([sum((a * b for a, b in zip(r, col) if not a.is_zero()),
-                                z) for col in bt])
-            return Matrix(self.field, out)
+                acc = None
+                for a, brow in zip(r, other.rows):
+                    if a.is_zero():
+                        continue
+                    if acc is None:
+                        acc = [a * b for b in brow]
+                    else:
+                        acc = [x + a * b for x, b in zip(acc, brow)]
+                out.append(list(zero_row) if acc is None else acc)
+            return Matrix._trusted(self.field, out)
         return self.scale(other)
 
     def apply(self, vec):
@@ -77,8 +98,7 @@ class Matrix:
                 for row in self.rows]
 
     def transpose(self):
-        return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
-                                   for j in range(self.ncols)])
+        return Matrix._trusted(self.field, [list(col) for col in zip(*self.rows)])
 
     def rref(self):
         """Reduced row echelon form; returns (rref_matrix, pivot_columns)."""
@@ -101,7 +121,7 @@ class Matrix:
             r += 1
             if r == self.nrows:
                 break
-        return Matrix(self.field, rows), pivots
+        return Matrix._trusted(self.field, rows), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -131,13 +151,13 @@ class Matrix:
         if self.nrows != self.ncols:
             raise Singular("non-square matrix")
         n = self.nrows
-        aug = Matrix(self.field,
-                     [list(r) + list(e) for r, e in
-                      zip(self.rows, Matrix.identity(self.field, n).rows)])
+        aug = Matrix._trusted(self.field,
+                              [list(r) + list(e) for r, e in
+                               zip(self.rows, Matrix.identity(self.field, n).rows)])
         red, pivots = aug.rref()
         if pivots[:n] != list(range(n)):
             raise Singular("matrix is not invertible")
-        return Matrix(self.field, [row[n:] for row in red.rows])
+        return Matrix._trusted(self.field, [row[n:] for row in red.rows])
 
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows

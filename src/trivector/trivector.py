@@ -268,14 +268,19 @@ def gl_act(g: Matrix, t: Trivector) -> Trivector:
 def wedge3_minors(u, v, w):
     """u ^ v ^ w for vectors u, v, w of length 9: the nonzero 3x3 minors of
     the 9x3 matrix with columns u, v, w, as (row triple, minor) pairs in
-    the order of TRIPLES."""
-    for (a, b, d) in TRIPLES:
-        p, q, r = a - 1, b - 1, d - 1
-        det = (u[p] * (v[q] * w[r] - v[r] * w[q])
-               - v[p] * (u[q] * w[r] - u[r] * w[q])
-               + w[p] * (u[q] * v[r] - u[r] * v[q]))
+    the order of TRIPLES.  A row triple not inside the joint support of
+    u, v and w has a zero row, so only the triples of that support are
+    evaluated; combinations of the sorted support come in TRIPLES order.
+    Each minor is expanded along u over the 2x2 minors of v, w, which are
+    formed once per pair of rows."""
+    support = [p for p in range(9)
+               if not (u[p].is_zero() and v[p].is_zero() and w[p].is_zero())]
+    vw = {(q, r): v[q] * w[r] - v[r] * w[q]
+          for q, r in itertools.combinations(support, 2)}
+    for p, q, r in itertools.combinations(support, 3):
+        det = u[p] * vw[q, r] - u[q] * vw[p, r] + u[r] * vw[p, q]
         if not det.is_zero():
-            yield (a, b, d), det
+            yield (p + 1, q + 1, r + 1), det
 
 
 def weighted_torus_diag(field, s):

@@ -9,6 +9,7 @@ from trivector.errors import (FieldMismatch, NoSolution, NotCharThree,
 from trivector.fields import GF, Q
 from trivector.linalg import Matrix, is_semisimple
 from trivector.e8 import (EPS, GradedE8Element, Wedge6, _act3_structure_codes,
+                          act3, act6,
                           _ad_blocks, _commutator_deg0, _insert_sign,
                           _solve_deg0_from_action, bracket, canonical_deg0,
                           cube_class, deg0_basis_coords, deg0_from_coords,
@@ -305,6 +306,73 @@ def test_pairing_gl_matches_elementary_actions(field, seed, n_t, n_w):
     t = _rand_trivector(field, r, n_t)
     w = Wedge6(field, _rand_trivector(field, r, n_w).coeffs)
     assert pairing_gl(t, w) == _pairing_gl_oracle(t, w)
+
+
+def _dense_act_subsets(a, coeffs):
+    """The derivation action by the dense loop: every slot of every term
+    against all nine rows of a, zero entries skipped one at a time."""
+    out = {}
+    for sub, c in coeffs.items():
+        for slot, i in enumerate(sub):
+            rest = sub[:slot] + sub[slot + 1:]
+            sign0 = -1 if slot % 2 else 1
+            for row in range(1, 10):
+                aval = a.rows[row - 1][i - 1]
+                if aval.is_zero():
+                    continue
+                ins = _insert_sign(rest, row)
+                if ins is None:
+                    continue
+                key, sgn = ins
+                v = c * aval
+                if sign0 * sgn < 0:
+                    v = -v
+                s = out.get(key)
+                s = v if s is None else s + v
+                if s.is_zero():
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+    return out
+
+
+_ACTION_MATRICES = ("sparse", "dense", "diagonal", "zero", "identity")
+
+
+def _action_matrix(field, kind, r):
+    if kind == "identity":
+        return Matrix.identity(field, 9)
+    a = Matrix.zero(field, 9, 9)
+    if kind == "dense":
+        a = Matrix(field, [[field.random(r) for _ in range(9)] for _ in range(9)])
+    elif kind == "diagonal":
+        for d in range(9):
+            a.rows[d][d] = field.random(r)
+    elif kind == "sparse":
+        for _ in range(5):
+            a.rows[r.randrange(9)][r.randrange(9)] = field.random(r)
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_FIELDS), st.sampled_from(_ACTION_MATRICES),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 30))
+@example(GF(3), "zero", 1, 12)
+@example(Q, "identity", 2, 12)
+@example(GF(3, 2), "identity", 3, 0)
+def test_act3_act6_match_the_dense_loop(field, kind, seed, n_terms):
+    r = random.Random(seed)
+    a = _action_matrix(field, kind, r)
+    t = _rand_trivector(field, r, n_terms)
+    w = Wedge6(field, _rand_trivector(field, r, n_terms).coeffs)
+    got3, got6 = act3(a, t), act6(a, w)
+    assert got3 == Trivector(field, _dense_act_subsets(a, t.coeffs))
+    assert got6 == Wedge6.from_six_subsets(
+        field, _dense_act_subsets(a, w.six_subsets()))
+    if kind == "zero":
+        assert got3.is_zero() and got6.is_zero()
+    if kind == "identity":      # a derivation: the degree times the element
+        assert got3 == t.scale(3) and got6 == w.scale(6)
 
 
 _DEG0_KINDS = ("random", "zero", "scalar", "diagonal")

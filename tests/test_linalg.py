@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from trivector.errors import NotSkew, OddSize
 from trivector.fields import GF, Q
@@ -148,3 +149,76 @@ def test_minimal_polynomial_annihilates():
             acc = acc + power.scale(c)
             power = power * m
         assert all(x.is_zero() for row in acc.rows for x in row)
+
+
+# ---------------------------------------------------------------------------
+# products against the textbook triple loop
+
+_PRODUCT_FIELDS = (Q, GF(2), GF(7), GF(3, 2))
+
+
+def _textbook_product(a_rows, b_rows):
+    """Entry (i, j) is the sum over every k of a_ik b_kj, nothing skipped."""
+    field = a_rows[0][0].field
+    out = []
+    for a_row in a_rows:
+        row = []
+        for j in range(len(b_rows[0])):
+            acc = field.zero
+            for k, a in enumerate(a_row):
+                acc = acc + a * b_rows[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@st.composite
+def _sparse_matrix(draw, field, nrows, ncols):
+    """Entries drawn at one of four densities, then whole rows and columns
+    set to zero."""
+    r = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.sampled_from((0.0, 0.2, 0.6, 1.0)))
+    rows = [[field.random(r) if r.random() < density else field.zero
+             for _ in range(ncols)] for _ in range(nrows)]
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=nrows)):
+        rows[i] = [field.zero] * ncols
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
+        for row in rows:
+            row[j] = field.zero
+    return Matrix(field, rows)
+
+
+@st.composite
+def _factors(draw):
+    field = draw(st.sampled_from(_PRODUCT_FIELDS))
+    r, k, c = (draw(st.integers(1, 9)) for _ in range(3))
+    return draw(_sparse_matrix(field, r, k)), draw(_sparse_matrix(field, k, c))
+
+
+def _dense(field, nrows, ncols, seed):
+    r = random.Random(seed)
+    return Matrix(field, [[field.random(r) for _ in range(ncols)]
+                          for _ in range(nrows)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_factors())
+@example((Matrix.zero(GF(7), 9, 9), _dense(GF(7), 9, 9, 1)))
+@example((_dense(Q, 4, 9, 2), Matrix.zero(Q, 9, 3)))
+@example((Matrix.identity(GF(3, 2), 9), _dense(GF(3, 2), 9, 9, 3)))
+@example((_dense(GF(2), 5, 7, 4), Matrix.identity(GF(2), 7)))
+def test_product_and_apply_match_the_textbook_loop(ab):
+    a, b = ab
+    prod = a * b
+    assert (prod.nrows, prod.ncols) == (a.nrows, b.ncols)
+    assert prod.rows == _textbook_product(a.rows, b.rows)
+    for j in range(b.ncols):
+        col = [[row[j]] for row in b.rows]
+        assert a.apply([x for x, in col]) == [x for x, in
+                                              _textbook_product(a.rows, col)]
+    if all(x.is_zero() for row in a.rows for x in row):
+        assert prod == Matrix.zero(a.field, a.nrows, b.ncols)
+    if a == Matrix.identity(a.field, a.nrows):
+        assert prod == b
+    if b == Matrix.identity(b.field, b.nrows):
+        assert prod == a
