@@ -48,6 +48,9 @@ def _embed_to_q(obj, q):
     base = obj.field
     if q is None or q == base.order:
         return obj
+    if base.order is None:
+        raise SystemExit2("--q %d: the input is over Q, which no finite "
+                          "field contains" % q)
     d = 1
     order = base.order
     while order < q:
@@ -157,7 +160,7 @@ def cmd_loci_check_embedding(args):
 def cmd_loci_reconstruct(args):
     from .loci import reconstruct_from_pencil
     mats = ser.pencil_from_json(_load(args.pencil))
-    t = reconstruct_from_pencil(mats, seed=args.seed)
+    t = reconstruct_from_pencil(mats)
     data = ser.trivector_to_json(t)
     if args.output:
         ser.dump_json(data, args.output)
@@ -241,8 +244,6 @@ def _positive_int(text):
 
 
 def _global_options(p):
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for any randomized sampling (default 0)")
     p.add_argument("--budget", type=_positive_int, default=None,
                    help="cap on enumeration sizes: P^8 points per scan; for "
                         "'stability', candidates walked per degree (default "
@@ -388,7 +389,6 @@ def main(argv=None):
         "inputs": dict(_INPUT_DIGESTS),
         "verdict": verdict,
         "elapsed_ms": int((time.perf_counter() - t0) * 1000),
-        "seed": args.seed,
     }
     try:
         json.dump(report, sys.stdout, indent=1, sort_keys=True)

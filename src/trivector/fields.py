@@ -451,14 +451,20 @@ def _poly_trim(c):
     return c
 
 
-def _poly_mulmod_p(a, b, mod, p):
-    """Product of int-coefficient polys a*b reduced mod (mod, p); mod is monic."""
-    k = len(mod) - 1
+def _poly_mul_p(a, b, p):
+    """Schoolbook product of int-coefficient polys a*b over GF(p), untrimmed."""
     prod = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] = (prod[i + j] + ai * bj) % p
+    return prod
+
+
+def _poly_mulmod_p(a, b, mod, p):
+    """Product of int-coefficient polys a*b reduced mod (mod, p); mod is monic."""
+    k = len(mod) - 1
+    prod = _poly_mul_p(a, b, p)
     for d in range(len(prod) - 1, k - 1, -1):
         c = prod[d]
         if c:
@@ -585,20 +591,8 @@ class ExtensionField(Field):
         return self._els[_vec_code(vec, self.p)]
 
     def _mulvec(self, a, b):
-        prod = [0] * (2 * self.k - 1)
-        p = self.p
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        mod = self.modulus
-        for d in range(2 * self.k - 2, self.k - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for j in range(self.k):
-                    prod[d - self.k + j] = (prod[d - self.k + j] - c * mod[j]) % p
-        return tuple(prod[:self.k])
+        prod = _poly_mulmod_p(a, b, self.modulus, self.p)
+        return tuple(prod) + (0,) * (self.k - len(prod))
 
     def _invvec(self, a):
         if not any(a):
@@ -610,11 +604,7 @@ class ExtensionField(Field):
         while r1:
             q, r = _poly_divmod_p(r0, r1, p)
             r0, r1 = r1, r
-            qs = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs[i + j] = (qs[i + j] + qi * sj) % p
+            qs = _poly_mul_p(q, s1, p)
             s = [(x - y) % p for x, y in itertools.zip_longest(s0, qs, fillvalue=0)]
             s0, s1 = s1, _poly_trim(s)
         lead_inv = pow(r0[-1], -1, p)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .e8 import _EPS_SIGNS, _wedge_codes
-from .errors import Disagreement, NonStableInput
+from .errors import Disagreement, NonStableInput, UnsupportedField
 from .fields import Field
 from .linalg import Matrix, kernel_matrix
 from .loci import (DEFAULT_POINT_BUDGET, _structure_tensor_codes,
@@ -521,9 +521,12 @@ def _frobenius_orbit_key(base_order, coords):
     return best_key, encode(coords)
 
 
+# degrees whose P^8 has more points than this are skipped, not scanned
+FLAG_SCAN_CUTOFF = 30_000_000
+
+
 def flag_search(t: Trivector, max_ext_degree: int = 1,
                 point_budget: int = DEFAULT_POINT_BUDGET,
-                scan_cutoff: int = 30_000_000,
                 verify_stable: bool = False) -> FlagSearchReport:
     """Enumerate compatible flags degree by degree through the rank-4 locus.
 
@@ -536,6 +539,8 @@ def flag_search(t: Trivector, max_ext_degree: int = 1,
     if max_ext_degree < 1:
         raise ValueError("max_ext_degree must be >= 1")
     base = t.field
+    if base.order is None:
+        raise UnsupportedField("flag search scans P^8 over a finite field")
     if verify_stable:
         from .stability import destabilizer_search
         if destabilizer_search(t, 1).status != "stable":
@@ -546,7 +551,7 @@ def flag_search(t: Trivector, max_ext_degree: int = 1,
     searched, skipped = [], []
     for d in range(1, max_ext_degree + 1):
         ext = extension_of(base, d)
-        if projective_count(ext.order) > min(point_budget, scan_cutoff):
+        if projective_count(ext.order) > min(point_budget, FLAG_SCAN_CUTOFF):
             skipped.append(d)
             continue
         emb = embed_map(base, ext)

@@ -11,7 +11,7 @@ rank 6, and only the singular points of C go through elimination."""
 from __future__ import annotations
 
 import itertools
-import random
+import math
 import time
 from dataclasses import dataclass
 
@@ -21,7 +21,7 @@ from .errors import (BudgetExceeded, CertificateFailure,
                      DegenerateConfiguration, Disagreement, KernelDimNotOne,
                      SingularCurve, WeilViolation)
 from .fields import Field
-from .linalg import Matrix, pfaffian, rank_and_kernel
+from .linalg import Matrix, check_skew, pfaffian, rank_and_kernel
 from .polys import MultiPoly, Poly, embed_map, extension_of, roots_in_field
 from .scan import (field_kernel, projective_count, projective_run,
                    projective_runs)
@@ -448,7 +448,11 @@ def cubic_of_Y(t: Trivector) -> CubicForm:
     return _normalized(CubicForm(t.field, cubic.terms))
 
 
-def _interpolate_cubic_over(t: Trivector, sample_cap, budget):
+# points of the rank <= 6 locus in the first interpolation round
+INTERPOLATION_SAMPLE = 400
+
+
+def _interpolate_cubic_over(t: Trivector, budget):
     field = t.field
     kern, report, codes, ranks = rank_locus_codes(t, max_rank=6, budget=budget)
     if codes.shape[0] == 0:
@@ -456,7 +460,7 @@ def _interpolate_cubic_over(t: Trivector, sample_cap, budget):
     # sample every stride-th point; while the kernel is larger than one
     # line, add the next offset's points, keeping only the reduced row space
     # (at most 165 rows) between rounds; all offsets together are all points
-    stride = max(1, codes.shape[0] // sample_cap)
+    stride = max(1, codes.shape[0] // INTERPOLATION_SAMPLE)
     nmono = len(DEGREE3_EXPONENTS)
     rows = np.zeros((0, nmono), dtype=kern.dtype)
     for offset in range(stride):
@@ -479,7 +483,7 @@ def _interpolate_cubic_over(t: Trivector, sample_cap, budget):
     return cubic
 
 
-def interpolate_cubic(t: Trivector, sample_cap: int = 400,
+def interpolate_cubic(t: Trivector,
                       budget: int = DEFAULT_POINT_BUDGET) -> CubicForm:
     """Interpolate the unique cubic through the rank <= 6 locus: the second
     route to cubic_of_Y, through a scan of P^8.
@@ -493,13 +497,13 @@ def interpolate_cubic(t: Trivector, sample_cap: int = 400,
     """
     field = t.field
     try:
-        return _interpolate_cubic_over(t, sample_cap, budget)
+        return _interpolate_cubic_over(t, budget)
     except KernelDimNotOne:
         if field.order is None or field.order > 3:
             raise
     ext = extension_of(field, 2)
     emb = embed_map(field, ext)
-    cubic = _interpolate_cubic_over(t.map_coeffs(ext, emb), sample_cap, budget)
+    cubic = _interpolate_cubic_over(t.map_coeffs(ext, emb), budget)
     down = {}
     for e, c in cubic.coeffs.items():
         match = next((b for b in field.elements() if emb(b) == c), None)
@@ -514,14 +518,7 @@ def interpolate_cubic(t: Trivector, sample_cap: int = 400,
 
 def isqrt_weil_bound(q: int) -> int:
     """floor(4 sqrt(q)) computed exactly."""
-    lo, hi = 0, 4 * q
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid * mid <= 16 * q:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    return math.isqrt(16 * q)
 
 
 def jacobian_order_from_counts(n1: int, n2: int, q: int) -> int:
@@ -680,12 +677,30 @@ def _independent(mats):
     return flat.rank() == len(mats)
 
 
-def reconstruct_from_pencil(w_mats, seed: int = 0, tries: int = 4000) -> Trivector:
-    """Rebuild the trivector (up to scalar) from a basis of its space of
-    bilinear forms.
+def _combo(mats, coeffs):
+    """sum_k coeffs[k] * mats[k]."""
+    acc = Matrix.zero(mats[0].field, 9, 9)
+    for a, m in zip(coeffs, mats):
+        if not a.is_zero():
+            acc = acc + m.scale(a)
+    return acc
 
-    Ten rank-8 elements in general position pin the kernel-line map; the
-    tenth element fixes the relative scales.
+
+def reconstruct_from_pencil(w_mats) -> Trivector:
+    """Rebuild a trivector from a basis w_1..w_9 of its space W of bilinear
+    forms, by one linear solve.
+
+    A trivector s has its pencil inside W exactly when phi_s(e_j*) = M_j =
+    sum_k A_kj w_k for a 9 x 9 matrix A whose tensor T_ijl = (M_j)_il is
+    alternating; then s[abc] = (M_c)_ab.  The w_k are alternating, so T is
+    alternating in (i, l) already and the rest is linear in A: T_ijj = 0
+    puts column j of A in the kernel of N_j[i][k] = (w_k)_ij, and
+    T_ijl + T_ilj = 0 for j < l gives 324 equations in the coordinates of
+    those kernels.  Their solutions must form one line.  Its basis vector
+    from rank_and_kernel (last nonzero coordinate one) is the result, so
+    w = pencil_basis(t) gives A = identity and t itself; any other basis of
+    t's W gives a multiple of t.  Certified: phi_at(s, e_j*) = M_j for every
+    j, and the pencil of s spans all of W.
     """
     if len(w_mats) != 9:
         raise ValueError("need exactly 9 matrices")
@@ -693,107 +708,34 @@ def reconstruct_from_pencil(w_mats, seed: int = 0, tries: int = 4000) -> Trivect
     for m in w_mats:
         if m.nrows != 9 or m.ncols != 9:
             raise ValueError("matrices must be 9x9")
+        check_skew(m)
     if not _independent(w_mats):
         raise DegenerateConfiguration("the nine matrices are not independent")
-    rng = random.Random(seed)
-
-    def combo(coeffs):
-        acc = Matrix.zero(field, 9, 9)
-        for a, m in zip(coeffs, w_mats):
-            if not a.is_zero():
-                acc = acc + m.scale(a)
-        return acc
-
-    # nine rank-8 elements with independent coefficient vectors
-    chosen = []
-    chosen_mat = None
-    for _ in range(tries):
-        if len(chosen) == 9:
-            break
-        vec = [field.random(rng) for _ in range(9)]
-        m = combo(vec)
-        if m.rank() != 8:
-            continue
-        cand = Matrix(field, [c for c, _ in chosen] + [vec]) if chosen else \
-            Matrix(field, [vec])
-        if cand.rank() == len(chosen) + 1:
-            chosen.append((vec, m))
-            chosen_mat = cand
-    if len(chosen) < 9:
+    # the unknowns: (j, sum_k b_k w_k) for each kernel vector b of N_j
+    cols = []
+    for j in range(9):
+        n_j = Matrix(field, [[w.rows[i][j] for w in w_mats] for i in range(9)])
+        cols.extend((j, _combo(w_mats, b)) for b in rank_and_kernel(n_j)[1])
+    zero = field.zero
+    system = [[m.rows[i][l] if c == j else m.rows[i][j] if c == l else zero
+               for c, m in cols]
+              for j, l in itertools.combinations(range(9), 2)
+              for i in range(9)]
+    sol = rank_and_kernel(Matrix(field, system))[1]
+    if len(sol) != 1:
         raise DegenerateConfiguration(
-            "could not find nine independent rank-8 elements")
-    # tenth rank-8 element with all coordinates nonzero in the chosen basis
-    basis_inv = chosen_mat.transpose().inverse()
-    lam = None
-    tenth = None
-    for _ in range(tries):
-        vec = [field.random(rng) for _ in range(9)]
-        m = combo(vec)
-        if m.rank() != 8:
-            continue
-        coords = basis_inv.apply(vec)
-        if all(not a.is_zero() for a in coords):
-            lam = coords
-            tenth = m
-            break
-    if lam is None:
-        raise DegenerateConfiguration("no tenth rank-8 element in general position")
-
-    # rescale so the tenth element is the sum of the nine
-    scaled = [m.scale(a) for (vec, m), a in zip(chosen, lam)]
-    kernels = []
-    for m in scaled:
-        _, kb = rank_and_kernel(m)
-        if len(kb) != 1:
-            raise DegenerateConfiguration("rank-8 element with fat kernel")
-        kernels.append(kb[0])
-    _, kb = rank_and_kernel(tenth)
-    if len(kb) != 1:
-        raise DegenerateConfiguration("tenth element with fat kernel")
-    x0 = kb[0]
-    # solve sum mu_i x_i = nu x0
-    cols = [[k[i] for k in kernels] + [x0[i]] for i in range(9)]
-    sysm = Matrix(field, cols)    # 9 x 10
-    _, null = rank_and_kernel(sysm)
-    sol = None
-    for v in null:
-        if all(not a.is_zero() for a in v):
-            sol = v
-            break
-    if sol is None:
-        raise DegenerateConfiguration("scale-fixing system has no generic solution")
-    mu = sol[:9]
-
-    # phi sends the scaled basis element i to mu_i x_i; transport that to the
-    # original basis w_k through the coefficient matrix S (columns lam_i vec_i)
-    s_mat = Matrix(field, [[lam[i] * chosen[i][0][k] for i in range(9)]
-                           for k in range(9)])
-    s_inv = s_mat.inverse()
-    phi_rows = []
-    for row in range(9):
-        phi_rows.append([sum((s_inv.rows[i][k] * mu[i] * kernels[i][row]
-                              for i in range(9) if not s_inv.rows[i][k].is_zero()),
-                             field.zero) for k in range(9)])
-    phi_mat = Matrix(field, phi_rows)   # column k = phi(w_k) in V9* coords
-    try:
-        psi = phi_mat.inverse()
-    except Exception as exc:
-        raise DegenerateConfiguration("kernel-line map is singular: %s" % exc)
-    # column k of psi expresses iota_{e_k*}(gamma) in the w-basis
-    coeffs = {}
-    bivs = []
-    for k in range(9):
-        col = [psi.rows[i][k] for i in range(9)]
-        bivs.append(combo(col))
-    for (a, b, c) in itertools.combinations(range(1, 10), 3):
-        v = bivs[c - 1].rows[a - 1][b - 1]
-        if (bivs[b - 1].rows[a - 1][c - 1] != -v
-                or bivs[a - 1].rows[b - 1][c - 1] != v):
-            raise DegenerateConfiguration(
-                "contraction data is not alternating; not a trivector pencil")
-        if not v.is_zero():
-            coeffs[(a, b, c)] = v
-    out = Trivector(field, coeffs)
-    if out.is_zero():
-        raise DegenerateConfiguration("reconstruction collapsed to zero")
+            "the trivectors with pencil inside the span form a space of "
+            "dimension %d, not 1" % len(sol))
+    m_cols = [Matrix.zero(field, 9, 9) for _ in range(9)]
+    for x, (j, m) in zip(sol[0], cols):
+        m_cols[j] = m_cols[j] + m.scale(x)
+    out = Trivector(field, {(a, b, c): m_cols[c - 1].rows[a - 1][b - 1]
+                            for a, b, c in itertools.combinations(range(1, 10), 3)
+                            if not m_cols[c - 1].rows[a - 1][b - 1].is_zero()})
+    if pencil_basis(out) != m_cols:
+        raise Disagreement("the solved contractions are not those of the "
+                           "rebuilt trivector")
+    if not _independent(m_cols):
+        raise DegenerateConfiguration(
+            "the rebuilt trivector's pencil does not span the input")
     return out

@@ -43,13 +43,49 @@ def test_cli_determinism(tmp_path, capsys):
     from trivector.loci import pencil_basis
     t = ser.trivector_from_json(ser.load_json(str(g)))
     ser.dump_json(ser.pencil_to_json(t.field, pencil_basis(t)), str(p))
-    code1, rep1 = run_cli(capsys, "--seed", "5", "loci", "reconstruct",
-                          "--pencil", str(p))
-    code2, rep2 = run_cli(capsys, "--seed", "5", "loci", "reconstruct",
-                          "--pencil", str(p))
+    code1, rep1 = run_cli(capsys, "loci", "reconstruct", "--pencil", str(p))
+    code2, rep2 = run_cli(capsys, "loci", "reconstruct", "--pencil", str(p))
     assert code1 == code2 == 0
     assert rep1["verdict"] == rep2["verdict"]
-    assert rep1["seed"] == 5
+    assert set(rep1) == {"command", "inputs", "verdict", "elapsed_ms"}
+
+
+def test_reconstruct_cli_returns_the_trivector(tmp_path, capsys):
+    # GF(2) with c15 = 1: the pencil basis of t gives back t's terms
+    import trivector.serialize as ser
+    from trivector.loci import pencil_basis
+    g = tmp_path / "g.json"
+    code, rep = run_cli(capsys, "gamma", "build", "--field", "GF(2)",
+                        "--set", "c15=1", "-o", str(g))
+    t = ser.trivector_from_json(ser.load_json(str(g)))
+    p = tmp_path / "p.json"
+    ser.dump_json(ser.pencil_to_json(t.field, pencil_basis(t)), str(p))
+    code, out = run_cli(capsys, "loci", "reconstruct", "--pencil", str(p))
+    assert code == 0
+    assert out["verdict"]["gamma"] == rep["verdict"]["gamma"]
+
+
+def test_seed_is_not_an_option(capsys):
+    assert main(["--seed", "1", "loci", "reconstruct", "--pencil",
+                 "absent.json"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "--seed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["loci", "count", "--q", "5"], ["loci", "count"], ["loci", "cubic", "--q", "5"],
+    ["flags", "search"], ["flags", "search", "--q", "5"]],
+    ids=" ".join)
+def test_q_input_to_a_finite_field_command(argv, tmp_path, capsys):
+    # a gamma over Q cannot be scanned or embedded into a finite field
+    g = tmp_path / "g.json"
+    run_cli(capsys, "gamma", "build", "--field", "Q", "--set", "c30=1",
+            "-o", str(g))
+    code = main(argv[:2] + ["--gamma", str(g)] + argv[2:])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
 
 
 def test_flags_chern_cli(capsys):

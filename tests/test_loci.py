@@ -10,11 +10,12 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from trivector.errors import (BudgetExceeded, DegenerateConfiguration,
-                              KernelDimNotOne, SingularCurve, WeilViolation)
-from trivector.fields import GF
+                              KernelDimNotOne, NotSkew, SingularCurve,
+                              WeilViolation)
+from trivector.fields import GF, Q
 from trivector.linalg import Matrix, pfaffian
 from trivector.loci import (DEGREE3_EXPONENTS, DEFAULT_SCAN_CHUNK,
-                            _BLOCK_CODES, _box_eval, _power_table,
+                            _BLOCK_CODES, _box_eval, _combo, _power_table,
                             _structure_tensor_codes, batch_eval,
                             cubic_of_Y, curve_affine_points,
                             curve_point_counts, embedding_point,
@@ -170,11 +171,52 @@ def test_reconstruct_round_trip_small():
     f2 = GF(2)
     emb = embed_map(f2, f16)
     t = build_gamma_c(CurveCoeffs(f2, {15: 1}).map_coeffs(f16, emb))
-    rec = reconstruct_from_pencil(pencil_basis(t), seed=0)
-    assert rec.proportional_to(t)
+    assert reconstruct_from_pencil(pencil_basis(t)) == t
+
+
+def _pencil_trivector(field, rng):
+    """A random trivector whose nine contractions are independent."""
+    while True:
+        t = Trivector(field, {TRIPLES[rng.randrange(84)]: field.random(rng)
+                              for _ in range(rng.randrange(9, 40))})
+        flat = Matrix(field, [[m.rows[i][j] for i in range(9) for j in range(9)]
+                              for m in pencil_basis(t)])
+        if flat.rank() == 9:
+            return t
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), GF(2, 4), Q],
+                         ids=repr)
+def test_reconstruct_from_any_basis_of_the_pencil(field):
+    # the pencil basis gives t exactly; a random invertible change of basis
+    # of the same space gives a multiple of t
+    rng = random.Random("reconstruct:%r" % field)
+    for _ in range(4):
+        t = _pencil_trivector(field, rng)
+        w = pencil_basis(t)
+        assert reconstruct_from_pencil(w) == t
+        g = Matrix(field, [[field.random(rng) for _ in range(9)]
+                           for _ in range(9)])
+        while not g.is_invertible():
+            g = Matrix(field, [[field.random(rng) for _ in range(9)]
+                               for _ in range(9)])
+        rec = reconstruct_from_pencil(
+            [_combo(w, row) for row in g.rows])
+        assert rec.proportional_to(t)
+
+
+@pytest.mark.parametrize("q, degrees", [(2, {15: 1}), (3, {12: 1, 30: 1}),
+                                        (5, {6: 1, 30: 1}), (7, {30: 1})])
+def test_reconstruct_gamma_exactly(q, degrees):
+    # GF(2) included: few of its combinations have rank 8, so no route
+    # may rely on sampling them
+    t = build_gamma_c(CurveCoeffs(GF(q), degrees))
+    assert reconstruct_from_pencil(pencil_basis(t)) == t
 
 
 def test_reconstruct_rejects_low_rank_span():
+    # e1^e_j (j = 2..9) and e2^e3: e123 has its pencil inside this span,
+    # but it spans only three of the nine dimensions
     f16 = GF(2, 4)
     mats = []
     for i in range(8):
@@ -187,7 +229,7 @@ def test_reconstruct_rejects_low_rank_span():
     m.rows[2][1] = -f16.one
     mats.append(m)
     with pytest.raises(DegenerateConfiguration):
-        reconstruct_from_pencil(mats, seed=0, tries=300)
+        reconstruct_from_pencil(mats)
 
 
 def test_reconstruct_rejects_dependent_input():
@@ -196,7 +238,24 @@ def test_reconstruct_rejects_dependent_input():
     mats = pencil_basis(t)
     mats[8] = mats[0]
     with pytest.raises(DegenerateConfiguration):
-        reconstruct_from_pencil(mats, seed=0)
+        reconstruct_from_pencil(mats)
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(2, 4), Q], ids=repr)
+def test_reconstruct_rejects_a_perturbed_pencil(field):
+    # one skew entry pair of one matrix moved: still nine independent
+    # alternating forms, but no longer the contractions of a trivector
+    t = build_gamma_c(CurveCoeffs(field, {12: 1, 30: 1}))
+    mats = pencil_basis(t)
+    mats[4].rows[2][5] = mats[4].rows[2][5] + field.one
+    mats[4].rows[5][2] = mats[4].rows[5][2] - field.one
+    with pytest.raises(DegenerateConfiguration):
+        reconstruct_from_pencil(mats)
+    # a nonzero diagonal entry is not an alternating form at all
+    mats = pencil_basis(t)
+    mats[4].rows[2][2] = field.one
+    with pytest.raises(NotSkew):
+        reconstruct_from_pencil(mats)
 
 
 # ---------------------------------------------------------------------------
