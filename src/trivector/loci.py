@@ -10,6 +10,7 @@ rank 6, and only the singular points of C go through elimination."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -21,13 +22,12 @@ from .errors import (BudgetExceeded, CertificateFailure,
                      DegenerateConfiguration, Disagreement, KernelDimNotOne,
                      SingularCurve, WeilViolation)
 from .fields import Field
-from .linalg import Matrix, check_skew, pfaffian, rank_and_kernel
+from .linalg import Matrix, check_skew, rank_and_kernel
 from .polys import MultiPoly, Poly, embed_map, extension_of, roots_in_field
 from .scan import (field_kernel, projective_count, projective_run,
                    projective_runs)
 from .stability import curve_is_smooth
-from .trivector import (CurveCoeffs, Trivector, build_gamma_c, phi_at,
-                        phi_pencil)
+from .trivector import CurveCoeffs, Trivector, build_gamma_c, phi_at
 
 __all__ = [
     "RankLocusReport", "enumerate_rank_locus", "rank_locus_codes",
@@ -42,7 +42,14 @@ __all__ = [
 
 DEFAULT_POINT_BUDGET = 250_000_000   # nominally allows q = 11
 DEFAULT_POINT_CAP = 300_000
-DEFAULT_SCAN_CHUNK = 1 << 13   # points per run of the streaming scan
+# points per run of the streaming scan: a run costs a fixed number of
+# numpy calls (the box pass walks the tree of C's terms once), so the
+# larger the run the less a scan pays for Python; at 2^16 every lead block
+# over F_2-F_4 is one run
+DEFAULT_SCAN_CHUNK = 1 << 16
+# matrices per build_skew + batched_rank call, so a run whose points all
+# reach elimination (C identically zero) keeps its temporaries small
+_ELIMINATION_BATCH = 1 << 12
 
 
 @dataclass
@@ -84,16 +91,45 @@ def pfaffian_cubic(t: Trivector) -> MultiPoly:
     Pfaffians are C(x) * x, in every characteristic:
     Pf_i(phi(x)) = (-1)^(i+1) C(x) x_i.  Hence rank phi(x) = 8 exactly when
     C(x) != 0, and C vanishes on the rank <= 6 locus.  C is identically zero
-    when every point has rank <= 6 (e.g. the zero trivector)."""
+    when every point has rank <= 6 (e.g. the zero trivector).
+
+    Pf_1 is expanded along the first row, memoized on the remaining index
+    sets, over sparse {exponent: element} dicts: entry (a, b), a < b, of
+    phi(x) is the linear form {v: +-t[abv]} (each triple of t owns three
+    such slots), and an exponent vector is packed into one int, 3 bits per
+    variable (no exponent of a quartic exceeds 4), so multiplying a term by
+    x_v adds 8^v to its key.  The same route serves every field, Q too."""
     field = t.field
-    pencil = phi_pencil(t)
-    minor = Matrix(field, [row[1:] for row in pencil[1:]])
-    pf1 = pfaffian(minor, one=MultiPoly.constant(field, 9, field.one))
+    forms = {}
+    for (i, j, k), c in t.coeffs.items():
+        for a, b, v, coeff in ((j, k, i, c), (i, k, j, -c), (i, j, k, c)):
+            forms.setdefault((a - 1, b - 1), {})[8 ** (v - 1)] = coeff
+    memo = {(): {0: field.one}}
+
+    def pf(idx):
+        acc = memo.get(idx)
+        if acc is not None:
+            return acc
+        acc = {}
+        for pos in range(1, len(idx)):
+            form = forms.get((idx[0], idx[pos]))
+            if form is None:
+                continue
+            rest = pf(idx[1:pos] + idx[pos + 1:])
+            for step, a in form.items():
+                if not pos % 2:
+                    a = -a
+                for e, c in rest.items():
+                    s = acc.get(e + step)
+                    acc[e + step] = a * c if s is None else s + a * c
+        acc = memo[idx] = {e: c for e, c in acc.items() if not c.is_zero()}
+        return acc
+
     terms = {}
-    for e, c in pf1.terms.items():
-        if e[0] == 0:
+    for e, c in pf(tuple(range(1, 9))).items():
+        if not e & 7:
             raise Disagreement("Pf_1 of the pencil is not divisible by x_1")
-        terms[(e[0] - 1,) + e[1:]] = c
+        terms[tuple((e - 1) >> 3 * v & 7 for v in range(9))] = c
     return MultiPoly(field, 9, terms)
 
 
@@ -101,8 +137,9 @@ class _RunScanner:
     """The run scanner of the P^8 scan: the ranks of one run of canonical
     points, a product box (head, lo, hi) of scan.projective_runs.
 
-    Built once per scan, so the power table of the field is built, and the
-    nonzero partials of the Pfaffian cubic C compiled (_compile), once.
+    Built once per scan from the Pfaffian cubic C itself (a MultiPoly,
+    pfaffian_cubic), so the power table of the field is built, C coded and
+    its nonzero partials compiled (_compile), once.
     The sieve has two stages:
 
     - C(x) != 0: rank 8 (see pfaffian_cubic);
@@ -121,20 +158,20 @@ class _RunScanner:
     F_4 about a quarter of the zeros of C of a smooth curve (5,893 of
     23,365 on one).  What is left, the singular points of C (all points
     when C is identically zero; 6-32 points on five smooth F_4 curves),
-    goes through build_skew + batched_rank, and it is where the witness
-    engine of stability.py reads its candidates.
+    goes through build_skew + batched_rank in slices of at most
+    _ELIMINATION_BATCH matrices, and it is where the witness engine of
+    stability.py reads its candidates.
     Called on a run (head, lo, hi), it returns (codes, ranks, hist): the
     run's points of rank <= max_rank (none when max_rank is None; the
     elimination set when `singular`) with their ranks, in lexicographic
     order, and the rank histogram (length 9) of the whole run.  The
     coordinates of the other points are never built."""
 
-    def __init__(self, kern, tensor, cubic_codes, max_rank, singular=False):
+    def __init__(self, kern, tensor, cubic, max_rank, singular=False):
         self.kern = kern
         self.tensor = tensor
-        self.cubic_codes = cubic_codes
-        cubic = MultiPoly(self.kern.field, 9,
-                          {e: self.kern.decode(c) for e, c in cubic_codes})
+        self.cubic_codes = [(e, kern.encode(c))
+                            for e, c in cubic.terms.items()]
         self.partials = [(j, _compile(kern, d))
                          for j, d in enumerate(map(cubic.derivative, range(9)))
                          if not d.is_zero()]
@@ -158,7 +195,10 @@ class _RunScanner:
                 keep = _compiled_eval(kern, partial, pts) == 0
                 low, pts = low[keep], pts[keep]
         if low.size:
-            low_ranks = kern.batched_rank(kern.build_skew(pts, self.tensor))
+            low_ranks = np.concatenate([
+                kern.batched_rank(kern.build_skew(
+                    pts[a:a + _ELIMINATION_BATCH], self.tensor))
+                for a in range(0, low.size, _ELIMINATION_BATCH)])
             if np.any(low_ranks == 8):
                 raise Disagreement("rank 8 at a zero of the Pfaffian cubic")
             ranks[low] = low_ranks
@@ -196,10 +236,8 @@ def iter_rank_locus(t: Trivector, max_rank: int | None = None,
         raise BudgetExceeded("P^8(F_%d) has %d points (budget %d)"
                              % (q, total, budget), count=total)
     kern = field_kernel(field)
-    scanner = _RunScanner(
-        kern, _structure_tensor_codes(t, kern),
-        [(e, kern.encode(c)) for e, c in pfaffian_cubic(t).terms.items()],
-        max_rank, _singular)
+    scanner = _RunScanner(kern, _structure_tensor_codes(t, kern),
+                          pfaffian_cubic(t), max_rank, _singular)
     return map(scanner, projective_runs(q, chunk))
 
 
@@ -328,6 +366,19 @@ def _power_table(kern, degree):
     return powers
 
 
+@functools.cache
+def _scalar_ops(kern):
+    """(mul, add) of two codes as Python ints, for the scalar work of
+    _box_eval: a * b % p and (a + b) % p over a prime field, lookups in the
+    field's code tables read as Python lists otherwise (a numpy scalar op
+    costs about a microsecond, a list lookup a tenth of that)."""
+    if kern.prime:
+        p = kern.prime
+        return (lambda a, b: a * b % p), (lambda a, b: (a + b) % p)
+    add, mul = (table.tolist() for table in kern.field.code_tables()[:2])
+    return (lambda a, b: mul[a][b]), (lambda a, b: add[a][b])
+
+
 def _box_eval(kern, terms, box, powers):
     """A coded polynomial f and its partial d_s f in the ranged variable
     s = len(head) on every point of a box (head, lo, hi), a run of
@@ -335,21 +386,23 @@ def _box_eval(kern, terms, box, powers):
     The terms (exponents, code) have degree at most len(powers) - 1 in
     each variable.
 
-    The head coordinates are plugged in with scalar ops.  The rest is
-    evaluated one variable at a time: split by the exponent k of the first
-    free variable, evaluate each part G_k on the remaining grid, and
-    combine sum_k v^k G_k for all values v at once, so a point costs a few
-    element ops per variable rather than a few per term.  The same G_k
-    give d_s f = sum_k (k mod p) v^(k-1) G_k along the ranged variable."""
+    The head coordinates are plugged in with Python int ops (_scalar_ops).
+    The rest is evaluated one variable at a time: split by the exponent k
+    of the first free variable, evaluate each part G_k on the remaining
+    grid, and combine sum_k v^k G_k for all values v at once, so a point
+    costs a few element ops per variable rather than a few per term.  The
+    same G_k give d_s f = sum_k (k mod p) v^(k-1) G_k along the ranged
+    variable."""
     head, lo, hi = box
     s = len(head)
+    mul, add = _scalar_ops(kern)
     head_powers = [[int(p[x]) for p in powers] for x in head]
     free = {}
     for e, c in terms:
         for xk, k in zip(head_powers, e):
             if k:
-                c = int(kern.mul(c, xk[k]))
-        free[e[s:]] = int(kern.add(free.get(e[s:], 0), c))
+                c = mul(c, xk[k])
+        free[e[s:]] = add(free.get(e[s:], 0), c)
     parts = {}
     for e, c in free.items():
         if c:

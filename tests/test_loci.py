@@ -4,6 +4,7 @@ import itertools
 import multiprocessing
 import operator
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from trivector.scan import (FieldKernel, code_dtype, field_kernel,
 from trivector.stability import curve_is_smooth
 from trivector.trivector import (CURVE_DEGREES, TRIPLES, CurveCoeffs,
                                  Trivector, build_gamma_c, gamma0, gl_act,
-                                 phi_at)
+                                 phi_at, phi_pencil)
 
 
 def test_zero_trivector_all_rank_zero():
@@ -338,6 +339,78 @@ def test_gradient_vanishes_at_rank_le_4(field, data):
     assert all(cubic.derivative(j)(x).is_zero() for j in range(9))
 
 
+def _object_pfaffian_cubic(t):
+    """The oracle of pfaffian_cubic: linalg.pfaffian of the pencil's minor
+    without row and column 1, its entries MultiPoly linear forms
+    (phi_pencil), divided by x_1."""
+    field = t.field
+    minor = Matrix(field, [row[1:] for row in phi_pencil(t)[1:]])
+    pf1 = pfaffian(minor, one=MultiPoly.constant(field, 9, field.one))
+    assert all(e[0] for e in pf1.terms)
+    return MultiPoly(field, 9, {(e[0] - 1,) + e[1:]: c
+                                for e, c in pf1.terms.items()})
+
+
+def _elements(field, nonzero=False):
+    """Strategy of elements: codes over a finite field, small fractions
+    over Q."""
+    if field.order is None:
+        nums = st.integers(-9, 9)
+        return st.builds(lambda n, d: field.el(Fraction(n, d)),
+                         nums.filter(bool) if nonzero else nums,
+                         st.integers(1, 5))
+    return st.integers(int(nonzero), field.order - 1).map(field.from_int)
+
+
+def _invertible_matrix(data, field):
+    """L * U with L unit lower triangular and U upper triangular with a
+    nonzero diagonal, entries drawn."""
+    zero, one = field.zero, field.one
+    below = iter(data.draw(st.lists(_elements(field), min_size=36,
+                                    max_size=36)))
+    above = iter(data.draw(st.lists(_elements(field), min_size=36,
+                                    max_size=36)))
+    diag = data.draw(st.lists(_elements(field, nonzero=True), min_size=9,
+                              max_size=9))
+    lower = Matrix(field, [[next(below) if j < i else one if j == i else zero
+                            for j in range(9)] for i in range(9)])
+    upper = Matrix(field, [[next(above) if j > i else diag[i] if j == i
+                            else zero for j in range(9)] for i in range(9)])
+    return lower * upper
+
+
+def _pfaffian_cubic_inputs(data, field):
+    """One trivector of each kind: zero, e123, e123 + e456 + e789 moved by
+    a drawn g, gamma_c, sparse and dense; the first three have C = 0."""
+    one = field.one
+    e123 = Trivector(field, {(1, 2, 3): one})
+    moved = gl_act(_invertible_matrix(data, field),
+                   Trivector(field, {(1, 2, 3): one, (4, 5, 6): one,
+                                     (7, 8, 9): one}))
+    gamma = build_gamma_c(CurveCoeffs(field, {
+        d: data.draw(_elements(field)) for d in CURVE_DEGREES}))
+    sparse = Trivector(field, data.draw(st.dictionaries(
+        st.sampled_from(TRIPLES), _elements(field, nonzero=True),
+        max_size=10)))
+    dense = Trivector(field, dict(zip(TRIPLES, data.draw(st.lists(
+        _elements(field), min_size=84, max_size=84)))))
+    return [Trivector(field), e123, moved, gamma, sparse, dense]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2), GF(5), GF(7),
+                                   GF(3, 2), GF(191), Q], ids=repr)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_pfaffian_cubic_matches_object_pfaffian(field, data):
+    for kind, t in enumerate(_pfaffian_cubic_inputs(data, field)):
+        cubic = pfaffian_cubic(t)
+        assert cubic.field == field
+        assert cubic.terms == _object_pfaffian_cubic(t).terms
+        # the first three have rank phi(x) <= 6 everywhere: at most three
+        # 2-forms of rank <= 2
+        assert cubic.is_zero() or kind > 2
+
+
 @functools.cache
 def _canonical_points(q):
     """The canonical points of P^8(F_q) in lexicographic order, listed from
@@ -424,6 +497,25 @@ def test_sieved_scan_degenerate_cubic(field):
         _assert_scan_matches_oracle(t, 6)
         with pytest.raises(KernelDimNotOne):
             cubic_of_Y(t)
+
+
+def test_identically_zero_cubic_eliminates_in_bounded_batches(monkeypatch):
+    # e123 lives on three coordinates, so C = 0 and every point of a run
+    # (one run per lead block over F_4) reaches elimination, which must
+    # take it in batches of at most 8192 matrices
+    field = GF(2, 2)
+    sizes = []
+    batched_rank = FieldKernel.batched_rank
+
+    def recording(kern, mats):
+        sizes.append(mats.shape[0])
+        return batched_rank(kern, mats)
+
+    monkeypatch.setattr(FieldKernel, "batched_rank", recording)
+    _, rep, _, _ = rank_locus_codes(Trivector(field, {(1, 2, 3): field.one}))
+    assert rep.counts == {0: 1365, 2: 86016, 4: 0, 6: 0, 8: 0}
+    assert sum(sizes) == projective_count(4)
+    assert max(sizes) <= 8192
 
 
 def _box_points(q, box):
@@ -642,12 +734,13 @@ def test_projective_runs_tile_p8(q):
 
 def test_default_chunk_runs_are_fixed_size_cuts():
     # where the benchmark scans (the default chunk over F_2-F_4, the
-    # anchored search's 4096 over F_4) and over F_8, the aligned runs are
-    # the cuts of each lead block into runs of `chunk` points
+    # anchored search's 4096 over F_4), at 8192 over F_4 and over F_8, the
+    # aligned runs are the cuts of each lead block into runs of `chunk`
+    # points
     for q, chunk, count in ((2, DEFAULT_SCAN_CHUNK, 9),
                             (3, DEFAULT_SCAN_CHUNK, 9),
-                            (4, DEFAULT_SCAN_CHUNK, 17), (4, 4096, 27),
-                            (8, 4096, 4685)):
+                            (4, DEFAULT_SCAN_CHUNK, 9), (4, 8192, 17),
+                            (4, 4096, 27), (8, 4096, 4685)):
         cuts, offset = [], 0
         for lead in range(9):
             block = q ** (8 - lead)
