@@ -33,6 +33,7 @@ from .errors import (Disagreement, FieldMismatch, NoSolution, NotCharThree,
                      SingularCurve, UnsupportedField)
 from .fields import Field
 from .linalg import Matrix, is_semisimple
+from .loci import _signed_codes, _trivector_codes
 from .scan import MAX_TABLE_ORDER, field_kernel
 from .stability import curve_is_smooth
 from .trivector import TRIPLES, TRIPLE_INDEX, CurveCoeffs, Trivector, build_gamma_c
@@ -512,7 +513,8 @@ def _act3_structure_codes(field):
 def _wedge_gather():
     """wedge33 with t as one gather: entry (S, U) indexes t's 84 codes
     followed by their negatives and a zero (at 168), picking the
-    coefficient sgn(T, U) t[T] of e_comp(S) in t ^ e_U, T = comp(S) - U."""
+    coefficient sgn(T, U) t[T] of e_comp(S) in t ^ e_U, T = comp(S) - U
+    (the layout of loci._signed_codes)."""
     out = np.full((84, 84), 168, dtype=np.int16)
     for s_idx, trip in enumerate(TRIPLES):
         six = COMP[trip]
@@ -528,10 +530,7 @@ def _wedge_codes(t: Trivector, kern):
     """wedge33 with t, coded (84 x 84): entry (S, U) is the coefficient
     sgn(T, U) t[T] of e_comp(S) in t ^ e_U, one gather through
     _wedge_gather."""
-    codes = np.array([kern.encode(t.coeffs.get(trip, t.field.zero))
-                      for trip in TRIPLES], dtype=kern.dtype)
-    signed = np.concatenate([codes, kern.neg(codes), np.zeros(1, kern.dtype)])
-    return signed[_wedge_gather()]
+    return _signed_codes(kern, _trivector_codes(t, kern))[_wedge_gather()]
 
 
 def _ad_blocks(t: Trivector, kern):

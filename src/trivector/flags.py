@@ -17,11 +17,12 @@ from .e8 import _EPS_SIGNS, _wedge_codes
 from .errors import Disagreement, NonStableInput, UnsupportedField
 from .fields import Field
 from .linalg import Matrix, kernel_matrix
-from .loci import (DEFAULT_POINT_BUDGET, _structure_tensor_codes,
-                   rank_locus_codes)
+from .loci import (DEFAULT_POINT_BUDGET, _pencil_gather, _signed_codes,
+                   _structure_tensor_codes, rank_locus_codes)
 from .polys import element_degree, embed_map, extension_of
-from .scan import code_dtype, field_kernel, projective_count
-from .trivector import TRIPLE_INDEX, TRIPLES, Trivector, phi_at
+from .scan import field_kernel, projective_count
+from .stability import _echelon_bases
+from .trivector import CONTRACTION_SLOTS, TRIPLES, Trivector, phi_at
 
 __all__ = [
     "FLAG_MONOMIALS", "Flag1368", "CompatibilityReport", "flag_compatible",
@@ -179,25 +180,28 @@ def flag_compatible(t: Trivector, flag: Flag1368) -> CompatibilityReport:
 
 
 @functools.cache
-def _flag_index_tables():
-    """Field-independent index tables of the coded flag engine.
+def _wedge_line_tables():
+    """Field-independent index tables of v1 = u ^ m for a vector u and a
+    flattened skew matrix m: (u ^ m)_T is the sum over the slots
+    (a, b, v, sign) of T (CONTRACTION_SLOTS) of sign u_T[v] m_T[a]T[b], and
+    m is skew, so a negative slot reads m_T[b]T[a] instead; (84, 3)
+    positions into u and into m."""
+    upos = np.array([[trip[v] - 1 for _, _, v, _ in CONTRACTION_SLOTS]
+                     for trip in TRIPLES])
+    ment = np.array([[(trip[a] - 1) * 9 + trip[b] - 1 if sign > 0
+                      else (trip[b] - 1) * 9 + trip[a] - 1
+                      for a, b, _, sign in CONTRACTION_SLOTS]
+                     for trip in TRIPLES])
+    return upos, ment
 
-    wedge: (u ^ m)_T = u_i m_jk - u_j m_ik + u_k m_ij for T = (i, j, k);
-      (84, 3) positions into u and into the flattened skew matrix m.
-    span: the 36 x 9 double-contraction stack of a trivector v, row (a, b)
-      and column k holding +-v at sorted(a, b, k); (36, 9) positions into v
-      padded by a zero at 84, and the mask of negated entries (a < k < b)."""
-    upos = np.array([[i - 1, j - 1, k - 1] for i, j, k in TRIPLES])
-    ment = np.array([[(j - 1) * 9 + k - 1, (i - 1) * 9 + k - 1,
-                      (i - 1) * 9 + j - 1] for i, j, k in TRIPLES])
-    gather = np.full((36, 9), len(TRIPLES), dtype=np.int64)
-    neg = np.zeros((36, 9), dtype=bool)
-    for r, (a, b) in enumerate(itertools.combinations(range(1, 10), 2)):
-        for k in range(1, 10):
-            if k not in (a, b):
-                gather[r, k - 1] = TRIPLE_INDEX[tuple(sorted((a, b, k)))]
-                neg[r, k - 1] = a < k < b
-    return (upos, ment), (gather, neg)
+
+def _wedge_line(kern, u, mflat):
+    """The (N, 84) codes of u ^ m for (N, 9) coded vectors u and (N, 81)
+    flattened coded skew matrices m (_wedge_line_tables)."""
+    upos, ment = _wedge_line_tables()
+    terms = [kern.mul(u[:, upos[:, s]], mflat[:, ment[:, s]])
+             for s in range(3)]
+    return kern.add(kern.add(terms[0], terms[1]), terms[2])
 
 
 def _dual_matrix(t: Trivector, kern):
@@ -212,12 +216,11 @@ def _dual_matrix(t: Trivector, kern):
 
 
 @functools.lru_cache(maxsize=32)
-def _projective_codes(q: int, n: int):
+def _projective_codes(kern, n: int):
     """One representative of each point of P^(n-1)(F_q) as (L, n) codes:
-    code 1 at a leading position, any codes after it."""
-    rows = [(0,) * lead + (1,) + tail for lead in range(n)
-            for tail in itertools.product(range(q), repeat=n - 1 - lead)]
-    out = np.array(rows, dtype=code_dtype(q))
+    code 1 at a leading position, any codes after it (the 1 x n echelon
+    bases, stability._echelon_bases)."""
+    out = np.concatenate(list(_echelon_bases(kern, 1, n, kern.q ** n)))[:, 0]
     out.flags.writeable = False     # shared by every caller of the cache
     return out
 
@@ -263,7 +266,7 @@ def _lines_in_kernel(kern, beta, sigma, where):
     for dim in range(1, 5):
         at = np.nonzero(rank == 4 - dim)[0]
         if at.size:
-            c = kern.matmul(_projective_codes(kern.q, dim), sol[at, :dim])
+            c = kern.matmul(_projective_codes(kern, dim), sol[at, :dim])
             yield np.repeat(pts[at], c.shape[1]), c.reshape(-1, 4)
 
 
@@ -272,7 +275,7 @@ def _lines_of_rank_two(kern, sigma, where):
     yields (point indices, c) codes of every lambda in P(W*) whose
     sigma_lambda has rank exactly 2, one point at a time
     (q^3 + q^2 + q + 1 lambdas each)."""
-    lams = _projective_codes(kern.q, 4)
+    lams = _projective_codes(kern, 4)
     for p in np.nonzero(where)[0]:
         keep = _rank_two(kern, kern.matmul(lams, sigma[p].reshape(4, 25)))
         yield np.full(int(keep.sum()), p), lams[keep]
@@ -363,13 +366,11 @@ def _vanishes(kern, a, b):
     return ~kern.matmul(a, b).any(axis=(1, 2))
 
 
-def _span_stack(kern, v, span):
-    """The (N, 36, 9) double contractions of (N, 84) coded trivectors; their
-    row space is the support of each trivector."""
-    gather, neg = span
-    padded = np.concatenate((v, np.zeros((v.shape[0], 1), v.dtype)), axis=1)
-    stack = padded[:, gather]
-    return np.where(neg, kern.neg(stack), stack)
+def _span_stack(kern, v):
+    """The (N, 36, 9) double contractions of (N, 84) coded trivectors, the
+    rows a < b of their structure tensors (loci._pencil_gather); their row
+    space is the support of each trivector."""
+    return _signed_codes(kern, v)[:, _pencil_gather()[np.triu_indices(9, 1)]]
 
 
 def _coded_flag_candidates(t: Trivector, kern, points):
@@ -393,7 +394,6 @@ def _coded_flag_candidates(t: Trivector, kern, points):
     test, points in order and the lines of each point in the order of the
     brute-force line enumeration (_line_keys).
     """
-    (upos, ment), span = _flag_index_tables()
     tensor = _structure_tensor_codes(t, kern)
     m = kern.build_skew(points, tensor)
     ranks, piv, red = kern.batched_rref(m)
@@ -402,15 +402,12 @@ def _coded_flag_candidates(t: Trivector, kern, points):
     pidx = at[pidx]
     if not pidx.size:
         return
-    mflat = m.reshape(-1, 81)[pidx]
-    v1 = kern.sub(kern.mul(u[:, upos[:, 0]], mflat[:, ment[:, 0]]),
-                  kern.mul(u[:, upos[:, 1]], mflat[:, ment[:, 1]]))
-    v1 = kern.add(v1, kern.mul(u[:, upos[:, 2]], mflat[:, ment[:, 2]]))
-    r3, _, red3 = kern.batched_rref(_span_stack(kern, v1, span))
+    v1 = _wedge_line(kern, u, m.reshape(-1, 81)[pidx])
+    r3, _, red3 = kern.batched_rref(_span_stack(kern, v1))
     keep = r3 == 3
     pidx, u, v1, f3 = pidx[keep], u[keep], v1[keep], red3[keep, :3]
     dual = kern.matmul(v1, _dual_matrix(t, kern))
-    r6, _, red6 = kern.batched_rref(_span_stack(kern, dual, span))
+    r6, _, red6 = kern.batched_rref(_span_stack(kern, dual))
     keep = r6 == 3
     pidx, u, f3, a6 = pidx[keep], u[keep], f3[keep], red6[keep, :3]
     f6 = kern.batched_kernel_basis(a6)[1][:, :6]

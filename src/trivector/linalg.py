@@ -126,27 +126,6 @@ class Matrix:
     def rank(self):
         return len(self.rref()[1])
 
-    def det(self):
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        rows = [list(r) for r in self.rows]
-        n = self.nrows
-        det = self.field.one
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if not rows[i][c].is_zero()), None)
-            if pivot is None:
-                return self.field.zero
-            if pivot != c:
-                rows[c], rows[pivot] = rows[pivot], rows[c]
-                det = -det
-            det = det * rows[c][c]
-            inv = rows[c][c].inv()
-            for i in range(c + 1, n):
-                if not rows[i][c].is_zero():
-                    f = rows[i][c] * inv
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-        return det
-
     def inverse(self):
         if self.nrows != self.ncols:
             raise Singular("non-square matrix")
@@ -250,7 +229,8 @@ def pfaffian(m: Matrix, one=None):
 
 
 def det_cofactor(m: Matrix):
-    """Determinant by cofactor expansion; the independent oracle for pf^2 = det."""
+    """Determinant by cofactor expansion; the independent oracle for
+    pf^2 = det and pf(g^T M g) = det(g) pf(M)."""
     n = m.nrows
     if n == 0:
         return m.field.one

@@ -6,7 +6,13 @@ from its pencil.
 
 The P^8 scan sieves by the Pfaffian cubic C and its gradient: points where
 C is nonzero have rank 8, zeros of C where some partial of C is nonzero have
-rank 6, and only the singular points of C go through elimination."""
+rank 6, and only the singular points of C go through elimination.
+
+The coded pencil is the structure tensor codes[a, b, v], the coefficient
+of x_v in entry (a, b) of phi(x): one gather of t's signed codes
+[t, -t, 0] through a field-independent (9, 9, 9) index table built from
+trivector.CONTRACTION_SLOTS (_pencil_gather), and phi(x) at a batch of
+coded points is the one coded product scan.FieldKernel.build_skew."""
 
 from __future__ import annotations
 
@@ -27,7 +33,8 @@ from .polys import MultiPoly, Poly, embed_map, extension_of, roots_in_field
 from .scan import (field_kernel, projective_count, projective_run,
                    projective_runs)
 from .stability import curve_is_smooth
-from .trivector import CurveCoeffs, Trivector, build_gamma_c, phi_at
+from .trivector import (CONTRACTION_SLOTS, TRIPLES, CurveCoeffs, Trivector,
+                        build_gamma_c, pencil_slots, phi_at)
 
 __all__ = [
     "RankLocusReport", "enumerate_rank_locus", "rank_locus_codes",
@@ -70,18 +77,44 @@ class RankLocusReport:
                 "elapsed_s": round(self.elapsed, 3)}
 
 
+@functools.cache
+def _pencil_gather():
+    """The field-independent (9, 9, 9) index table of the pencil: entry
+    (a, b, v) is the position, in t's signed codes (_signed_codes), of the
+    coefficient of x_v in entry (a, b) of phi(x).  Slot (a, b, v, sign) of
+    triple n (CONTRACTION_SLOTS) puts n at (T[a], T[b], T[v]) and n + 84
+    at (T[b], T[a], T[v]), the other way round when sign < 0; every other
+    entry is 168, the zero.  The triples are strictly sorted, so no entry
+    is written twice."""
+    out = np.full((9, 9, 9), 2 * len(TRIPLES), dtype=np.int16)
+    for n, trip in enumerate(TRIPLES):
+        for a, b, v, sign in CONTRACTION_SLOTS:
+            i, j, k = trip[a] - 1, trip[b] - 1, trip[v] - 1
+            out[i, j, k] = n + len(TRIPLES) * (sign < 0)
+            out[j, i, k] = n + len(TRIPLES) * (sign > 0)
+    out.flags.writeable = False
+    return out
+
+
+def _signed_codes(kern, codes):
+    """(..., 84) codes of trivectors followed by their negatives and a zero,
+    (..., 169) in the kernel's dtype: the array that the gather tables of
+    the pencil (_pencil_gather) and of the wedge with t (e8._wedge_gather)
+    index."""
+    zero = np.zeros(codes.shape[:-1] + (1,), kern.dtype)
+    return np.concatenate([codes, kern.neg(codes), zero], axis=-1,
+                          dtype=kern.dtype)
+
+
+def _trivector_codes(t: Trivector, kern):
+    """The (84,) codes of t's coefficients in TRIPLES order."""
+    return np.array([kern.encode(c) for c in t.to_vector()], dtype=kern.dtype)
+
+
 def _structure_tensor_codes(t: Trivector, kern):
     """codes[a, b, v] is the code of the coefficient of x_v in entry (a, b)
-    of the pencil.  The triples of t are strictly sorted, so each one owns
-    its six slots (the orderings of two of its indices, the third as v) and
-    no slot is written twice."""
-    codes = np.zeros((9, 9, 9), dtype=kern.dtype)
-    for (i, j, k), c in t.coeffs.items():
-        pos, neg = kern.encode(c), kern.encode(-c)
-        for a, b, v in ((j, k, i), (k, i, j), (i, j, k)):
-            codes[a - 1, b - 1, v - 1] = pos
-            codes[b - 1, a - 1, v - 1] = neg
-    return codes
+    of the pencil: one gather of t's signed codes through _pencil_gather."""
+    return _signed_codes(kern, _trivector_codes(t, kern))[_pencil_gather()]
 
 
 def pfaffian_cubic(t: Trivector) -> MultiPoly:
@@ -96,14 +129,14 @@ def pfaffian_cubic(t: Trivector) -> MultiPoly:
     Pf_1 is expanded along the first row, memoized on the remaining index
     sets, over sparse {exponent: element} dicts: entry (a, b), a < b, of
     phi(x) is the linear form {v: +-t[abv]} (each triple of t owns three
-    such slots), and an exponent vector is packed into one int, 3 bits per
-    variable (no exponent of a quartic exceeds 4), so multiplying a term by
-    x_v adds 8^v to its key.  The same route serves every field, Q too."""
+    such slots, trivector.pencil_slots), and an exponent vector is packed
+    into one int, 3 bits per variable (no exponent of a quartic exceeds 4),
+    so multiplying a term by x_v adds 8^v to its key.  The same route
+    serves every field, Q too."""
     field = t.field
     forms = {}
-    for (i, j, k), c in t.coeffs.items():
-        for a, b, v, coeff in ((j, k, i, c), (i, k, j, -c), (i, j, k, c)):
-            forms.setdefault((a - 1, b - 1), {})[8 ** (v - 1)] = coeff
+    for a, b, v, c in pencil_slots(t):
+        forms.setdefault((a - 1, b - 1), {})[8 ** (v - 1)] = c
     memo = {(): {0: field.one}}
 
     def pf(idx):

@@ -18,6 +18,13 @@ q <= 2^15, int32 above).  Inputs are code arrays of that dtype or wider.
 Prime fields are accepted up to p = 2^16; above p = 181 the product of two
 int16 codes no longer fits in int16, so those kernels widen to int64 before
 adding or multiplying, which keeps every result exact.
+
+There is one coded matrix product, ``FieldKernel.matmul``.  Over a table
+field it accumulates one product of codes per inner index and skips the
+all-zero rows of a 2-D right factor.  ``build_skew``, the pencil phi(x) at
+a batch of points, is that product of the points with the structure tensor
+(loci._structure_tensor_codes), so a sparse tensor such as that of e123
+costs only its live coordinates.
 """
 
 from __future__ import annotations
@@ -136,12 +143,21 @@ class FieldKernel:
     def matmul(self, a, b):
         """Coded (..., r, k) @ (..., k, c) in the kernel's dtype: prime
         fields multiply in int64 and reduce once, table fields accumulate
-        one column-by-row product of codes per k."""
+        one column-by-row product of codes per inner index k.  A 2-D right
+        factor, shared by the whole stack, skips its all-zero rows: a
+        sparse one, such as the structure tensor of e123 in build_skew,
+        costs only its live rows.  A stacked right factor is not tested: a
+        row zero across a whole stack is rare, and the test costs about as
+        much as one product."""
         if self.prime:
             prod = np.matmul(a.astype(np.int64), b.astype(np.int64))
             return (prod % self.prime).astype(self.dtype)
-        acc = self.mul(a[..., :, 0, None], b[..., None, 0, :])
-        for j in range(1, a.shape[-1]):
+        live = (np.flatnonzero(b.any(axis=1)) if b.ndim == 2
+                else range(b.shape[-2]))
+        if not len(live):
+            live = [0]      # an all-zero right factor: one zero product
+        acc = self.mul(a[..., :, live[0], None], b[..., None, live[0], :])
+        for j in live[1:]:
             acc = self.add(acc, self.mul(a[..., :, j, None],
                                          b[..., None, j, :]))
         return acc
@@ -149,21 +165,8 @@ class FieldKernel:
     def build_skew(self, points, tensor):
         """points: (N, 9) codes; tensor: (9, 9, 9) codes with
         M[a,b] = sum_k tensor[a,b,k] * x_k; returns (N, 9, 9) codes in the
-        kernel's dtype (the prime path sums in int64, then narrows, so the
-        elimination that follows moves a quarter of the bytes)."""
-        n = points.shape[0]
-        if self.prime:
-            t2 = tensor.reshape(81, 9).T.astype(np.int64)  # (9, 81)
-            flat = (points.astype(np.int64) @ t2) % self.prime
-            return flat.astype(self.dtype).reshape(n, 9, 9)
-        acc = np.zeros((n, 81), dtype=np.int16)
-        t2 = tensor.reshape(81, 9)
-        for k in range(9):
-            col = t2[:, k]
-            if not col.any():
-                continue
-            acc = self.add(acc, self.mul(col[None, :], points[:, k, None]))
-        return acc.reshape(n, 9, 9)
+        kernel's dtype, one coded product points @ tensor (matmul)."""
+        return self.matmul(points, tensor.reshape(81, 9).T).reshape(-1, 9, 9)
 
     def _eliminate(self, mats, reduced):
         """The one elimination loop, in place on an (N, rows, cols) stack.

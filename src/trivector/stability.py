@@ -33,9 +33,9 @@ from .fields import GF, RationalField
 from .linalg import Matrix, kernel_matrix
 from .polys import embed_map, extension_of, element_degree
 from .scan import field_kernel
-from .trivector import (CURVE_DEGREES, GAMMA_BASE_TERMS, GAMMA_C_TERMS,
-                        CurveCoeffs, Trivector, build_gamma_c, gl_act,
-                        phi_at)
+from .trivector import (CONTRACTION_SLOTS, CURVE_DEGREES, GAMMA_BASE_TERMS,
+                        GAMMA_C_TERMS, CurveCoeffs, Trivector, build_gamma_c,
+                        gl_act, phi_at)
 
 __all__ = [
     "StabilityVerdict", "destabilizer_search", "witness_verify",
@@ -60,8 +60,9 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 def pivot_patterns(k: int, n: int):
     """The pivot columns of the reduced-echelon k x n matrices in
     colexicographic order, each with the free columns of its k rows: the
-    pattern order of the F_2 annihilator scan (k = 3, n = 9) and of the
-    witness engine's 2-planes (k = 2)."""
+    pattern order of the F_2 annihilator scan (k = 3, n = 9) and of
+    _echelon_bases (the witness engine's 2-planes, the flag engine's
+    points of P^(n-1))."""
     return tuple(
         (pivots, tuple(tuple(c for c in range(n)
                              if c > pivots[r] and c not in pivots)
@@ -71,17 +72,9 @@ def pivot_patterns(k: int, n: int):
 
 
 def double_contract(t: Trivector, alpha, beta):
-    """The vector iota_beta(iota_alpha(t)); alpha, beta are covector coords."""
-    field = t.field
-    v = [field.zero] * 9
-    for (i, j, k), c in t.coeffs.items():
-        ai, aj, ak = alpha[i - 1], alpha[j - 1], alpha[k - 1]
-        bi, bj, bk = beta[i - 1], beta[j - 1], beta[k - 1]
-        # iota_b(iota_a(e_i^e_j^e_k)) with the fixed contraction convention
-        v[k - 1] = v[k - 1] + c * (ai * bj - aj * bi)
-        v[j - 1] = v[j - 1] - c * (ai * bk - ak * bi)
-        v[i - 1] = v[i - 1] + c * (aj * bk - ak * bj)
-    return v
+    """The vector iota_beta(iota_alpha(t)) = phi(alpha)^T beta; alpha, beta
+    are covector coords."""
+    return phi_at(t, alpha).transpose().apply(beta)
 
 
 def destabilizes(t: Trivector, w: Matrix) -> bool:
@@ -152,10 +145,10 @@ def _contraction_table(terms):
     Over F_2 the contraction is bilinear and symmetric, so C grows from the
     table of basis pairs by XOR-doubling over the bits of a, then of b."""
     pair = np.zeros((9, 9), dtype=np.uint16)
-    for (i, j, k) in terms:
-        for a, b, other in ((i, j, k), (i, k, j), (j, k, i)):
-            pair[a - 1, b - 1] ^= 1 << (other - 1)
-            pair[b - 1, a - 1] ^= 1 << (other - 1)
+    for trip in terms:
+        for a, b, v, _ in CONTRACTION_SLOTS:
+            pair[trip[a] - 1, trip[b] - 1] ^= 1 << (trip[v] - 1)
+            pair[trip[b] - 1, trip[a] - 1] ^= 1 << (trip[v] - 1)
     half = np.zeros((512, 9), dtype=np.uint16)      # half[a, j] = C[a, 2^j]
     table = np.zeros((512, 512), dtype=np.uint16)
     for k in range(9):
@@ -418,28 +411,29 @@ def _anchored_hits(kern, points, tensor):
     return hits
 
 
-def _echelon_planes(kern, n, size):
-    """The reduced-echelon 2 x n code matrices, whose row spaces are the
-    2-planes of F_q^n: pivot patterns in the order of pivot_patterns, free
+def _echelon_bases(kern, k, n, size):
+    """The reduced-echelon k x n code matrices, whose row spaces are the
+    k-spaces of F_q^n: pivot patterns in the order of pivot_patterns, free
     entries as base-q digits (the last free cell fastest), in batches of at
-    most `size`."""
-    for pivots, free in pivot_patterns(2, n):
-        cells = [(r, c) for r in range(2) for c in free[r]]
+    most `size`.  With k = 1 they are the points of P^(n-1)(F_q), code 1 at
+    a leading position and any codes after it, in lexicographic order."""
+    for pivots, free in pivot_patterns(k, n):
+        cells = [(r, c) for r in range(k) for c in free[r]]
         count = kern.q ** len(cells)
         for lo in range(0, count, size):
             digits = np.arange(lo, min(count, lo + size))
-            planes = np.zeros((digits.size, 2, n), dtype=kern.dtype)
-            planes[:, (0, 1), pivots] = 1
+            bases = np.zeros((digits.size, k, n), dtype=kern.dtype)
+            bases[:, range(k), pivots] = 1
             for r, c in reversed(cells):
-                digits, planes[:, r, c] = np.divmod(digits, kern.q)
-            yield planes
+                digits, bases[:, r, c] = np.divmod(digits, kern.q)
+            yield bases
 
 
 def _plane_witness(kern, tensor, points, ranks, budget):
     """The first destabilizing <a, x, y> over the coded rank <= 4 points a,
     rank 4 first and in scan order within a rank, with <x, y> running
     through the 2-planes of a complement of <a> in ker phi(a) in the order
-    of _echelon_planes.
+    of _echelon_bases.
 
     The reduced kernel basis has one row per free column, ending there, and
     a's coordinate at that column is its coefficient on the row; dropping
@@ -460,7 +454,7 @@ def _plane_witness(kern, tensor, points, ranks, budget):
         rows = basis[:9 - r]
         ends = 8 - np.argmax(rows[:, ::-1] != 0, axis=1)
         rest = np.delete(rows, np.flatnonzero(a[ends])[0], axis=0)
-        for planes in _echelon_planes(kern, 8 - r, _ANCHOR_CHUNK):
+        for planes in _echelon_bases(kern, 2, 8 - r, _ANCHOR_CHUNK):
             xy = kern.matmul(planes, rest)
             hit = ~kern.double_contract(xy[:, 0], xy[:, 1], tensor).any(1)
             if hit.any():

@@ -3,6 +3,10 @@ genus-2 curve coefficients, the GL(9) action on wedge-cubes, the skew pencil
 of contractions, the standard Cartan subspace, and the weighted torus action.
 
 Monomials e_i ^ e_j ^ e_k are written [ijk] with 1 <= i < j < k <= 9.
+
+The pencil phi(x) = iota_x t has one sign convention, written once in
+CONTRACTION_SLOTS; phi_at, phi_pencil, loci.pfaffian_cubic, the coded
+structure tensor (loci._pencil_gather) and its readers all iterate it.
 """
 
 from __future__ import annotations
@@ -21,11 +25,17 @@ __all__ = [
     "diagonal_matrix", "permutation_matrix", "FLAG_PERMUTATION",
     "permuted_gamma_c", "hyperplane_stabilizer_diag", "WEIGHTED_TORUS_WEIGHTS",
     "weighted_torus_diag", "GAMMA_BASE_TERMS", "GAMMA_C_TERMS", "CURVE_DEGREES",
-    "CARTAN_LINES", "TRIPLE_INDEX", "wedge3_minors",
+    "CARTAN_LINES", "TRIPLE_INDEX", "wedge3_minors", "CONTRACTION_SLOTS",
+    "pencil_slots",
 ]
 
 TRIPLES = tuple(itertools.combinations(range(1, 10), 3))
 TRIPLE_INDEX = {t: n for n, t in enumerate(TRIPLES)}
+
+# iota_x(e_i^e_j^e_k) = x_i e_j^e_k - x_j e_i^e_k + x_k e_i^e_j: slot
+# (a, b, v, sign) of a sorted triple T puts sign * t_T * x_{T[v]} at entry
+# (T[a], T[b]) of phi(x), and its negative at (T[b], T[a])
+CONTRACTION_SLOTS = ((1, 2, 0, 1), (0, 2, 1, -1), (0, 1, 2, 1))
 
 GAMMA_BASE_TERMS = ((2, 6, 7), (2, 5, 8), (3, 4, 8), (1, 6, 9),
                     (3, 5, 7), (2, 4, 9), (1, 7, 8), (4, 5, 6))
@@ -363,31 +373,30 @@ class ProjPoint:
         return "[" + ":".join(repr(c) for c in self.coords) + "]"
 
 
-def phi_at(t: Trivector, x) -> Matrix:
-    """The skew matrix of the contraction of t by the covector x.
+def pencil_slots(t: Trivector):
+    """(a, b, v, c) for each slot of each triple of t (CONTRACTION_SLOTS):
+    entry (a, b), a < b, of phi(x) holds c * x_v.  The triples are strictly
+    sorted, so no entry (a, b) with its v comes twice."""
+    for trip, c in t.coeffs.items():
+        neg = -c
+        for a, b, v, sign in CONTRACTION_SLOTS:
+            yield trip[a], trip[b], trip[v], c if sign > 0 else neg
 
-    Convention: iota_x(e_i^e_j^e_k) = x_i e_j^e_k - x_j e_i^e_k + x_k e_i^e_j,
-    so entry (a,b), a<b, collects the coefficient of e_a^e_b.
+
+def phi_at(t: Trivector, x) -> Matrix:
+    """The skew matrix of the contraction of t by the covector x; entry
+    (a, b), a < b, collects the coefficient of e_a^e_b (CONTRACTION_SLOTS).
     """
     if isinstance(x, ProjPoint):
         x = x.coords
-    field = t.field
-    z = field.zero
-    m = [[z] * 9 for _ in range(9)]
-
-    def add(a, b, v):
-        m[a - 1][b - 1] = m[a - 1][b - 1] + v
-        m[b - 1][a - 1] = m[b - 1][a - 1] - v
-
-    for (i, j, k), c in t.coeffs.items():
-        xi, xj, xk = x[i - 1], x[j - 1], x[k - 1]
-        if not xi.is_zero():
-            add(j, k, c * xi)
-        if not xj.is_zero():
-            add(i, k, -(c * xj))
-        if not xk.is_zero():
-            add(i, j, c * xk)
-    return Matrix(field, m)
+    m = [[t.field.zero] * 9 for _ in range(9)]
+    for a, b, v, c in pencil_slots(t):
+        xv = x[v - 1]
+        if not xv.is_zero():
+            cx = c * xv
+            m[a - 1][b - 1] = m[a - 1][b - 1] + cx
+            m[b - 1][a - 1] = m[b - 1][a - 1] - cx
+    return Matrix(t.field, m)
 
 
 def phi_pencil(t: Trivector) -> list:
@@ -396,18 +405,10 @@ def phi_pencil(t: Trivector) -> list:
     field = t.field
     zero = MultiPoly(field, 9)
     entries = [[zero for _ in range(9)] for _ in range(9)]
-
-    def add(a, b, var, coeff):
-        e = [0] * 9
-        e[var - 1] = 1
-        mono = MultiPoly(field, 9, {tuple(e): coeff})
+    for a, b, v, c in pencil_slots(t):
+        mono = MultiPoly(field, 9, {(0,) * (v - 1) + (1,) + (0,) * (9 - v): c})
         entries[a - 1][b - 1] = entries[a - 1][b - 1] + mono
         entries[b - 1][a - 1] = entries[b - 1][a - 1] - mono
-
-    for (i, j, k), c in t.coeffs.items():
-        add(j, k, i, c)
-        add(i, k, j, -c)
-        add(i, j, k, c)
     return entries
 
 

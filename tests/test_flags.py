@@ -13,11 +13,12 @@ from trivector.e8 import COMP, EPS, _shuffle_sign, wedge33
 from trivector.errors import Disagreement, NonStableInput
 from trivector.fields import GF
 from trivector.flags import (FLAG_MONOMIALS, Flag1368, _coded_flag_candidates,
-                             _dual_flag_basis, _flag_index_tables, _h_tail,
-                             _schubert_expand, _schubert_product, _span_stack,
-                             _times_linear_form, _vanishes, chern_top_class,
-                             flag_compatible, flag_search, flags_at_point,
-                             reduce_mod_symmetric, standard_flag)
+                             _dual_flag_basis, _h_tail, _schubert_expand,
+                             _schubert_product, _span_stack,
+                             _times_linear_form, _vanishes, _wedge_line,
+                             chern_top_class, flag_compatible, flag_search,
+                             flags_at_point, reduce_mod_symmetric,
+                             standard_flag)
 from trivector.linalg import Matrix, kernel_matrix
 from trivector.loci import _structure_tensor_codes, rank_locus_codes
 from trivector.polys import embed_map
@@ -383,7 +384,6 @@ def _enumerated_flag_candidates(t, kern, points, pure_only=False):
     v2 = v1 ^ t (its 20-term splitting sum, coefficient by coefficient)
     and the contraction tests.  With pure_only, yields (point, u) of the
     lines that pass the two rank tests, the lines _pure_lines solves for."""
-    (upos, ment), span = _flag_index_tables()
     # coefficient T of the dual three-form of v ^ t: EPS[T] times the sum
     # of sign * v_T1 * t_T2 over the 20 splittings of comp(T) into T1 + T2
     split = np.array([[(TRIPLE_INDEX[t1], TRIPLE_INDEX[t2],
@@ -407,17 +407,14 @@ def _enumerated_flag_candidates(t, kern, points, pure_only=False):
         pidx = np.repeat(np.nonzero(ranks == 4)[0], n_lines)
         lidx = np.tile(np.arange(n_lines), len(pidx) // n_lines)
         u = kern.matmul(lines[lidx, None, :], red[pidx, :4, :])[:, 0]
-        mflat = m.reshape(-1, 81)[pidx]
-        v1 = kern.sub(kern.mul(u[:, upos[:, 0]], mflat[:, ment[:, 0]]),
-                      kern.mul(u[:, upos[:, 1]], mflat[:, ment[:, 1]]))
-        v1 = kern.add(v1, kern.mul(u[:, upos[:, 2]], mflat[:, ment[:, 2]]))
-        r3, _, red3 = kern.batched_rref(_span_stack(kern, v1, span))
+        v1 = _wedge_line(kern, u, m.reshape(-1, 81)[pidx])
+        r3, _, red3 = kern.batched_rref(_span_stack(kern, v1))
         keep = r3 == 3
         pidx, u, v1, f3 = pidx[keep], u[keep], v1[keep], red3[keep, :3]
         dual = np.zeros_like(v1)
         for s in range(d1.shape[1]):
             dual = kern.add(dual, kern.mul(dcoef[:, s], v1[:, d1[:, s]]))
-        r6, _, red6 = kern.batched_rref(_span_stack(kern, dual, span))
+        r6, _, red6 = kern.batched_rref(_span_stack(kern, dual))
         keep = r6 == 3
         pidx, u, f3, a6 = pidx[keep], u[keep], f3[keep], red6[keep, :3]
         if pure_only:

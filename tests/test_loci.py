@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import Phase, event, given, settings, strategies as st
 
 from trivector.errors import (BudgetExceeded, DegenerateConfiguration,
                               KernelDimNotOne, NotSkew, SingularCurve,
@@ -397,9 +397,13 @@ def _pfaffian_cubic_inputs(data, field):
     return [Trivector(field), e123, moved, gamma, sparse, dense]
 
 
+# no shrink phase: each shrink step reruns the object oracle on dense Q and
+# GF(191) trivectors, so a failure took minutes to report (340 s for one
+# dropped sign); the failing example is reported as drawn
 @pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2), GF(5), GF(7),
                                    GF(3, 2), GF(191), Q], ids=repr)
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(data=st.data())
 def test_pfaffian_cubic_matches_object_pfaffian(field, data):
     for kind, t in enumerate(_pfaffian_cubic_inputs(data, field)):

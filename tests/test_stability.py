@@ -14,7 +14,7 @@ from trivector.loci import rank_locus_codes
 from trivector.polys import embed_map, extension_of
 from trivector import loci
 from trivector.scan import field_kernel, projective_count
-from trivector.stability import (_anchored_hits, _echelon_planes,
+from trivector.stability import (_anchored_hits, _echelon_bases,
                                  _gray_scan_f2, _scan_f2,
                                  _singular_point_witness, _witness_rows_to_u,
                                  anchored_witness_search, curve_is_smooth,
@@ -41,11 +41,24 @@ def test_echelon_planes_are_the_2_planes(field):
     # every 2-plane of F_q^n once, as its reduced echelon form
     kern = field_kernel(field)
     for n, size in ((4, 7), (6, 1 << 12)):
-        planes = np.concatenate(list(_echelon_planes(kern, n, size)))
+        planes = np.concatenate(list(_echelon_bases(kern, 2, n, size)))
         assert planes.shape == (gaussian_binomial(n, 2, field.order), 2, n)
         ranks, _, red = kern.batched_rref(planes)
         assert (ranks == 2).all() and np.array_equal(red, planes)
         assert len(set(map(bytes, planes))) == planes.shape[0]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2)], ids=repr)
+def test_echelon_bases_of_one_row_are_the_points(field):
+    # k = 1: the points of P^(n-1), leading 1 and then any digits, in
+    # lexicographic order
+    kern = field_kernel(field)
+    q = field.order
+    for n, size in ((1, 1), (3, 5), (4, 1 << 12)):
+        points = np.concatenate(list(_echelon_bases(kern, 1, n, size)))[:, 0]
+        want = [(0,) * lead + (1,) + tail for lead in range(n)
+                for tail in itertools.product(range(q), repeat=n - 1 - lead)]
+        assert points.tolist() == [list(p) for p in want]
 
 
 def test_gamma0_witness_is_e4_to_e9():

@@ -7,7 +7,8 @@ from trivector.errors import NotInvertible, Singular
 from trivector.fields import GF, Q
 from trivector.linalg import Matrix
 from trivector.stability import double_contract
-from trivector.trivector import (CARTAN_LINES, CURVE_DEGREES, FLAG_PERMUTATION,
+from trivector.trivector import (CARTAN_LINES, CONTRACTION_SLOTS,
+                                 CURVE_DEGREES, FLAG_PERMUTATION,
                                  GAMMA_BASE_TERMS, TRIPLES, CurveCoeffs,
                                  ProjPoint, Trivector, build_gamma_c,
                                  diagonal_matrix, gamma0, gl_act,
@@ -152,6 +153,25 @@ def test_cartan_element():
     assert all(c == f7.one for c in v.coeffs.values())
     lines = {t for group in CARTAN_LINES for t in group}
     assert set(v.coeffs) == lines
+
+
+def test_contraction_slots_follow_from_the_interior_product():
+    # iota_x(e_i ^ e_j ^ e_k) = x_i e_jk - x_j e_ik + x_k e_ij: contracting
+    # the factor at position v of the wedge costs (-1)^v and leaves the
+    # other two factors in their order
+    derived = []
+    for v in range(3):
+        a, b = (p for p in range(3) if p != v)
+        derived.append((a, b, v, (-1) ** v))
+    assert sorted(CONTRACTION_SLOTS) == sorted(derived)
+    # and phi_at puts x_{T[v]} t_T with that sign at (T[a], T[b]) of phi(x)
+    f5 = GF(5)
+    for trip in ((1, 2, 3), (2, 5, 9)):
+        for a, b, v, sign in derived:
+            x = [f5.el(int(u == trip[v])) for u in range(1, 10)]
+            m = phi_at(Trivector(f5, {trip: f5.el(2)}), x)
+            assert m.rows[trip[a] - 1][trip[b] - 1] == f5.el(2 * sign)
+            assert m.rows[trip[b] - 1][trip[a] - 1] == f5.el(-2 * sign)
 
 
 def test_phi_at_single_monomial():
