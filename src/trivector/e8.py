@@ -10,6 +10,13 @@ which the uniform trace-correction constants below encode.  All remaining
 normalization constants are pinned by the Jacobi identity (the test suite
 re-derives them); they were fitted once by exact computation and frozen.
 
+An element holds its class as the nonzero entries {(i, j): c} of the
+canonical representative, and each deg0 formula of the bracket (trace and
+strip onto E99, class actions by column on cached move tables, sparse
+commutator, pairing_gl, canonical form) reads those; results are built by
+the trusted constructors (_trusted), with no key check or zero test, and
+the Matrix forms (deg0, act3, act6, pairing_gl, canonical_deg0) wrap them.
+
 Restricted powers never build the 248 x 248 ad t: the deg1 block of
 (ad t)^3 runs deg1 -> deg2 -> deg0 -> deg1, and each of those three blocks
 is read off the 84 coefficients of t (_ad_blocks): the cached action table
@@ -36,7 +43,8 @@ from .linalg import Matrix, is_semisimple
 from .loci import _signed_codes, _trivector_codes
 from .scan import MAX_TABLE_ORDER, field_kernel
 from .stability import curve_is_smooth
-from .trivector import TRIPLES, TRIPLE_INDEX, CurveCoeffs, Trivector, build_gamma_c
+from .trivector import (TRIPLES, TRIPLE_INDEX, CurveCoeffs, Trivector,
+                        _TripleCoeffs, build_gamma_c)
 
 __all__ = [
     "Wedge6", "GradedE8Element", "bracket", "e8_constants", "restricted_power",
@@ -68,11 +76,11 @@ def _insert_sign(tup, val):
     return out, (-1 if pos % 2 else 1)
 
 
-class Wedge6:
+class Wedge6(_TripleCoeffs):
     """Element of the sixth wedge power, stored by the complementary triple:
     coefficient at triple T multiplies e_{comp(T)} (indices ascending)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ()
 
     def __init__(self, field: Field, coeffs=None):
         self.field = field
@@ -90,32 +98,8 @@ class Wedge6:
     def six_subsets(self):
         return {COMP[t]: c for t, c in self.coeffs.items()}
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __eq__(self, other):
         return isinstance(other, Wedge6) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for t, c in other.coeffs.items():
-            s = out.get(t)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(t, None)
-            else:
-                out[t] = s
-        return Wedge6(self.field, out)
-
-    def __neg__(self):
-        return Wedge6(self.field, {t: -c for t, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, a):
-        a = self.field.el(a) if isinstance(a, int) else a
-        return Wedge6(self.field, {t: c * a for t, c in self.coeffs.items()})
 
     def __repr__(self):
         return " + ".join("(%r)e%s" % (c, "".join(map(str, COMP[t])))
@@ -145,135 +129,202 @@ def _moves(sub):
     return out
 
 
-def _act_subsets(a: Matrix, coeffs: dict) -> dict:
-    """Derivation action of a matrix on a wedge power, with elements as
-    {sorted triple or six-subset of 1..9: coefficient}; a coefficient may
-    cancel to zero, which the element's constructor drops.  The nonzero
-    entries of a are read by column once, so each term costs the moves of
-    its slots onto those entries."""
-    cols = [[(j, row[i]) for j, row in enumerate(a.rows) if not row[i].is_zero()]
-            for i in range(9)]
+@functools.cache
+def _moves6(trip):
+    """_moves of the six-subset comp(trip), each moved six-subset given by
+    its complement triple (the keys of Wedge6)."""
+    return {i: {j: (COMP6[key], sign) for j, (key, sign) in targets.items()}
+            for i, targets in _moves(COMP[trip]).items()}
+
+
+@functools.cache
+def _disjoint(t1):
+    """{t2: (comp(t1 + t2), sign of e_t1 ^ e_t2, sign of the dual wedge)}
+    over the triples t2 disjoint from t1; the dual wedge of six-vectors
+    stored at t1 and t2 carries the volume signs EPS of both and of the
+    result.  Cached and shared by every caller: read-only."""
     out = {}
+    for t2 in TRIPLES:
+        if set(t1).isdisjoint(t2):
+            sgn = _shuffle_sign(t1, t2)
+            key = COMP6[tuple(sorted(t1 + t2))]
+            out[t2] = key, sgn, sgn * EPS[t1] * EPS[t2] * EPS[key]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# coefficient dicts: wedge-power elements {subset key: c} and deg0 classes
+# {(i, j): c} (0-based entries); an accumulator's coefficients may cancel to
+# zero, and _nonzero or _canonical reads the result off it once
+
+def _nonzero(d):
+    return {key: c for key, c in d.items() if not c.is_zero()}
+
+
+def _add_scaled(out, coeffs, s):
+    """Add s times the coefficients coeffs into out; returns out."""
+    for key, c in coeffs.items():
+        v = c * s
+        prev = out.get(key)
+        out[key] = v if prev is None else prev + v
+    return out
+
+
+def _matrix_entries(a: Matrix) -> dict:
+    return {(i, j): c for i, row in enumerate(a.rows)
+            for j, c in enumerate(row) if not c.is_zero()}
+
+
+def _entries_matrix(field, entries) -> Matrix:
+    rows = [[field.zero] * 9 for _ in range(9)]
+    for (i, j), c in entries.items():
+        rows[i][j] = c
+    return Matrix._trusted(field, rows)
+
+
+def _canonical(acc):
+    """The nonzero entries of the canonical representative ((9,9) entry
+    zero) of the class of the entries acc, which it consumes."""
+    c = acc.pop((8, 8), None)
+    if c is not None and not c.is_zero():
+        for d in range(8):
+            s = acc.get((d, d))
+            acc[d, d] = -c if s is None else s - c
+    return _nonzero(acc)
+
+
+def _strip_trace(field, a):
+    """(tr a, the entries a with tr a subtracted at the (9,9) slot): the
+    trace lives on the central h-direction in the characteristic-3 model."""
+    tr = sum((a[d, d] for d in range(9) if (d, d) in a), field.zero)
+    if tr.is_zero():
+        return tr, a
+    a = dict(a)
+    s = a.pop((8, 8), field.zero) - tr
+    if not s.is_zero():
+        a[8, 8] = s
+    return tr, a
+
+
+def _columns(a, negate=False):
+    """The entries a by column, {j: [(i, a_ij), ...]}, negated if asked: the
+    form in which a matrix acts (_act_subsets) and multiplies from the left
+    (_product_into)."""
+    cols = {}
+    for (i, j), c in a.items():
+        cols.setdefault(j, []).append((i, -c if negate else c))
+    return cols
+
+
+def _product_into(cols, b, out):
+    """Add a b into the entries out, a by its columns and b by its entries:
+    each b_kj meets the nonzero entries of column k of a."""
+    for (k, j), v in b.items():
+        for i, u in cols.get(k, ()):
+            w = u * v
+            key = i, j
+            s = out.get(key)
+            out[key] = w if s is None else s + w
+
+
+def _act_subsets(cols, coeffs, out, moves=_moves, s=None):
+    """Add the derivation action of a matrix, given by its columns, on a
+    wedge-power element {key: coefficient} into out, and s times the
+    element if s is given (the trace weight of a class action); `moves`
+    reads the moves of a key (_moves, or _moves6 for the complement triples
+    of Wedge6).  Each term costs the moves of its slots onto the nonzero
+    entries."""
     for sub, c in coeffs.items():
-        for i, targets in _moves(sub).items():
-            for j, aval in cols[i]:
+        for i, targets in moves(sub).items():
+            col = cols.get(i)
+            if col is None:
+                continue
+            for j, aval in col:
                 move = targets.get(j)
                 if move is None:
                     continue
                 key, sign = move
                 v = c * aval if sign > 0 else -(c * aval)
-                s = out.get(key)
-                out[key] = v if s is None else s + v
+                prev = out.get(key)
+                out[key] = v if prev is None else prev + v
+    if s is not None and not s.is_zero():
+        _add_scaled(out, coeffs, s)
     return out
 
 
 def act3(a: Matrix, t: Trivector) -> Trivector:
     """Derivation action of a matrix on the third wedge power."""
-    return Trivector(t.field, _act_subsets(a, t.coeffs))
+    return Trivector._trusted(t.field, _nonzero(_act_subsets(
+        _columns(_matrix_entries(a)), t.coeffs, {})))
 
 
 def act6(a: Matrix, w: Wedge6) -> Wedge6:
     """Derivation action on the sixth wedge power (same conventions)."""
-    return Wedge6.from_six_subsets(w.field, _act_subsets(a, w.six_subsets()))
+    return Wedge6._trusted(w.field, _nonzero(_act_subsets(
+        _columns(_matrix_entries(a)), w.coeffs, {}, _moves6)))
+
+
+def _wedge_into(a, b, out, dual):
+    """Add the wedge of two trivectors' coefficients a and b into out, keyed
+    by complement triples; with dual, of two six-vectors' through the
+    volume-form duality (both become three-forms on the dual side, are
+    wedged there, and the dual six-form comes back as a trivector)."""
+    for t1, c1 in a.items():
+        pairs = _disjoint(t1)
+        for t2, c2 in b.items():
+            pair = pairs.get(t2)
+            if pair is not None:
+                key = pair[0]
+                v = c1 * c2 if pair[1 + dual] > 0 else -(c1 * c2)
+                s = out.get(key)
+                out[key] = v if s is None else s + v
+    return out
 
 
 def wedge33(t: Trivector, u: Trivector) -> Wedge6:
     """Wedge of two trivectors."""
-    field = t.field
-    out = {}
-    for t1, c1 in t.coeffs.items():
-        set1 = set(t1)
-        for t2, c2 in u.coeffs.items():
-            if set1 & set(t2):
-                continue
-            sgn = _shuffle_sign(t1, t2)
-            six = tuple(sorted(t1 + t2))
-            v = c1 * c2
-            if sgn < 0:
-                v = -v
-            s = out.get(six)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(six, None)
-            else:
-                out[six] = s
-    return Wedge6.from_six_subsets(field, out)
+    return Wedge6._trusted(t.field, _nonzero(_wedge_into(t.coeffs, u.coeffs,
+                                                         {}, False)))
 
 
 def dual_wedge(w1: Wedge6, w2: Wedge6) -> Trivector:
-    """Wedge through the volume-form duality: both six-vectors become
-    three-forms on the dual side, are wedged there, and the resulting
-    dual six-form comes back as a trivector."""
-    field = w1.field
-    # dual three-form coefficients live on the stored complement triples
-    out = {}
-    for t1, c1 in w1.coeffs.items():
-        d1 = c1 if EPS[t1] > 0 else -c1
-        set1 = set(t1)
-        for t2, c2 in w2.coeffs.items():
-            if set1 & set(t2):
-                continue
-            d2 = c2 if EPS[t2] > 0 else -c2
-            sgn = _shuffle_sign(t1, t2)
-            six = tuple(sorted(t1 + t2))
-            tout = COMP6[six]
-            v = d1 * d2
-            if sgn * EPS[tout] < 0:
-                v = -v
-            s = out.get(tout)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(tout, None)
-            else:
-                out[tout] = s
-    return Trivector(field, out)
+    """Wedge through the volume-form duality (_wedge_into)."""
+    return Trivector._trusted(w1.field, _nonzero(_wedge_into(
+        w1.coeffs, w2.coeffs, {}, True)))
 
 
-def _vol_pairing(t: Trivector, w: Wedge6):
-    """Coefficient of the volume form in t ^ w."""
-    field = t.field
-    acc = field.zero
-    for trip, c in t.coeffs.items():
-        d = w.coeffs.get(trip)
-        if d is None:
-            continue
-        v = c * d
-        acc = acc + (v if EPS[trip] > 0 else -v)
-    return acc
+def _pairing_into(t, w, f, tau, out):
+    """Add f pairing_gl(t, w) into the entries out, t and w given by their
+    coefficients, in one pass over the terms of t (slot i moved to j, looked
+    up in w, the volume sign EPS of the moved triple applied); with tau
+    nonzero, also f tau vol(t, w) at the (9,9) slot, vol(t, w) the volume
+    coefficient of t ^ w."""
+    for trip, c in t.items():
+        c = c * f
+        if not tau.is_zero() and trip in w:
+            _add_scaled(out, {(8, 8): c * w[trip]},
+                        tau if EPS[trip] > 0 else -tau)
+        for i, targets in _moves(trip).items():
+            for j, (key, sign) in targets.items():
+                d = w.get(key)
+                if d is not None:
+                    v = c * d if sign * EPS[key] > 0 else -(c * d)
+                    s = out.get((i, j))
+                    out[i, j] = v if s is None else s + v
+    return out
 
 
 def pairing_gl(t: Trivector, w: Wedge6) -> Matrix:
-    """The gl9 element adjoint to the derivation action:
-    entry (i, j) is the volume coefficient of (E_ji . t) ^ w, read in one
-    pass over the terms of t (slot i moved to j, looked up in w, the
-    volume sign EPS of the moved triple applied)."""
+    """The gl9 element adjoint to the derivation action: entry (i, j) is
+    the volume coefficient of (E_ji . t) ^ w (_pairing_into)."""
     field = t.field
-    rows = [[field.zero] * 9 for _ in range(9)]
-    wc = w.coeffs
-    for trip, c in t.coeffs.items():
-        for i, targets in _moves(trip).items():
-            row = rows[i]
-            for j, (key, sign) in targets.items():
-                d = wc.get(key)
-                if d is not None:
-                    v = c * d
-                    row[j] = row[j] + v if sign * EPS[key] > 0 else row[j] - v
-    return Matrix._trusted(field, rows)
+    return _entries_matrix(field, _pairing_into(t.coeffs, w.coeffs,
+                                                field.one, field.zero, {}))
 
 
 def canonical_deg0(a: Matrix) -> Matrix:
     """Representative of the class of a modulo scalars: (9,9) entry zero."""
-    c = a.rows[8][8]
-    if c.is_zero():
-        return a
-    rows = [list(r) for r in a.rows]
-    for d in range(9):
-        rows[d][d] = rows[d][d] - c
-    return Matrix._trusted(a.field, rows)
-
-
-def _is_zero_class(a: Matrix) -> bool:
-    return all(c.is_zero() for row in a.rows for c in row)
+    return _entries_matrix(a.field, _canonical(_matrix_entries(a)))
 
 
 @dataclass(frozen=True)
@@ -285,22 +336,6 @@ class E8Constants:
     tau: object      # trace-line component of the [deg1, deg2] bracket
     h_model: bool    # char 3: route the trace through the h-direction
 
-    def act1(self, a_mat: Matrix, t: Trivector) -> Trivector:
-        return self._act(a_mat, t, act3, self.s1)
-
-    def act2(self, a_mat: Matrix, w: Wedge6) -> Wedge6:
-        return self._act(a_mat, w, act6, self.s2)
-
-    def _act(self, a_mat, obj, act, weight):
-        # h-model: trace classes act through the extra direction of
-        # Lie(SL9/mu3), so the trace is stripped onto E99 and its h-weight
-        # added as a scalar
-        tr = _trace(a_mat)
-        out = act(_strip_trace(a_mat) if self.h_model else a_mat, obj)
-        if not tr.is_zero() and not weight.is_zero():
-            out = out + obj.scale(tr * weight)
-        return out
-
 
 # fitted once by the Jacobi gate (the test suite re-derives both sets)
 _FITTED_RATIONAL = {"a": Fraction(1), "b": Fraction(-1),
@@ -311,119 +346,116 @@ _FITTED_CHAR3 = {"a": 1, "b": 2, "s1": 1, "s2": 2, "tau": 2}
 @functools.cache
 def e8_constants(field: Field) -> E8Constants:
     if field.char == 3:
-        vals = {k: field.el(v) for k, v in _FITTED_CHAR3.items()}
-        return E8Constants(h_model=True, **vals)
-    vals = {}
-    for k, fr in _FITTED_RATIONAL.items():
-        fr = Fraction(fr)
-        if field.order is None:
-            vals[k] = field.el(fr)
-        else:
-            num = field.el(fr.numerator)
-            den = field.el(fr.denominator)
-            vals[k] = num * den.inv()
-    return E8Constants(h_model=False, **vals)
+        return E8Constants(h_model=True, **{
+            k: field.el(v) for k, v in _FITTED_CHAR3.items()})
+    return E8Constants(h_model=False, **{
+        k: field.el(fr.numerator) / field.el(fr.denominator)
+        for k, fr in _FITTED_RATIONAL.items()})
 
 
 class GradedE8Element:
-    """Triple (deg0 class, trivector, six-vector); deg0 is canonicalized."""
+    """Triple (deg0 class, trivector, six-vector).  The class is held as
+    `entries`, the nonzero entries {(i, j): c} (0-based) of its canonical
+    representative, whose (9,9) entry is zero; `deg0` builds that
+    representative as a Matrix."""
 
-    __slots__ = ("field", "deg0", "deg1", "deg2")
+    __slots__ = ("field", "entries", "deg1", "deg2")
 
     def __init__(self, field, deg0=None, deg1=None, deg2=None):
         self.field = field
-        self.deg0 = canonical_deg0(deg0) if deg0 is not None \
-            else Matrix.zero(field, 9, 9)
+        self.entries = ({} if deg0 is None
+                        else _canonical(_matrix_entries(deg0)))
         self.deg1 = deg1 if deg1 is not None else Trivector(field)
         self.deg2 = deg2 if deg2 is not None else Wedge6(field)
 
+    @classmethod
+    def _trusted(cls, field, entries, deg1, deg2):
+        """An element on canonical nonzero entries and its two wedge parts,
+        taken as they are (the constructor of arithmetic results)."""
+        x = object.__new__(cls)
+        x.field, x.entries, x.deg1, x.deg2 = field, entries, deg1, deg2
+        return x
+
+    @property
+    def deg0(self) -> Matrix:
+        return _entries_matrix(self.field, self.entries)
+
     def is_zero(self):
-        return (_is_zero_class(self.deg0) and self.deg1.is_zero()
-                and self.deg2.is_zero())
+        return not self.entries and self.deg1.is_zero() and self.deg2.is_zero()
 
     def __eq__(self, other):
         return (isinstance(other, GradedE8Element)
-                and self.deg0 == other.deg0 and self.deg1 == other.deg1
+                and self.entries == other.entries and self.deg1 == other.deg1
                 and self.deg2 == other.deg2)
 
     def __add__(self, other):
-        return GradedE8Element(self.field, self.deg0 + other.deg0,
-                               self.deg1 + other.deg1, self.deg2 + other.deg2)
+        return GradedE8Element._trusted(self.field, _nonzero(_add_scaled(
+            dict(self.entries), other.entries, self.field.one)),
+            self.deg1 + other.deg1, self.deg2 + other.deg2)
 
     def __sub__(self, other):
-        return GradedE8Element(self.field, self.deg0 - other.deg0,
-                               self.deg1 - other.deg1, self.deg2 - other.deg2)
+        return self + other.scale(-1)
 
     def scale(self, c):
         c = self.field.el(c) if isinstance(c, int) else c
-        return GradedE8Element(self.field, self.deg0.scale(c),
-                               self.deg1.scale(c), self.deg2.scale(c))
+        if c.is_zero():
+            return GradedE8Element(self.field)
+        return GradedE8Element._trusted(
+            self.field, {ij: v * c for ij, v in self.entries.items()},
+            self.deg1.scale(c), self.deg2.scale(c))
 
     def __repr__(self):
         return "GradedE8Element(deg0=%r, deg1=%r, deg2=%r)" % (
             self.deg0, self.deg1, self.deg2)
 
 
-def _pair_deg0(k: E8Constants, t: Trivector, w: Wedge6) -> Matrix:
-    out = pairing_gl(t, w)
-    if k.a != t.field.one:
-        out = out.scale(k.a)
-    if not k.tau.is_zero():
-        v = _vol_pairing(t, w)
-        if not v.is_zero():
-            out.rows[8][8] = out.rows[8][8] + k.a * k.tau * v
-    return out
-
-
-def _trace(a: Matrix):
-    return sum((a.rows[d][d] for d in range(9)), a.field.zero)
-
-
-def _strip_trace(a: Matrix) -> Matrix:
-    """Subtract tr(a) at the (9,9) slot: the trace lives on the central
-    h-direction in the characteristic-3 model."""
-    tr = _trace(a)
-    if tr.is_zero():
-        return a
-    rows = [list(r) for r in a.rows]
-    rows[8][8] = rows[8][8] - tr
-    return Matrix._trusted(a.field, rows)
-
-
-def _commutator_deg0(k: E8Constants, a: Matrix, b: Matrix) -> Matrix:
+def _acting(k: E8Constants, field, a, negate):
+    """(acting entries, their columns, trace) of the class with canonical
+    entries a: the trace moved onto E99 in the h-model, the columns and
+    trace negated for the terms subtracted."""
+    tr, stripped = _strip_trace(field, a)
     if k.h_model:
-        a, b = _strip_trace(a), _strip_trace(b)
-    return a * b - b * a
+        a = stripped
+    return a, _columns(a, negate), -tr if negate else tr
 
 
 def bracket(x: GradedE8Element, y: GradedE8Element) -> GradedE8Element:
     """Graded bracket; antisymmetric, satisfies the Jacobi identity
     (property-gated by the test suite).  Every term is bilinear, so a term
-    with an exactly zero operand is skipped, not evaluated."""
+    with an exactly zero operand is skipped, not evaluated.  The terms of
+    each degree are added into one coefficient dict, y's columns and trace
+    negated for the terms subtracted, and each dict is read once."""
     if x.field != y.field:
         raise FieldMismatch("bracket needs matching fields")
     field = x.field
     k = e8_constants(field)
-    x0, y0 = not _is_zero_class(x.deg0), not _is_zero_class(y.deg0)
+    xs, cx, tx = _acting(k, field, x.entries, False)
+    ys, cy, ty = _acting(k, field, y.entries, True)
     x1, y1 = x.deg1.coeffs, y.deg1.coeffs
     x2, y2 = x.deg2.coeffs, y.deg2.coeffs
-    d0 = (_commutator_deg0(k, x.deg0, y.deg0) if x0 and y0
-          else Matrix.zero(field, 9, 9))
-    if x1 and y2:
-        d0 = d0 + _pair_deg0(k, x.deg1, y.deg2)
+    d0, d1, d2 = {}, {}, {}
+    if xs and ys:
+        _product_into(cx, ys, d0)
+        _product_into(cy, xs, d0)
+    if x1 and y2:       # a pairing_gl plus a tau vol at (9,9)
+        _pairing_into(x1, y2, k.a, k.tau, d0)
     if y1 and x2:
-        d0 = d0 - _pair_deg0(k, y.deg1, x.deg2)
-    d1 = k.act1(x.deg0, y.deg1) if x0 and y1 else Trivector(field)
-    if y0 and x1:
-        d1 = d1 - k.act1(y.deg0, x.deg1)
+        _pairing_into(y1, x2, -k.a, k.tau, d0)
+    if xs and y1:
+        _act_subsets(cx, y1, d1, _moves, tx * k.s1)
+    if ys and x1:
+        _act_subsets(cy, x1, d1, _moves, ty * k.s1)
     if x2 and y2:
-        d1 = d1 + dual_wedge(x.deg2, y.deg2).scale(k.b)
-    d2 = k.act2(x.deg0, y.deg2) if x0 and y2 else Wedge6(field)
-    if y0 and x2:
-        d2 = d2 - k.act2(y.deg0, x.deg2)
+        _add_scaled(d1, _wedge_into(x2, y2, {}, True), k.b)
+    if xs and y2:
+        _act_subsets(cx, y2, d2, _moves6, tx * k.s2)
+    if ys and x2:
+        _act_subsets(cy, x2, d2, _moves6, ty * k.s2)
     if x1 and y1:
-        d2 = d2 + wedge33(x.deg1, y.deg1)
-    return GradedE8Element(field, d0, d1, d2)
+        _wedge_into(x1, y1, d2, False)
+    return GradedE8Element._trusted(field, _canonical(d0),
+                                    Trivector._trusted(field, _nonzero(d1)),
+                                    Wedge6._trusted(field, _nonzero(d2)))
 
 
 def cube_class(a: Matrix) -> Matrix:
@@ -433,8 +465,8 @@ def cube_class(a: Matrix) -> Matrix:
     field = a.field
     if field.char != 3:
         raise NotCharThree("cube_class is the characteristic-3 operation")
-    tr = _trace(a)
-    bar = _strip_trace(a)
+    tr, bar = _strip_trace(field, _matrix_entries(a))
+    bar = _entries_matrix(field, bar)
     cube = bar * bar * bar
     t3 = tr * tr * tr
     if not t3.is_zero():       # cube is a new matrix: its (9,9) slot is ours
@@ -445,30 +477,17 @@ def cube_class(a: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 # the 80 canonical deg0 coordinates
 
+# row-major entries, the (9,9) slot skipped
+_COORDS = tuple(divmod(c, 9) for c in range(80))
+
+
 def deg0_basis_coords(a: Matrix):
-    """80 coordinates of a canonical deg0 representative: row-major entries
-    skipping the (9,9) slot."""
-    out = []
-    for i in range(9):
-        for j in range(9):
-            if i == j == 8:
-                continue
-            out.append(a.rows[i][j])
-    return out
+    """80 coordinates of a canonical deg0 representative."""
+    return [a.rows[i][j] for i, j in _COORDS]
 
 
 def deg0_from_coords(field, coords):
-    rows = []
-    it = iter(coords)
-    for i in range(9):
-        row = []
-        for j in range(9):
-            if i == j == 8:
-                row.append(field.zero)
-            else:
-                row.append(next(it))
-        rows.append(row)
-    return Matrix(field, rows)
+    return _entries_matrix(field, dict(zip(_COORDS, coords)))
 
 
 # ---------------------------------------------------------------------------
@@ -514,14 +533,11 @@ def _wedge_gather():
     """wedge33 with t as one gather: entry (S, U) indexes t's 84 codes
     followed by their negatives and a zero (at 168), picking the
     coefficient sgn(T, U) t[T] of e_comp(S) in t ^ e_U, T = comp(S) - U
-    (the layout of loci._signed_codes)."""
+    (the layout of loci._signed_codes), read off the table _disjoint."""
     out = np.full((84, 84), 168, dtype=np.int16)
-    for s_idx, trip in enumerate(TRIPLES):
-        six = COMP[trip]
-        for u in itertools.combinations(six, 3):
-            rest = tuple(v for v in six if v not in u)
-            out[s_idx, TRIPLE_INDEX[u]] = (TRIPLE_INDEX[rest]
-                                           + 84 * (_shuffle_sign(rest, u) < 0))
+    for t_idx, trip in enumerate(TRIPLES):
+        for u, (s, sign, _) in _disjoint(trip).items():
+            out[TRIPLE_INDEX[s], TRIPLE_INDEX[u]] = t_idx + 84 * (sign < 0)
     out.flags.writeable = False
     return out
 
@@ -540,7 +556,7 @@ def _ad_blocks(t: Trivector, kern):
 
     With A[T, c] the coefficient at T of the canonical matrix c acting on
     t (the action table's slices at t's triples, weighted by t):
-    - deg0 -> deg1 is -A, since [t, a] = -act1(a, t);
+    - deg0 -> deg1 is -A, since [t, a] = -[a, t], minus the class action;
     - deg2 -> deg0 maps e_comp(S) to the class of a pairing_gl(t, e_comp(S))
       plus a tau vol(t, e_comp(S)) at (9,9), which is a EPS[S] A[S, (j, i)]
       at coordinate (i, j).  Off the diagonal, entry (i, j) of pairing_gl
@@ -635,18 +651,16 @@ def restricted_power(t: Trivector, e: int = 3) -> Matrix:
     deg1 -> deg2 (the wedge with t)."""
     field = t.field
     _check_char3_field(field, "restricted powers")
-    if e not in (3, 9, 27):
+    cubes = {3: 0, 9: 1, 27: 2}.get(e)
+    if cubes is None:
         raise ValueError("supported exponents: 3, 9, 27")
     kern = field_kernel(field)
     to1_from0, to0_from2, to2_from1 = _ad_blocks(t, kern)
     block = kern.matmul(kern.matmul(to1_from0, to0_from2), to2_from1)
-    a3 = _solve_deg0_from_action(field, block)
-    if e == 3:
-        return a3
-    a9 = cube_class(a3)
-    if e == 9:
-        return a9
-    return cube_class(a9)
+    a = _solve_deg0_from_action(field, block)
+    for _ in range(cubes):
+        a = cube_class(a)
+    return a
 
 
 @dataclass
@@ -676,28 +690,14 @@ def three_rank(c: CurveCoeffs) -> ThreeRankReport:
     a3 = restricted_power(t, 3)
     a9 = cube_class(a3)
     a27 = cube_class(a9)
-    if is_semisimple(a3):
-        lie = 2
-    elif is_semisimple(a9):
-        lie = 1
-    else:
-        lie = 0
-    if not c[24].is_zero():
-        coeff = 2
-    elif not c[18].is_zero():
-        coeff = 1
-    else:
-        coeff = 0
+    lie = 2 if is_semisimple(a3) else 1 if is_semisimple(a9) else 0
+    coeff = 2 if not c[24].is_zero() else 1 if not c[18].is_zero() else 0
     if lie != coeff:
         raise Disagreement("Lie-side rank %d but coefficient-side rank %d"
                            % (lie, coeff))
     combo = canonical_deg0(a3.scale(c[24]) - a9.scale(c[18]))
     diff = a27 - combo
     resid = diff.rows[0][0]
-    for i in range(9):
-        for j in range(9):
-            expect = resid if i == j else field.zero
-            if diff.rows[i][j] != expect:
-                raise Disagreement("a27 is not a scalar shift of "
-                                   "c24*a3 - c18*a9")
+    if diff != Matrix.identity(field, 9).scale(resid):
+        raise Disagreement("a27 is not a scalar shift of c24*a3 - c18*a9")
     return ThreeRankReport(lie, coeff, resid)

@@ -372,7 +372,10 @@ class RationalField(Field):
         return str(a.val)
 
     def from_str(self, s: str):
-        return QElement(self, Fraction(s.strip()))
+        try:
+            return QElement(self, Fraction(s.strip()))
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % s) from None
 
     def spec_str(self):
         return "Q"

@@ -270,14 +270,22 @@ def _lines_in_kernel(kern, beta, sigma, where):
             yield np.repeat(pts[at], c.shape[1]), c.reshape(-1, 4)
 
 
+# lambdas of P^3 multiplied at once by _lines_of_rank_two: its (N, 25)
+# products stay this size over any field (7.0 million lambdas over GF(191))
+_LAMBDA_BATCH = 1 << 12
+
+
 def _lines_of_rank_two(kern, sigma, where):
     """The tau = 0 case of _pure_lines at the points where `where` holds:
     yields (point indices, c) codes of every lambda in P(W*) whose
     sigma_lambda has rank exactly 2, one point at a time
-    (q^3 + q^2 + q + 1 lambdas each)."""
+    (q^3 + q^2 + q + 1 lambdas each, in blocks of _LAMBDA_BATCH)."""
     lams = _projective_codes(kern, 4)
     for p in np.nonzero(where)[0]:
-        keep = _rank_two(kern, kern.matmul(lams, sigma[p].reshape(4, 25)))
+        s = sigma[p].reshape(4, 25)
+        keep = np.concatenate([
+            _rank_two(kern, kern.matmul(lams[lo:lo + _LAMBDA_BATCH], s))
+            for lo in range(0, len(lams), _LAMBDA_BATCH)])
         yield np.full(int(keep.sum()), p), lams[keep]
 
 

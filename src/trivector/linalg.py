@@ -8,7 +8,7 @@ from .errors import NotSkew, OddSize, Singular
 from .polys import Poly
 
 __all__ = ["Matrix", "rank_and_kernel", "pfaffian", "is_semisimple",
-           "minimal_polynomial", "det_cofactor"]
+           "minimal_polynomial"]
 
 
 class Matrix:
@@ -226,26 +226,6 @@ def pfaffian(m: Matrix, one=None):
         return acc
 
     return rec(tuple(range(n)))
-
-
-def det_cofactor(m: Matrix):
-    """Determinant by cofactor expansion; the independent oracle for
-    pf^2 = det and pf(g^T M g) = det(g) pf(M)."""
-    n = m.nrows
-    if n == 0:
-        return m.field.one
-    if n == 1:
-        return m.rows[0][0]
-    acc = m.field.zero
-    for j in range(n):
-        a = m.rows[0][j]
-        if a.is_zero():
-            continue
-        minor = Matrix(m.field, [[row[k] for k in range(n) if k != j]
-                                 for row in m.rows[1:]])
-        term = a * det_cofactor(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
 
 
 def minimal_polynomial(m: Matrix) -> Poly:

@@ -76,7 +76,7 @@ def _element(field, value, path):
     _check(value, (str, int), path)
     try:
         return field.from_str(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ValueError("%s: bad field element %r: %s" % (path, value, exc))
 
 

@@ -89,11 +89,54 @@ def sort_with_sign(i, j, k):
     return (a, b, c), sign
 
 
-class Trivector:
+class _TripleCoeffs:
+    """A field and a map from sorted triples to nonzero coefficients, with
+    the linear arithmetic of Trivector and e8.Wedge6; its results are built
+    by _trusted."""
+
+    __slots__ = ("field", "coeffs")
+
+    @classmethod
+    def _trusted(cls, field, coeffs):
+        """An element on a dict of sorted triples to nonzero elements of
+        field, taken as it is, with no key check or zero test (the
+        constructor of arithmetic results)."""
+        t = object.__new__(cls)
+        t.field = field
+        t.coeffs = coeffs
+        return t
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for t, c in other.coeffs.items():
+            s = out.get(t)
+            s = c if s is None else s + c
+            if s.is_zero():
+                out.pop(t, None)
+            else:
+                out[t] = s
+        return self._trusted(self.field, out)
+
+    def __neg__(self):
+        return self._trusted(self.field, {t: -c for t, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = self.field.el(c) if isinstance(c, int) else c
+        return self._trusted(self.field, {} if c.is_zero() else
+                             {t: x * c for t, x in self.coeffs.items()})
+
+
+class Trivector(_TripleCoeffs):
     """Element of the third wedge power: map from sorted triples to nonzero
     coefficients (zeros omitted)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ()
 
     def __init__(self, field: Field, coeffs=None):
         self.field = field
@@ -110,36 +153,12 @@ class Trivector:
     def coeff(self, t):
         return self.coeffs.get(tuple(t), self.field.zero)
 
-    def is_zero(self):
-        return not self.coeffs
-
     def support(self):
         return sorted(self.coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, Trivector) and self.field == other.field
                 and self.coeffs == other.coeffs)
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for t, c in other.coeffs.items():
-            s = out.get(t)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(t, None)
-            else:
-                out[t] = s
-        return Trivector(self.field, out)
-
-    def __neg__(self):
-        return Trivector(self.field, {t: -c for t, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = self.field.el(c) if isinstance(c, int) else c
-        return Trivector(self.field, {t: x * c for t, x in self.coeffs.items()})
 
     def to_vector(self):
         """Coefficient vector over the 84 sorted triples."""

@@ -192,6 +192,22 @@ def test_gamma_act_perm(tmp_path, capsys):
     assert flag_compatible(t, standard_flag(t.field)).compatible
 
 
+@pytest.mark.parametrize("option", [
+    ["gamma", "build", "--field", "Q", "--set", "c12=1/0"],
+    ["gamma", "act", "--gamma", "GAMMA", "--torus", "1/0"],
+    ["gamma", "act", "--gamma", "GAMMA", "--diag", "1,1,1,1,1,1,1,1,1/0"]],
+    ids=lambda argv: argv[-2])
+def test_zero_denominator_over_q_is_one_line_exit_1(option, tmp_path, capsys):
+    g = tmp_path / "g.json"
+    run_cli(capsys, "gamma", "build", "--field", "Q", "--set", "c30=1",
+            "-o", str(g))
+    code = main([str(g) if a == "GAMMA" else a for a in option])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err and "'1/0'" in err
+
+
 def test_malformed_json_reports_location(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"field": "GF(2)", "terms": [,]}')

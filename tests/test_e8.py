@@ -10,7 +10,7 @@ from trivector.fields import GF, Q
 from trivector.linalg import Matrix, is_semisimple
 from trivector.e8 import (EPS, GradedE8Element, Wedge6, _act3_structure_codes,
                           act3, act6,
-                          _ad_blocks, _commutator_deg0, _insert_sign,
+                          _ad_blocks, _insert_sign,
                           _solve_deg0_from_action, bracket, canonical_deg0,
                           cube_class, deg0_basis_coords, deg0_from_coords,
                           dual_wedge, e8_constants, pairing_gl,
@@ -119,7 +119,6 @@ def test_field_mismatch():
 def test_ad_faithfulness_on_deg1():
     # a deg0 class acting as zero on the trivector block is the zero class
     f3 = GF(3)
-    k = e8_constants(f3)
     for _ in range(10):
         a = Matrix.zero(f3, 9, 9)
         for _ in range(4):
@@ -127,12 +126,9 @@ def test_ad_faithfulness_on_deg1():
         a = canonical_deg0(a)
         if all(c.is_zero() for row in a.rows for c in row):
             continue
-        acts_zero = True
-        for trip in TRIPLES:
-            if not k.act1(a, Trivector(f3, {trip: f3.one})).is_zero():
-                acts_zero = False
-                break
-        assert not acts_zero
+        x = GradedE8Element(f3, a)
+        assert any(not bracket(x, GradedE8Element(f3, deg1=Trivector(
+            f3, {trip: f3.one}))).deg1.is_zero() for trip in TRIPLES)
 
 
 def test_restricted_power_defining_property():
@@ -269,8 +265,29 @@ def _pairing_gl_oracle(t, w):
                              for j in range(1, 10)] for i in range(1, 10)])
 
 
+def _acting_matrix(k, a):
+    """(the matrix through which the class of a acts, tr a): in the h-model
+    the trace moves onto E99."""
+    tr = sum((a.rows[d][d] for d in range(9)), a.field.zero)
+    if k.h_model:
+        a = a.copy()
+        a.rows[8][8] = a.rows[8][8] - tr
+    return a, tr
+
+
+def _class_act_oracle(k, a, coeffs, weight):
+    """The class action of a on {subset: coefficient} by the dense loop,
+    plus tr(a) weight times the element."""
+    a, tr = _acting_matrix(k, a)
+    out = _dense_act_subsets(a, coeffs)
+    for key, c in coeffs.items():
+        out[key] = out.get(key, a.field.zero) + c * tr * weight
+    return out
+
+
 def _full_bracket(x, y):
-    """The bracket with no term skipped, the pairing from the oracle."""
+    """The bracket with no term skipped, from the Matrix forms of the deg0
+    classes: dense products, the dense action loop and the pairing oracle."""
     field = x.field
     k = e8_constants(field)
 
@@ -279,11 +296,18 @@ def _full_bracket(x, y):
         out.rows[8][8] = out.rows[8][8] + k.a * k.tau * _vol_pairing_oracle(t, w)
         return out
 
-    d0 = (_commutator_deg0(k, x.deg0, y.deg0) + pair(x.deg1, y.deg2)
-          - pair(y.deg1, x.deg2))
-    d1 = (k.act1(x.deg0, y.deg1) - k.act1(y.deg0, x.deg1)
+    def act1(a, t):
+        return Trivector(field, _class_act_oracle(k, a, t.coeffs, k.s1))
+
+    def act2(a, w):
+        return Wedge6.from_six_subsets(field, _class_act_oracle(
+            k, a, w.six_subsets(), k.s2))
+
+    xa, ya = _acting_matrix(k, x.deg0)[0], _acting_matrix(k, y.deg0)[0]
+    d0 = xa * ya - ya * xa + pair(x.deg1, y.deg2) - pair(y.deg1, x.deg2)
+    d1 = (act1(x.deg0, y.deg1) - act1(y.deg0, x.deg1)
           + dual_wedge(x.deg2, y.deg2).scale(k.b))
-    d2 = (k.act2(x.deg0, y.deg2) - k.act2(y.deg0, x.deg2)
+    d2 = (act2(x.deg0, y.deg2) - act2(y.deg0, x.deg2)
           + wedge33(x.deg1, y.deg1))
     return GradedE8Element(field, d0, d1, d2)
 
@@ -448,15 +472,15 @@ def test_restricted_power_rejects_fields_past_the_table_limit():
 
 
 def _act3_structure_oracle(field, kern):
-    """The action table by the object route: act1 of each of the 80
-    canonical elementary matrices on each of the 84 basis trivectors."""
-    consts = e8_constants(field)
+    """The action table by the object route: the bracket of each of the 80
+    canonical elementary matrices with each of the 84 basis trivectors."""
     mat = np.zeros((84 * 84, 80), dtype=np.int16)
     for col in range(80):
         a = Matrix.zero(field, 9, 9)
         a.rows[col // 9][col % 9] = field.one
         for t_idx, trip in enumerate(TRIPLES):
-            img = consts.act1(a, Trivector(field, {trip: field.one}))
+            img = bracket(GradedE8Element(field, a), GradedE8Element(
+                field, deg1=Trivector(field, {trip: field.one}))).deg1
             for otrip, cval in img.coeffs.items():
                 mat[TRIPLE_INDEX[otrip] * 84 + t_idx, col] = kern.encode(cval)
     return mat

@@ -544,6 +544,31 @@ def test_pure_line_cases_are_reached(monkeypatch):
     assert seen.get("_lines_of_rank_two", 0) > 0
 
 
+@pytest.mark.parametrize("field", [GF(5), GF(7)], ids=str)
+def test_rank_two_lines_in_small_blocks_equal_one_block(field, monkeypatch):
+    # tau = 0 at the rank-4 points of a moved sparse trivector: the lambdas
+    # in blocks of 7 (a last partial block) give the candidates of one block
+    rng = random.Random(field.order)
+    one = field.one
+    t = gl_act(_random_invertible(field, rng), Trivector(
+        field, {(1, 2, 3): one, (1, 4, 5): one, (2, 6, 7): -one}))
+    kern = field_kernel(field)
+    points = _random_rank4_points(t, rng, 4)
+    seen = []
+    inner = fl._lines_of_rank_two
+
+    def spy(*args):
+        for pidx, c in inner(*args):
+            seen.append(len(pidx))
+            yield pidx, c
+    monkeypatch.setattr(fl, "_lines_of_rank_two", spy)
+    monkeypatch.setattr(fl, "_LAMBDA_BATCH", 1 << 30)
+    whole = _as_lists(_coded_flag_candidates(t, kern, points))
+    assert len(points) == 4 and sum(seen) > 0
+    monkeypatch.setattr(fl, "_LAMBDA_BATCH", 7)
+    assert _as_lists(_coded_flag_candidates(t, kern, points)) == whole
+
+
 _FIELDS = (GF(3), GF(2, 2), GF(5))
 
 

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from trivector.errors import NotSkew, OddSize
 from trivector.fields import GF, Q
-from trivector.linalg import (Matrix, det_cofactor, is_semisimple,
-                              minimal_polynomial, pfaffian, rank_and_kernel)
+from trivector.linalg import (Matrix, is_semisimple, minimal_polynomial,
+                              pfaffian, rank_and_kernel)
 from trivector.polys import Poly, embed_map, extension_of
 
 
@@ -17,6 +17,26 @@ def test_rank_and_kernel_zero_and_identity():
     assert rank == 0 and len(basis) == 9
     rank, basis = rank_and_kernel(Matrix.identity(f7, 9))
     assert rank == 9 and basis == []
+
+
+def det_cofactor(m: Matrix):
+    """Determinant by cofactor expansion; the independent oracle for
+    pf^2 = det and pf(g^T M g) = det(g) pf(M)."""
+    n = m.nrows
+    if n == 0:
+        return m.field.one
+    if n == 1:
+        return m.rows[0][0]
+    acc = m.field.zero
+    for j in range(n):
+        a = m.rows[0][j]
+        if a.is_zero():
+            continue
+        minor = Matrix(m.field, [[row[k] for k in range(n) if k != j]
+                                 for row in m.rows[1:]])
+        term = a * det_cofactor(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
 
 
 def _random_skew(field, n, rng):

@@ -1,15 +1,17 @@
 """Literal sha256 pins of exact outputs: the graded bracket over five fields
-and every kind of deg0 part, act3/act6 on the same matrices, gl_act, the
+and every kind of deg0 part, its nested brackets (the Jacobi terms) and the
+element arithmetic, act3/act6 on the same matrices, gl_act, the
 3-rank reports of the 25 C7 curves, and every encoding of the skew pencil
 phi(x) = iota_x t (phi_at, phi_pencil, pfaffian_cubic, the coded structure
 tensor and build_skew, the coded flag candidates, the F_2 witness scan and
 the double contraction).
 
 The bracket, action and gl_act values were recorded before the products and
-actions learned to skip zero entries, the pencil values before its three
-contraction slots were written once (trivector.CONTRACTION_SLOTS); every
-route must reproduce them exactly, and a change of one coefficient anywhere
-changes a hash."""
+actions learned to skip zero entries, the nested-bracket and arithmetic
+values before the elements held their deg0 classes as nonzero entries, the
+pencil values before its three contraction slots were written once
+(trivector.CONTRACTION_SLOTS); every route must reproduce them exactly, and
+a change of one coefficient anywhere changes a hash."""
 
 import hashlib
 import json
@@ -146,6 +148,51 @@ def three_rank_digest():
     return _digest([three_rank(c).to_json() for c in c7_curves()])
 
 
+def _arithmetic_elements(field):
+    """The pinned elements and two whose deg0 part holds a raw (9,9) entry:
+    alone, and beside five drawn slots."""
+    r = random.Random(2700 + (field.order or 0))
+    corner = Matrix.zero(field, 9, 9)
+    corner.rows[8][8] = field.one
+    mixed = _deg0(field, "sparse", r)
+    mixed.rows[8][8] = -field.one
+    return _elements(field) + [
+        GradedE8Element(field, d0, Trivector(field, _trivector_terms(field, r, 5)),
+                        Wedge6(field, _trivector_terms(field, r, 5)))
+        for d0 in (corner, mixed)]
+
+
+def nested_bracket_digest(field):
+    """The three Jacobi terms b(b(x, y), z), b(b(y, z), x), b(b(z, x), y)
+    of 36 triples, each element three times in each place: the inner
+    brackets' dense deg0 parts feed back into the bracket."""
+    els = _arithmetic_elements(field)
+    n = len(els)
+    out = []
+    for i in range(n):
+        for k in range(3):
+            x, y, z = els[i], els[(i + 1 + k) % n], els[(i + 2 + 2 * k) % n]
+            out.append([_element(bracket(bracket(a, b), c))
+                        for a, b, c in ((x, y, z), (y, z, x), (z, x, y))])
+    return _digest(out)
+
+
+def element_arithmetic_digest(field):
+    """x + y, x - y, ==, and is_zero of x - y over every pair, scale by
+    0, 1, -1, a drawn scalar and the int 2, and repr(x.deg0)."""
+    r = random.Random(2750 + (field.order or 0))
+    els = _arithmetic_elements(field)
+    scalars = (field.zero, field.one, -field.one, field.random(r), 2)
+    out = []
+    for x in els:
+        out.append([repr(x.deg0), x.is_zero()]
+                   + [_element(x.scale(c)) for c in scalars])
+        for y in els:
+            out.append([_element(x + y), _element(x - y), x == y,
+                        (x - y).is_zero()])
+    return _digest(out)
+
+
 BRACKET_PINS = {
     "Q": "4220f169a76450b01280c97fb6574557dda9667be52b87d3538089b35953689e",
     "GF(2^2)": "28b03c990e1ff25fd58ea11f77b29c103e5ab8ff8e3f9103bfd44ec97bc29d12",
@@ -168,6 +215,20 @@ GL_ACT_PINS = {
     "GF(3^2)": "28a3cfc771b678b4e05ce58dd6e8d2a4c40d6efe0d99a57cc8db26d6fa1ce900",
 }
 THREE_RANK_PIN = "0b0470c43a955ba8be5107a1fa9d0f5ec26ac301874912202a69157860ad0075"
+NESTED_BRACKET_PINS = {
+    "Q": "c958090849fdc595b66ad7ae6683b34598dfa38004dec32cf08825c3cce5ef26",
+    "GF(2^2)": "33df8b82b54263067811d912b9b7b4e201fcfb97a54de04f263ed901c5473a10",
+    "GF(3)": "8163c5b747baf64ad48b4ee4058e51e5724edb0b0df7b4b70c4c34948f31b05d",
+    "GF(7)": "724431ef30a871dcba56e06504a7501132f596834b36d08757655f5537ba0ded",
+    "GF(3^2)": "cff67138a39ce573db67a35d015cdad189cec62c692a9f96ccfb05d8dd8bd808",
+}
+ELEMENT_ARITHMETIC_PINS = {
+    "Q": "c8edf22981cbb5e0626bbb575869c9990799e8accc904cc11c94a0c89d58b403",
+    "GF(2^2)": "35b7609e5c6085e01150132f063c709c126f79280b3de978a45cfd89cf44c593",
+    "GF(3)": "6c883c79b6a95fb959274b12e6707764afd848b2cc7b6d35d07f1b2bb45bb9ab",
+    "GF(7)": "03abbdfc1abadfead60f7971a4e6ac1fc4e1c59d920b4ce6937cf43dc2fcaf8a",
+    "GF(3^2)": "5b323d36227561b7b3e17094f55ba6277e3f7f27bd8bec1068c820e78d33a524",
+}
 
 
 @pytest.mark.parametrize("field", _FIELDS, ids=str)
@@ -187,6 +248,16 @@ def test_gl_act_pinned(field):
 
 def test_c7_three_rank_reports_pinned():
     assert three_rank_digest() == THREE_RANK_PIN
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=str)
+def test_nested_brackets_pinned(field):
+    assert nested_bracket_digest(field) == NESTED_BRACKET_PINS[str(field)]
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=str)
+def test_element_arithmetic_pinned(field):
+    assert element_arithmetic_digest(field) == ELEMENT_ARITHMETIC_PINS[str(field)]
 
 
 # ---------------------------------------------------------------------------
